@@ -159,8 +159,10 @@ func Extract(d *hierarchy.Dendrogram, cons *constraints.Set, cfg Config) (*Resul
 	for i := range res.Labels {
 		res.Labels[i] = -1
 	}
-	// Top-down: materialize the highest selected nodes.
+	// Top-down: materialize the highest selected nodes, labeling each
+	// one's leaves through a second stack.
 	stack := []int{d.Root}
+	var sub []int
 	for len(stack) > 0 {
 		id := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -169,8 +171,15 @@ func Extract(d *hierarchy.Dendrogram, cons *constraints.Set, cfg Config) (*Resul
 			lab := res.NumClusters
 			res.NumClusters++
 			res.SelectedNodes = append(res.SelectedNodes, id)
-			for _, o := range d.Members(id) {
-				res.Labels[o] = lab
+			sub = append(sub[:0], id)
+			for len(sub) > 0 {
+				v := d.Nodes[sub[len(sub)-1]]
+				sub = sub[:len(sub)-1]
+				if v.Point >= 0 {
+					res.Labels[v.Point] = lab
+				} else {
+					sub = append(sub, v.Left, v.Right)
+				}
 			}
 			continue
 		}

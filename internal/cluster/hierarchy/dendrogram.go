@@ -7,8 +7,10 @@
 package hierarchy
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"cvcp/internal/cluster/optics"
@@ -52,11 +54,10 @@ func FromReachability(res *optics.Result) (*Dendrogram, error) {
 	for p := 1; p < n; p++ {
 		bars = append(bars, bar{pos: p, h: res.Reach[p]})
 	}
-	sort.SliceStable(bars, func(i, j int) bool {
-		if bars[i].h != bars[j].h {
-			return bars[i].h < bars[j].h
-		}
-		return bars[i].pos < bars[j].pos
+	// Positions are distinct, so (height, position) orders the bars
+	// totally and the sort need not be stable.
+	slices.SortFunc(bars, func(a, b bar) int {
+		return cmp.Or(cmp.Compare(a.h, b.h), a.pos-b.pos)
 	})
 	d := newLeaves(n)
 	// Union-find over current dendrogram roots.

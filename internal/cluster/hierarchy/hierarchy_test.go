@@ -137,39 +137,81 @@ func TestMembersAndPostOrder(t *testing.T) {
 	}
 }
 
+// The separator LCA must agree with a parent-pointer walk on every pair,
+// on single-linkage trees and on OPTICS dendrograms built by
+// FromReachability: random data with duplicate points (zero-height bars
+// and height ties) and +Inf bars (MinPts above n, where every bar is
+// +Inf, and finite-ε orderings with several density components).
 func TestLCAAgainstNaive(t *testing.T) {
 	r := stats.NewRand(3)
-	x := make([][]float64, 30)
-	for i := range x {
-		x[i] = []float64{r.NormFloat64() * 5}
+	var trees []*Dendrogram
+	for _, n := range []int{1, 2, 3, 30, 64} {
+		x := make([][]float64, n)
+		for i := range x {
+			x[i] = []float64{r.NormFloat64() * 5}
+		}
+		d, err := SingleLinkage(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		trees = append(trees, d)
 	}
-	d, err := SingleLinkage(x)
+	for _, n := range []int{1, 2, 7, 40, 90} {
+		x := make([][]float64, n)
+		for i := range x {
+			if i > 0 && r.Intn(3) == 0 {
+				x[i] = x[r.Intn(i)] // duplicate point
+				continue
+			}
+			x[i] = []float64{math.Round(r.NormFloat64() * 3), math.Round(r.NormFloat64() * 3)}
+		}
+		for _, minPts := range []int{1, 3, n + 1} {
+			res, err := optics.Run(x, minPts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			trees = append(trees, mustReach(t, res))
+		}
+		res, err := optics.RunWithEps(x, 2, 1.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		trees = append(trees, mustReach(t, res))
+	}
+	for ti, d := range trees {
+		l := NewLCA(d)
+		naive := func(a, b int) int {
+			anc := map[int]bool{}
+			for v := a; v != -1; v = d.Nodes[v].Parent {
+				anc[v] = true
+			}
+			for v := b; v != -1; v = d.Nodes[v].Parent {
+				if anc[v] {
+					return v
+				}
+			}
+			return -1
+		}
+		for a := 0; a < d.N; a++ {
+			for b := 0; b < d.N; b++ {
+				if got, want := l.Query(a, b), naive(a, b); got != want {
+					t.Fatalf("tree %d (n=%d): LCA(%d,%d) = %d, want %d", ti, d.N, a, b, got, want)
+				}
+			}
+		}
+		if l.MergeHeight(0, 0) != 0 {
+			t.Errorf("tree %d: MergeHeight(a,a) must be 0", ti)
+		}
+	}
+}
+
+func mustReach(t *testing.T, res *optics.Result) *Dendrogram {
+	t.Helper()
+	d, err := FromReachability(res)
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := NewLCA(d)
-	naive := func(a, b int) int {
-		anc := map[int]bool{}
-		for v := a; v != -1; v = d.Nodes[v].Parent {
-			anc[v] = true
-		}
-		for v := b; v != -1; v = d.Nodes[v].Parent {
-			if anc[v] {
-				return v
-			}
-		}
-		return -1
-	}
-	for a := 0; a < len(x); a++ {
-		for b := 0; b < len(x); b++ {
-			if got, want := l.Query(a, b), naive(a, b); got != want {
-				t.Fatalf("LCA(%d,%d) = %d, want %d", a, b, got, want)
-			}
-		}
-	}
-	if l.MergeHeight(0, 0) != 0 {
-		t.Error("MergeHeight(a,a) must be 0")
-	}
+	return d
 }
 
 // Property: a dendrogram over n points has 2n-1 nodes, the root covers all

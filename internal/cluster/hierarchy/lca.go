@@ -1,96 +1,85 @@
 package hierarchy
 
+import "math/bits"
+
 // LCA answers lowest-common-ancestor queries on a dendrogram in O(1) after
-// O(n log n) preprocessing, via the Euler tour + sparse-table reduction to
-// range-minimum queries. FOSC uses it to find, for every constraint (a, b),
-// the dendrogram node at which the two objects first merge.
+// O(n log n) preprocessing. An in-order walk of a binary dendrogram
+// alternates leaves and internal nodes, so its n−1 internal nodes are the
+// separators between consecutive leaves. The LCA of the leaves at in-order
+// ranks i < j is the separator among i..j−1 that is an ancestor of all the
+// others there, so it comes first among them in pre-order. A sparse table
+// answers that range minimum over pre-order numbers. FOSC uses it to find,
+// for every constraint (a, b), the dendrogram node at which the two
+// objects first merge.
 type LCA struct {
-	d      *Dendrogram
-	euler  []int // node id per Euler tour position
-	depth  []int // depth per Euler tour position
-	first  []int // first tour position of each node id
+	d    *Dendrogram
+	rank []int32 // in-order rank per leaf node id
+	node []int32 // internal node id per pre-order number
+	// sparse[l][i] is the smallest pre-order number among separators
+	// i..i+2^l−1.
 	sparse [][]int32
-	log2   []int
 }
 
 // NewLCA preprocesses d for constant-time LCA queries.
 func NewLCA(d *Dendrogram) *LCA {
-	l := &LCA{d: d, first: make([]int, len(d.Nodes))}
-	for i := range l.first {
-		l.first[i] = -1
-	}
-	type frame struct {
-		id, depth, state int
-	}
-	stack := []frame{{id: d.Root}}
-	for len(stack) > 0 {
-		f := &stack[len(stack)-1]
-		nd := d.Nodes[f.id]
-		if l.first[f.id] == -1 {
-			l.first[f.id] = len(l.euler)
+	l := &LCA{d: d, rank: make([]int32, d.N), node: make([]int32, 0, d.N-1)}
+	seps := make([]int32, 0, d.N-1)
+	var stack []int32 // pre-order numbers of the internal nodes whose right subtree is pending
+	id := d.Root
+	for {
+		// An iterative in-order walk reaches every internal node in
+		// pre-order on its way down.
+		for d.Nodes[id].Point < 0 {
+			stack = append(stack, int32(len(l.node)))
+			l.node = append(l.node, int32(id))
+			id = d.Nodes[id].Left
 		}
-		l.euler = append(l.euler, f.id)
-		l.depth = append(l.depth, f.depth)
-		if nd.Point >= 0 {
-			stack = stack[:len(stack)-1]
-			continue
+		l.rank[id] = int32(len(seps))
+		if len(stack) == 0 {
+			break
 		}
-		switch f.state {
-		case 0:
-			f.state = 1
-			stack = append(stack, frame{id: nd.Left, depth: f.depth + 1})
-		case 1:
-			f.state = 2
-			stack = append(stack, frame{id: nd.Right, depth: f.depth + 1})
-		default:
-			stack = stack[:len(stack)-1]
-		}
+		pre := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		seps = append(seps, pre)
+		id = d.Nodes[l.node[pre]].Right
 	}
-	l.buildSparse()
-	return l
-}
 
-func (l *LCA) buildSparse() {
-	m := len(l.euler)
-	l.log2 = make([]int, m+1)
-	for i := 2; i <= m; i++ {
-		l.log2[i] = l.log2[i/2] + 1
+	m := len(seps)
+	levels := bits.Len(uint(m))
+	size := 0
+	for lev := 1; lev < levels; lev++ {
+		size += m - 1<<lev + 1
 	}
-	levels := l.log2[m] + 1
+	backing := make([]int32, size)
 	l.sparse = make([][]int32, levels)
-	l.sparse[0] = make([]int32, m)
-	for i := 0; i < m; i++ {
-		l.sparse[0][i] = int32(i)
+	if levels > 0 {
+		l.sparse[0] = seps
 	}
 	for lev := 1; lev < levels; lev++ {
-		width := m - (1 << lev) + 1
-		l.sparse[lev] = make([]int32, width)
-		for i := 0; i < width; i++ {
-			a := l.sparse[lev-1][i]
-			b := l.sparse[lev-1][i+(1<<(lev-1))]
-			if l.depth[a] <= l.depth[b] {
-				l.sparse[lev][i] = a
-			} else {
-				l.sparse[lev][i] = b
-			}
+		prev, half := l.sparse[lev-1], 1<<(lev-1)
+		cur := backing[:m-1<<lev+1]
+		backing = backing[len(cur):]
+		for i := range cur {
+			cur[i] = min(prev[i], prev[i+half])
 		}
+		l.sparse[lev] = cur
 	}
+	return l
 }
 
 // Query returns the node id of the lowest common ancestor of objects a and b
 // (object indices, i.e. leaf node ids).
 func (l *LCA) Query(a, b int) int {
-	fa, fb := l.first[a], l.first[b]
-	if fa > fb {
-		fa, fb = fb, fa
+	if a == b {
+		return a
 	}
-	lev := l.log2[fb-fa+1]
-	p := l.sparse[lev][fa]
-	q := l.sparse[lev][fb-(1<<lev)+1]
-	if l.depth[p] <= l.depth[q] {
-		return l.euler[p]
+	i, j := int(l.rank[a]), int(l.rank[b])
+	if i > j {
+		i, j = j, i
 	}
-	return l.euler[q]
+	// Separators i..j−1, covered by two possibly overlapping windows.
+	lev := bits.Len(uint(j-i)) - 1
+	return int(l.node[min(l.sparse[lev][i], l.sparse[lev][j-1<<lev])])
 }
 
 // MergeHeight returns the dendrogram height at which objects a and b first

@@ -79,13 +79,14 @@ func Run(x [][]float64, cons *constraints.Set, cfg Config) (*Result, error) {
 	}
 	r := rand.New(rand.NewSource(cfg.Seed))
 
+	ml, cl := cons.MustLinks(), cons.CannotLinks()
 	m := &model{
 		x: x, n: n, dim: dim, k: cfg.K, w: w,
 		learnMetric: cfg.LearnMetric,
-		ml:          cons.MustLinks(),
-		cl:          cons.CannotLinks(),
-		mlAdj:       adjacency(cons.MustLinks(), n),
-		clAdj:       adjacency(cons.CannotLinks(), n),
+		ml:          ml,
+		cl:          cl,
+		mlAdj:       adjacency(ml, n),
+		clAdj:       adjacency(cl, n),
 		ranges:      dataRanges(x),
 	}
 	m.centers = m.initCenters(r, cons)

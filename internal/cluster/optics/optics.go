@@ -95,9 +95,9 @@ func run(n, minPts int, dist func(i, j int) float64, rowInto func(dst []float64,
 }
 
 // coreDistances returns, for every object, the distance to its minPts-th
-// nearest neighbor (the object itself counts as the first). The minPts-th
-// smallest row entry is selected in O(n) with kthSmallest instead of a
-// full O(n log n) sort — the order statistic is the same value either way.
+// nearest neighbor (the object itself counts as the first). kthSmallest
+// selects the minPts-th smallest row entry through a bounded heap of
+// minPts values, one buffer reused for every row.
 func coreDistances(n, minPts int, rowInto func(dst []float64, i int)) []float64 {
 	core := make([]float64, n)
 	if minPts > n {
@@ -110,60 +110,50 @@ func coreDistances(n, minPts int, rowInto func(dst []float64, i int)) []float64 
 		return core // distance to itself
 	}
 	d := make([]float64, n)
+	h := make([]float64, minPts)
 	for i := 0; i < n; i++ {
 		rowInto(d, i)
-		core[i] = kthSmallest(d, minPts-1)
+		core[i] = kthSmallest(d, minPts-1, h)
 	}
 	return core
 }
 
-// kthSmallest returns the k-th smallest value of a (0-indexed), reordering
-// a in place. Deterministic three-way quickselect with a median-of-three
-// pivot: the selected order statistic is exactly the value sort would put
-// at index k.
-func kthSmallest(a []float64, k int) float64 {
-	lo, hi := 0, len(a)
-	for hi-lo > 1 {
-		pivot := median3(a[lo], a[lo+(hi-lo)/2], a[hi-1])
-		// Three-way partition: a[lo:lt] < pivot, a[lt:i] == pivot,
-		// a[gt:hi] > pivot.
-		lt, gt := lo, hi
-		for i := lo; i < gt; {
-			switch {
-			case a[i] < pivot:
-				a[i], a[lt] = a[lt], a[i]
-				lt++
-				i++
-			case a[i] > pivot:
-				gt--
-				a[i], a[gt] = a[gt], a[i]
-			default:
-				i++
-			}
-		}
-		switch {
-		case k < lt:
-			hi = lt
-		case k >= gt:
-			lo = gt
-		default:
-			return pivot
+// kthSmallest returns the k-th smallest value of a (0-indexed), the value
+// sort would put at index k, for 0 <= k < len(a); a is left unchanged.
+// It keeps the k+1 smallest values seen so far in a max-heap held in
+// buf[:k+1] (buf needs that length; its contents are overwritten), so
+// an entry no smaller than the heap's top costs one comparison.
+func kthSmallest(a []float64, k int, buf []float64) float64 {
+	h := buf[:k+1]
+	copy(h, a[:k+1])
+	for i := k / 2; i >= 0; i-- {
+		siftDownMax(h, i)
+	}
+	for _, v := range a[k+1:] {
+		if v < h[0] {
+			h[0] = v
+			siftDownMax(h, 0)
 		}
 	}
-	return a[lo]
+	return h[0]
 }
 
-func median3(a, b, c float64) float64 {
-	if a > b {
-		a, b = b, a
+// siftDownMax restores the max-heap order of h below position i.
+func siftDownMax(h []float64, i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && h[c+1] > h[c] {
+			c++
+		}
+		if !(h[c] > h[i]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
 	}
-	if b > c {
-		b = c
-	}
-	if a > b {
-		b = a
-	}
-	return b
 }
 
 // heap is an indexed min-heap over object indices keyed by reachability,

@@ -171,14 +171,22 @@ func TestVPTreeConcurrentQueries(t *testing.T) {
 }
 
 // kthSmallest must select exactly the value sort would place at index k,
-// on adversarial shapes: duplicates, all-equal, pre-sorted, reversed, and
-// slices containing +Inf.
+// on adversarial shapes: duplicates, all-equal, pre-sorted, reversed,
+// slices containing +Inf, rows of length 1 and every k up to n-1. One
+// heap buffer, longer than any k needs, serves every call, as it serves
+// every row of an OPTICS run; the input row must come back unchanged.
 func TestKthSmallestMatchesSort(t *testing.T) {
 	r := rand.New(rand.NewSource(61))
+	allEqual := make([]float64, 97)
+	for i := range allEqual {
+		allEqual[i] = 2.5
+	}
 	cases := [][]float64{
 		{0},
+		{math.Inf(1)},
 		{2, 1},
 		{1, 1, 1, 1, 1},
+		allEqual,
 		{5, 4, 3, 2, 1, 0},
 		{0, 1, 2, 3, 4, 5},
 		{3, 1, 3, 1, 3, 1, 3},
@@ -191,13 +199,25 @@ func TestKthSmallestMatchesSort(t *testing.T) {
 		}
 		cases = append(cases, v)
 	}
+	buf := make([]float64, 128)
+	for i := range buf {
+		buf[i] = -1 // stale contents a call must overwrite
+	}
 	for ci, c := range cases {
 		want := append([]float64(nil), c...)
 		sort.Float64s(want)
+		row := append([]float64(nil), c...)
 		for k := range c {
-			scratch := append([]float64(nil), c...)
-			if got := kthSmallest(scratch, k); got != want[k] {
+			if got := kthSmallest(row, k, buf); got != want[k] {
 				t.Fatalf("case %d: kthSmallest(k=%d) = %v, want %v (input %v)", ci, k, got, want[k], c)
+			}
+		}
+		if got, last := kthSmallest(row, len(c)-1, buf[:len(c)]), want[len(c)-1]; got != last {
+			t.Fatalf("case %d: kthSmallest(k=n-1) with an exact-length buffer = %v, want the maximum %v", ci, got, last)
+		}
+		for i := range c {
+			if math.Float64bits(row[i]) != math.Float64bits(c[i]) {
+				t.Fatalf("case %d: kthSmallest changed the row at %d: %v, was %v", ci, i, row[i], c[i])
 			}
 		}
 	}
@@ -278,6 +298,23 @@ func TestRunWithEpsErrors(t *testing.T) {
 	}
 	if _, err := RunWithEps(x, 2, math.NaN()); err == nil {
 		t.Fatal("NaN eps: expected error")
+	}
+}
+
+// A MinPts far above n is valid input, not an allocation size: no object
+// has that many ε-neighbors, so every core distance is +Inf.
+func TestRunWithEpsHugeMinPts(t *testing.T) {
+	x := [][]float64{{0}, {1}, {3}}
+	for _, minPts := range []int{len(x) + 1, math.MaxInt, 1 << 40} {
+		res, err := RunWithEps(x, minPts, 1)
+		if err != nil {
+			t.Fatalf("MinPts=%d: %v", minPts, err)
+		}
+		for i, c := range res.Core {
+			if !math.IsInf(c, 1) {
+				t.Fatalf("MinPts=%d: Core[%d] = %v, want +Inf", minPts, i, c)
+			}
+		}
 	}
 }
 

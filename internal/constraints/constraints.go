@@ -6,8 +6,11 @@
 package constraints
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
+	"sync/atomic"
 )
 
 // Pair is an unordered pair of object indices with A < B.
@@ -35,11 +38,17 @@ type Constraint struct {
 }
 
 // Set is a deduplicated collection of constraints. The zero value is not
-// usable; call NewSet.
+// usable; call NewSet. Any number of goroutines may read a Set at once;
+// a change must not overlap any other use.
 type Set struct {
 	ml map[Pair]struct{}
 	cl map[Pair]struct{}
+	// sorted caches the views MustLinks and CannotLinks return: built by
+	// the first read after a change, dropped by every change.
+	sorted atomic.Pointer[sortedViews]
 }
+
+type sortedViews struct{ ml, cl []Pair }
 
 // NewSet returns an empty constraint set.
 func NewSet() *Set {
@@ -55,6 +64,9 @@ func (s *Set) Add(a, b int, mustLink bool) {
 		s.ml[p] = struct{}{}
 	} else {
 		s.cl[p] = struct{}{}
+	}
+	if s.sorted.Load() != nil {
+		s.sorted.Store(nil)
 	}
 }
 
@@ -85,21 +97,38 @@ func (s *Set) HasCannotLink(a, b int) bool {
 // Constraints returns all constraints in deterministic (sorted) order:
 // must-links first, then cannot-links, each sorted by (A, B).
 func (s *Set) Constraints() []Constraint {
+	v := s.views()
 	out := make([]Constraint, 0, s.Len())
-	for _, p := range sortedPairs(s.ml) {
+	for _, p := range v.ml {
 		out = append(out, Constraint{Pair: p, MustLink: true})
 	}
-	for _, p := range sortedPairs(s.cl) {
+	for _, p := range v.cl {
 		out = append(out, Constraint{Pair: p, MustLink: false})
 	}
 	return out
 }
 
-// MustLinks returns the must-link pairs in sorted order.
-func (s *Set) MustLinks() []Pair { return sortedPairs(s.ml) }
+// MustLinks returns the must-link pairs in sorted order. The slice is
+// shared with every other reader until the set changes: callers must not
+// modify it.
+func (s *Set) MustLinks() []Pair { return s.views().ml }
 
-// CannotLinks returns the cannot-link pairs in sorted order.
-func (s *Set) CannotLinks() []Pair { return sortedPairs(s.cl) }
+// CannotLinks returns the cannot-link pairs in sorted order. The slice is
+// shared with every other reader until the set changes: callers must not
+// modify it.
+func (s *Set) CannotLinks() []Pair { return s.views().cl }
+
+// views returns the sorted pair views, sorting the maps only when no read
+// since the last change has. Concurrent first readers each build identical
+// views; whichever is stored last stays.
+func (s *Set) views() *sortedViews {
+	if v := s.sorted.Load(); v != nil {
+		return v
+	}
+	v := &sortedViews{ml: sortedPairs(s.ml), cl: sortedPairs(s.cl)}
+	s.sorted.Store(v)
+	return v
+}
 
 // Involved returns the sorted indices of all objects that appear in at least
 // one constraint.
@@ -134,11 +163,18 @@ func (s *Set) Clone() *Set {
 }
 
 // Validate reports an error if any pair is constrained both must-link and
-// cannot-link.
+// cannot-link, naming the smallest such pair.
 func (s *Set) Validate() error {
-	for p := range s.ml {
-		if _, bad := s.cl[p]; bad {
-			return fmt.Errorf("constraints: pair (%d,%d) is both must-link and cannot-link", p.A, p.B)
+	v := s.views()
+	ml, cl := v.ml, v.cl
+	for len(ml) > 0 && len(cl) > 0 {
+		switch c := comparePairs(ml[0], cl[0]); {
+		case c < 0:
+			ml = ml[1:]
+		case c > 0:
+			cl = cl[1:]
+		default:
+			return fmt.Errorf("constraints: pair (%d,%d) is both must-link and cannot-link", ml[0].A, ml[0].B)
 		}
 	}
 	return nil
@@ -166,14 +202,12 @@ func sortedPairs(m map[Pair]struct{}) []Pair {
 	for p := range m {
 		out = append(out, p)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].A != out[j].A {
-			return out[i].A < out[j].A
-		}
-		return out[i].B < out[j].B
-	})
+	slices.SortFunc(out, comparePairs)
 	return out
 }
+
+// comparePairs orders pairs by (A, B).
+func comparePairs(a, b Pair) int { return cmp.Or(cmp.Compare(a.A, b.A), cmp.Compare(a.B, b.B)) }
 
 // FromLabels derives the full set of constraints among the given labeled
 // objects: a must-link for every same-label pair and a cannot-link for every

@@ -1,6 +1,10 @@
 package constraints
 
 import (
+	"math/rand"
+	"slices"
+	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -75,6 +79,90 @@ func TestValidateConflict(t *testing.T) {
 	s.Add(1, 2, false)
 	if err := s.Validate(); err == nil {
 		t.Error("expected conflict error")
+	}
+}
+
+// With several conflicting pairs, Validate names the smallest one, so the
+// error does not depend on map iteration order.
+func TestValidateNamesSmallestConflict(t *testing.T) {
+	s := NewSet()
+	for _, p := range []Pair{{7, 8}, {2, 9}, {2, 5}, {4, 6}} {
+		s.Add(p.A, p.B, true)
+		s.Add(p.A, p.B, false)
+	}
+	for i := 0; i < 20; i++ {
+		err := s.Validate()
+		if err == nil || !strings.Contains(err.Error(), "pair (2,5)") {
+			t.Fatalf("Validate() = %v, want the conflict on pair (2,5)", err)
+		}
+	}
+}
+
+// randomSet returns a set of n random pairs over 200 objects, about half
+// of them must-links.
+func randomSet(r *rand.Rand, n int) *Set {
+	s := NewSet()
+	for s.Len() < n {
+		a, b := r.Intn(200), r.Intn(200)
+		if a != b && !s.HasMustLink(a, b) && !s.HasCannotLink(a, b) {
+			s.Add(a, b, r.Intn(2) == 0)
+		}
+	}
+	return s
+}
+
+// Goroutines reading a fresh set at once all see the same sorted views,
+// whichever of them builds the views first (run under -race).
+func TestSortedViewsConcurrentReaders(t *testing.T) {
+	s := randomSet(rand.New(rand.NewSource(5)), 2000)
+	ref := s.Clone()
+	wantML, wantCL, wantAll := ref.MustLinks(), ref.CannotLinks(), ref.Constraints()
+	if !slices.IsSortedFunc(wantML, comparePairs) || !slices.IsSortedFunc(wantCL, comparePairs) {
+		t.Fatal("views not sorted by (A, B)")
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				if err := s.Validate(); err != nil {
+					t.Error(err)
+				}
+				if !slices.Equal(s.MustLinks(), wantML) || !slices.Equal(s.CannotLinks(), wantCL) {
+					t.Error("a concurrent reader saw different sorted views")
+					return
+				}
+				if !slices.Equal(s.Constraints(), wantAll) {
+					t.Error("a concurrent reader saw different constraints")
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// A change after a read shows in the next read, and a slice an earlier
+// read returned keeps its contents.
+func TestSortedViewsSeeAdd(t *testing.T) {
+	s := NewSet()
+	s.Add(4, 5, true)
+	s.Add(1, 9, false)
+	ml, cl := s.MustLinks(), s.CannotLinks()
+	s.Add(2, 3, true)
+	s.Add(0, 7, false)
+	if got, want := s.MustLinks(), []Pair{{2, 3}, {4, 5}}; !slices.Equal(got, want) {
+		t.Errorf("MustLinks after Add = %v, want %v", got, want)
+	}
+	if got, want := s.CannotLinks(), []Pair{{0, 7}, {1, 9}}; !slices.Equal(got, want) {
+		t.Errorf("CannotLinks after Add = %v, want %v", got, want)
+	}
+	if got := s.Constraints(); len(got) != 4 || got[0] != (Constraint{Pair{2, 3}, true}) {
+		t.Errorf("Constraints after Add = %v", got)
+	}
+	if !slices.Equal(ml, []Pair{{4, 5}}) || !slices.Equal(cl, []Pair{{1, 9}}) {
+		t.Errorf("earlier views changed: %v, %v", ml, cl)
 	}
 }
 

@@ -27,8 +27,8 @@ type PartitionScorer interface {
 // deterministic folds plus everything needed to compute any contiguous
 // cell subrange (ScoreRange) or merge a complete set of cell scores
 // into the final Result (Finalize). Cells linearize candidate-major —
-// ci outermost, then parameter, then fold — matching cellTasks' task
-// order, so cell index c of a plan is task index c of the single-node
+// ci outermost, then parameter, then fold — the cell order cellTasks
+// indexes by, so cell index c of a plan is cell c of the single-node
 // engine run.
 //
 // The contract underpinning distributed execution: for any partition of
@@ -64,10 +64,6 @@ func PlanCells(spec Spec) (*CellPlan, error) {
 	if err != nil {
 		return nil, err
 	}
-	cells := 0
-	for _, cand := range spec.Grid {
-		cells += len(cand.Params) * len(folds)
-	}
 	return &CellPlan{
 		ds:     spec.Dataset,
 		grid:   spec.Grid,
@@ -75,7 +71,7 @@ func PlanCells(spec Spec) (*CellPlan, error) {
 		full:   full,
 		opt:    spec.Options,
 		scorer: scorer,
-		cells:  cells,
+		cells:  gridCells(spec.Grid, len(folds)),
 	}, nil
 }
 
@@ -85,7 +81,8 @@ func (p *CellPlan) NumCells() int { return p.cells }
 // ScoreRange computes the cells in [lo, hi) and returns their scores in
 // cell order. workers and limiter are the executing node's own
 // machine-local budget — they affect scheduling only, never the scores,
-// which derive purely from grid position.
+// which derive purely from grid position. The range's cells are claimed
+// in the same fold-major order as a whole grid's (see cellTasks).
 func (p *CellPlan) ScoreRange(ctx context.Context, lo, hi int, workers int, limiter *runner.Limiter) ([]float64, error) {
 	scores, _, err := p.ScoreRangeCounted(ctx, lo, hi, workers, limiter)
 	return scores, err
@@ -110,9 +107,9 @@ func (p *CellPlan) ScoreRangeCounted(ctx context.Context, lo, hi int, workers in
 	}
 	counts := &CellStats{}
 	scores := newScoreGrid(p.grid, len(p.folds))
-	tasks := cellTasks(p.ds, p.grid, p.folds, p.opt, scores, counts)
+	tasks := cellTasks(p.ds, p.grid, p.folds, p.opt, scores, counts, lo, hi)
 	ropt := runner.Options{Workers: workers, Context: ctx, Limiter: limiter}
-	if err := runner.RunRange(ropt, tasks, lo, hi); err != nil {
+	if err := runner.Run(ropt, tasks); err != nil {
 		return nil, CellCounts{}, err
 	}
 	if p.opt.CellStats != nil {

@@ -16,12 +16,14 @@ import (
 //   - the OPTICS ordering per (dataset, MinPts), reused by every fold of
 //     that parameter and by the final clustering.
 //
-// runner.Cache provides the sharing: it is single-flight, so when the
-// engine schedules all folds of one MinPts concurrently, exactly one task
-// computes the ordering and the rest block on it instead of duplicating the
-// O(n²) work. The cache is process-wide and keyed by dataset identity
-// (pointer), retaining only a few recent datasets: experiment trials create
-// datasets in sequence and never revisit old ones.
+// runner.Cache provides the sharing. Cells are claimed fold-major (see
+// cellTasks), so concurrent workers usually build different MinPts
+// orderings; single flight still makes any task that needs an ordering
+// already in progress — an overlapping claim, the final refit — block on
+// it instead of duplicating the O(n²) work. The cache is process-wide and
+// keyed by dataset identity (pointer), retaining only a few recent
+// datasets: experiment trials create datasets in sequence and never
+// revisit old ones.
 const cacheDatasets = 8
 
 var runCache = runner.NewCache(cacheDatasets)

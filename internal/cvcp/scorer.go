@@ -183,7 +183,7 @@ func (v Validity) Score(ds *dataset.Dataset, grid Grid, sup Supervision, opt Opt
 // run is bit-identical to running each candidate alone.
 func partitionScore(ds *dataset.Dataset, grid Grid, folds []Fold, full *constraints.Set, opt Options) ([]*Selection, error) {
 	scores := newScoreGrid(grid, len(folds))
-	tasks := cellTasks(ds, grid, folds, opt, scores, opt.CellStats)
+	tasks := cellTasks(ds, grid, folds, opt, scores, opt.CellStats, 0, gridCells(grid, len(folds)))
 	if err := runner.Run(opt.engineOptions(), tasks); err != nil {
 		return nil, err
 	}
@@ -207,13 +207,32 @@ func newScoreGrid(grid Grid, nFolds int) [][]ParamScore {
 	return scores
 }
 
+// gridCells returns the number of (candidate, parameter, fold) cells.
+func gridCells(grid Grid, nFolds int) int {
+	cells := 0
+	for _, cand := range grid {
+		cells += len(cand.Params) * nFolds
+	}
+	return cells
+}
+
 // cellTasks builds one engine task per (candidate, parameter, fold) cell
-// in canonical cell order — ci outermost, then pi, then fi — the
-// linearization the distributed layer's shard ranges index into. Each
-// cell's seed derives from its within-candidate grid position
-// (stats.SplitSeed(seed, pi*len(folds)+fi+1)), exactly the derivation
-// the per-candidate legacy entry points used, so any contiguous subrange
-// computes bit-identically to those cells of the full grid.
+// whose index lies in [lo, hi). Cells are indexed in canonical cell order
+// — ci outermost, then pi, then fi — the linearization the distributed
+// layer's shard ranges index into. Each cell's seed derives from its
+// within-candidate grid position (stats.SplitSeed(seed, pi*len(folds)+fi+1)),
+// exactly the derivation the per-candidate legacy entry points used, so any
+// contiguous subrange computes bit-identically to those cells of the full
+// grid.
+//
+// The tasks come in claim order, which differs from cell order: within a
+// candidate, fold-major — fold 0 of every parameter column before fold 1
+// of any. Every cell of a FOSC-OPTICSDend column needs the same OPTICS
+// ordering, computed once in single flight: claimed column by column, a
+// second worker would wait on the first one's ordering, while claimed
+// fold-major, concurrent workers build different columns' orderings at
+// once. The engine reports the failing task that comes first in claim
+// order, so errors stay deterministic.
 //
 // A fold carrying its own sub-dataset (Fold.Data, stable supervisions) is
 // clustered on that sub-dataset; when it also carries a CacheKey and
@@ -221,11 +240,15 @@ func newScoreGrid(grid Grid, nFolds int) [][]ParamScore {
 // cell cache — a cache hit returns the identical bits the computation
 // would have produced. counts, when non-nil, tallies computed vs reused
 // cells.
-func cellTasks(ds *dataset.Dataset, grid Grid, folds []Fold, opt Options, scores [][]ParamScore, counts *CellStats) []runner.Task {
-	tasks := make([]runner.Task, 0)
+func cellTasks(ds *dataset.Dataset, grid Grid, folds []Fold, opt Options, scores [][]ParamScore, counts *CellStats, lo, hi int) []runner.Task {
+	tasks := make([]runner.Task, 0, hi-lo)
+	base := 0 // index of the candidate's first cell
 	for ci, cand := range grid {
-		for pi := range cand.Params {
-			for fi := range folds {
+		for fi := range folds {
+			for pi := range cand.Params {
+				if c := base + pi*len(folds) + fi; c < lo || c >= hi {
+					continue
+				}
 				ci, pi, fi := ci, pi, fi
 				tasks = append(tasks, func(context.Context) error {
 					cand := grid[ci]
@@ -264,6 +287,7 @@ func cellTasks(ds *dataset.Dataset, grid Grid, folds []Fold, opt Options, scores
 				})
 			}
 		}
+		base += len(cand.Params) * len(folds)
 	}
 	return tasks
 }

@@ -2,6 +2,7 @@ package cvcp
 
 import (
 	"context"
+	"sync"
 	"testing"
 
 	"cvcp/internal/dataset"
@@ -9,8 +10,10 @@ import (
 )
 
 // memCellStore is a map-backed CellStore for exercising the cache path
-// without a real persistence layer.
+// without a real persistence layer. Every engine worker calls it, so a
+// mutex guards the map.
 type memCellStore struct {
+	mu   sync.Mutex
 	m    map[string]uint64
 	puts int
 }
@@ -18,14 +21,25 @@ type memCellStore struct {
 func newMemCellStore() *memCellStore { return &memCellStore{m: map[string]uint64{}} }
 
 func (s *memCellStore) GetCell(key string) (uint64, bool, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	bits, ok := s.m[key]
 	return bits, ok, nil
 }
 
 func (s *memCellStore) PutCell(key string, bits uint64) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.puts++
 	s.m[key] = bits
 	return nil
+}
+
+// putCount returns how many PutCell calls the store has seen.
+func (s *memCellStore) putCount() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.puts
 }
 
 // growingBlobs builds a labeled blob dataset as a Versioned resource with
@@ -179,8 +193,8 @@ func TestStableLabelsCacheBitIdentity(t *testing.T) {
 			}
 		}
 	}
-	if cs.puts != cells {
-		t.Fatalf("%d cache writes, want %d", cs.puts, cells)
+	if puts := cs.putCount(); puts != cells {
+		t.Fatalf("%d cache writes, want %d", puts, cells)
 	}
 }
 

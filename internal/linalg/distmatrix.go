@@ -13,8 +13,8 @@ package linalg
 //   - condensed: only the strict upper triangle, n·(n-1)/2 float64
 //     entries — half the memory of the square layout. The diagonal is
 //     implicit (zero) and At mirrors i>j lookups. This is the layout the
-//     per-run selection cache retains, since a resident matrix per cached
-//     dataset dominates the cache's footprint.
+//     process-wide selection run cache retains, since a resident matrix
+//     per cached dataset dominates the cache's footprint.
 //   - condensed32: the condensed triangle stored as float32, halving
 //     memory again. Entries are computed in float64 and rounded once on
 //     store, so At returns float64(float32(d)) — a documented relative

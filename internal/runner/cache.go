@@ -12,8 +12,8 @@ import "sync"
 // computation: the first caller computes, everyone else blocks on it and
 // shares the result. That is what makes a fold×parameter grid cheap — all
 // folds of one parameter need the same dendrogram, and every parameter
-// needs the same distance matrix, yet each is computed exactly once per
-// run regardless of the worker count.
+// needs the same distance matrix, yet each is computed exactly once while
+// its owner stays cached, regardless of the worker count.
 //
 // Owners are evicted in insertion order once more than maxOwners are
 // resident: experiment harnesses walk datasets in sequence and never

@@ -14,15 +14,16 @@
 //     the lowest task index is returned, independent of interleaving;
 //   - progress reporting: an optional callback observes completed/total.
 //
-// The companion Cache type (cache.go) is the per-run memoization layer the
-// grid tasks share: single-flight, so concurrent tasks needing the same
+// The companion Cache type (cache.go) is the memoization layer the grid
+// tasks share: single-flight, so concurrent tasks needing the same
 // expensive intermediate (an OPTICS ordering, a pairwise-distance matrix)
-// compute it once and everyone else blocks on that one computation.
+// compute it once and everyone else blocks on that one computation. The
+// selection engine keeps one process-wide Cache keyed by dataset, which
+// outlives any single run.
 package runner
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 	"sync"
 	"time"
@@ -247,19 +248,6 @@ func Run(opt Options, tasks []Task) error {
 	// No task failed but the grid is incomplete: the caller's context was
 	// cancelled mid-run.
 	return opt.context().Err()
-}
-
-// RunRange executes the contiguous task subrange [lo, hi) — the shard
-// entry point of the distributed layer. Because a task's seed and output
-// slot derive from its grid position at construction time, never from
-// scheduling, running tasks[lo:hi] here computes bit-identical results
-// to those cells of a full-grid Run; OnProgress reports done/total
-// relative to the subrange.
-func RunRange(opt Options, tasks []Task, lo, hi int) error {
-	if lo < 0 || hi > len(tasks) || lo > hi {
-		return fmt.Errorf("runner: range [%d, %d) outside grid of %d tasks", lo, hi, len(tasks))
-	}
-	return Run(opt, tasks[lo:hi])
 }
 
 // runSerial is the Workers == 1 path: tasks run inline in index order, so a

@@ -9,7 +9,9 @@ import (
 // content-addressed cell keys to IEEE-754 score bit patterns. The store
 // package adapts its record stores to this interface; scores travel as
 // uint64 bits (never formatted floats) so a cached score is bit-identical
-// to the computation it replaced.
+// to the computation it replaced. Implementations must be safe for
+// concurrent use: ScoreCache calls GetCell and PutCell from every engine
+// worker at once.
 type CellStore interface {
 	// GetCell returns the stored score bits for key, reporting whether the
 	// key was present.
