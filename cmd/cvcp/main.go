@@ -38,7 +38,6 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"flag"
 	"fmt"
@@ -50,6 +49,7 @@ import (
 	"strings"
 
 	root "cvcp"
+	"cvcp/internal/constraints"
 	corecvcp "cvcp/internal/cvcp"
 	"cvcp/internal/dataset"
 	"cvcp/internal/runner"
@@ -170,7 +170,7 @@ func main() {
 		// of a fold no new row landed in stays valid across appends.
 		sup = corecvcp.StableLabels(*frac)
 	case *consPath != "":
-		cons, err := loadConstraints(*consPath)
+		cons, err := loadConstraints(*consPath, ds.N())
 		if err != nil {
 			fatal(err)
 		}
@@ -314,40 +314,25 @@ func readBatch(path string) (dataset.RowBatch, error) {
 	return b, nil
 }
 
-// loadConstraints parses a constraint file: one constraint per line,
-// "<a> <b> ml" or "<a> <b> cl" with zero-based object indices; blank lines
-// and lines starting with '#' are ignored.
-func loadConstraints(path string) (*root.Constraints, error) {
-	f, err := os.Open(path)
+// loadConstraints reads a constraint file for an n-object dataset (the
+// format of constraints.ParseLines: "<a> <b> ml|cl" lines with zero-based
+// object indices), rejecting indices outside the dataset and self-pairs
+// with the messages the selection service gives.
+func loadConstraints(path string, n int) (*root.Constraints, error) {
+	text, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	cons := root.NewConstraints()
-	sc := bufio.NewScanner(f)
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
-			continue
-		}
-		var a, b int
-		var kind string
-		if _, err := fmt.Sscanf(text, "%d %d %s", &a, &b, &kind); err != nil {
-			return nil, fmt.Errorf("%s:%d: %q: %w", path, line, text, err)
-		}
-		switch strings.ToLower(kind) {
-		case "ml", "must", "mustlink", "must-link":
-			cons.Add(a, b, true)
-		case "cl", "cannot", "cannotlink", "cannot-link":
-			cons.Add(a, b, false)
-		default:
-			return nil, fmt.Errorf("%s:%d: unknown constraint kind %q", path, line, kind)
-		}
+	lines, err := constraints.ParseLines(string(text))
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	if err := sc.Err(); err != nil {
-		return nil, err
+	cons := root.NewConstraints()
+	for _, c := range lines {
+		if err := c.Check(n); err != nil {
+			return nil, fmt.Errorf("%s: %w", path, err)
+		}
+		cons.Add(c.A, c.B, c.MustLink)
 	}
 	return cons, nil
 }

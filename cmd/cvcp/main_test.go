@@ -1,0 +1,91 @@
+package main
+
+import (
+	"errors"
+	"fmt"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// TestMain runs the command itself when CVCP_TEST_MAIN is set, so tests
+// can run the CLI as a child process and check its exit status and output.
+func TestMain(m *testing.M) {
+	if os.Getenv("CVCP_TEST_MAIN") == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// A constraint file naming an object the dataset lacks, or one object
+// twice, is an error that names the constraint, not a panic.
+func TestLoadConstraints(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name, text string) string {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	cons, err := loadConstraints(write("ok.txt", "# two\n0 1 ml\n\n2 1 cannot-link\n"), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !cons.HasMustLink(0, 1) || !cons.HasCannotLink(1, 2) || cons.Len() != 2 {
+		t.Errorf("parsed %v", cons.Constraints())
+	}
+	for _, c := range []struct{ name, text, want string }{
+		{"far.txt", "0 1 ml\n0 500 ml\n", "far.txt: constraint (0, 500): object index out of range [0, 150)"},
+		{"neg.txt", "-1 8 cl\n", "neg.txt: constraint (-1, 8): object index out of range [0, 150)"},
+		{"self.txt", "7 7 ml\n", "self.txt: constraint (7, 7): a pair needs two distinct objects"},
+		{"kind.txt", "0 1 ml\n1 2 maybe\n", `kind.txt: line 2: unknown constraint kind "maybe" (want ml or cl)`},
+	} {
+		path := write(c.name, c.text)
+		_, err := loadConstraints(path, 150)
+		if want := filepath.Join(dir, c.want); err == nil || err.Error() != want {
+			t.Errorf("%s: err %v, want %q", c.name, err, want)
+		}
+	}
+}
+
+// The command exits 1 with a one-line message, not a stack trace, for a
+// constraint file naming an object the dataset lacks or one object twice.
+func TestCLIInvalidConstraintsExit1(t *testing.T) {
+	dir := t.TempDir()
+	var csv strings.Builder
+	for i := range 20 {
+		fmt.Fprintf(&csv, "%d,%d,%d\n", i%2*10+i%3, i%5, i%2)
+	}
+	data := filepath.Join(dir, "data.csv")
+	if err := os.WriteFile(data, []byte(csv.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	valid := "0 2 ml\n2 4 ml\n1 3 ml\n3 5 ml\n0 1 cl\n4 5 cl\n6 8 ml\n7 9 ml\n6 7 cl\n"
+	for _, c := range []struct{ name, text, want string }{
+		{"far", valid + "0 500 ml\n", "constraint (0, 500): object index out of range [0, 20)"},
+		{"negative", valid + "-1 8 cl\n", "constraint (-1, 8): object index out of range [0, 20)"},
+		{"self", valid + "7 7 ml\n", "constraint (7, 7): a pair needs two distinct objects"},
+	} {
+		cons := filepath.Join(dir, c.name+".txt")
+		if err := os.WriteFile(cons, []byte(c.text), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		cmd := exec.Command(os.Args[0], "-data", data, "-labeled", "-algo", "mpck", "-constraints", cons,
+			"-kmin", "2", "-kmax", "3", "-folds", "2", "-workers", "2", "-quiet")
+		cmd.Env = append(os.Environ(), "CVCP_TEST_MAIN=1")
+		var stderr strings.Builder
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+			t.Errorf("%s: exit %v, want status 1 (stderr %q)", c.name, err, stderr.String())
+		}
+		if want := "cvcp: " + cons + ": " + c.want + "\n"; stderr.String() != want {
+			t.Errorf("%s: stderr %q, want %q", c.name, stderr.String(), want)
+		}
+	}
+}

@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"cvcp/internal/cluster/kmeans"
@@ -80,20 +81,32 @@ func Run(x [][]float64, cons *constraints.Set, cfg Config) (*Result, error) {
 	r := rand.New(rand.NewSource(cfg.Seed))
 
 	ml, cl := cons.MustLinks(), cons.CannotLinks()
+	mlAdj, err := adjacency(ml, n)
+	if err != nil {
+		return nil, err
+	}
+	clAdj, err := adjacency(cl, n)
+	if err != nil {
+		return nil, err
+	}
 	m := &model{
 		x: x, n: n, dim: dim, k: cfg.K, w: w,
 		learnMetric: cfg.LearnMetric,
 		ml:          ml,
 		cl:          cl,
-		mlAdj:       adjacency(ml, n),
-		clAdj:       adjacency(cl, n),
+		mlAdj:       mlAdj,
+		clAdj:       clAdj,
 		ranges:      dataRanges(x),
+		logDets:     make([]float64, cfg.K),
+		diameters:   make([]float64, cfg.K),
+		cost:        make([]float64, cfg.K),
 	}
-	m.centers = m.initCenters(r, cons)
+	m.centers = m.initCenters(r)
 	m.metrics = make([][]float64, cfg.K)
 	for c := range m.metrics {
 		m.metrics[c] = ones(dim)
 	}
+	m.metricTerms()
 	m.labels = make([]int, n)
 	for i := range m.labels {
 		m.labels[i] = -1
@@ -105,6 +118,7 @@ func Run(x [][]float64, cons *constraints.Set, cfg Config) (*Result, error) {
 		m.updateCenters(r)
 		if m.learnMetric {
 			m.updateMetrics()
+			m.metricTerms()
 		}
 		if !changed && iters > 0 {
 			break
@@ -130,16 +144,27 @@ type model struct {
 	ranges      []float64 // per-dimension data range, for the CL penalty diameter
 	centers     [][]float64
 	metrics     [][]float64
-	labels      []int
+	// logDets and diameters hold log det A_c and D²_{A_c} for every
+	// cluster. Both depend on the metric alone, so metricTerms refreshes
+	// them whenever the metrics change, not once per (point, cluster).
+	logDets   []float64
+	diameters []float64
+	labels    []int
+	cost      []float64 // E-step scratch: one object's cost in every cluster
 }
 
-func adjacency(pairs []constraints.Pair, n int) [][]int {
+// adjacency lists each object's constraint partners, in pair order. It
+// rejects a pair naming an object outside [0, n).
+func adjacency(pairs []constraints.Pair, n int) ([][]int, error) {
 	adj := make([][]int, n)
 	for _, p := range pairs {
+		if p.A < 0 || p.B >= n {
+			return nil, fmt.Errorf("mpckmeans: constraint (%d,%d) names an object outside [0, %d)", p.A, p.B, n)
+		}
 		adj[p.A] = append(adj[p.A], p.B)
 		adj[p.B] = append(adj[p.B], p.A)
 	}
-	return adj
+	return adj, nil
 }
 
 func dataRanges(x [][]float64) []float64 {
@@ -171,10 +196,44 @@ func ones(n int) []float64 {
 	return s
 }
 
+// neighborhoods returns the must-link connected components of the
+// constrained objects, ordered by smallest member, members ascending.
+// Objects with only cannot-links are singletons; unconstrained objects
+// belong to none.
+func (m *model) neighborhoods() [][]int {
+	seen := make([]bool, m.n)
+	var comps [][]int
+	var stack []int
+	for i := range m.n {
+		if seen[i] || len(m.mlAdj[i])+len(m.clAdj[i]) == 0 {
+			continue
+		}
+		// Objects below i are all placed, so i is its component's
+		// smallest member.
+		seen[i] = true
+		comp := []int{i}
+		stack = append(stack[:0], i)
+		for len(stack) > 0 {
+			v := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			for _, j := range m.mlAdj[v] {
+				if !seen[j] {
+					seen[j] = true
+					comp = append(comp, j)
+					stack = append(stack, j)
+				}
+			}
+		}
+		slices.Sort(comp)
+		comps = append(comps, comp)
+	}
+	return comps
+}
+
 // initCenters seeds the clusters from must-link neighborhoods (transitive
 // closure components), the initialization of Bilenko et al. §3.4.
-func (m *model) initCenters(r *rand.Rand, cons *constraints.Set) [][]float64 {
-	comps := constraints.MustLinkComponents(cons)
+func (m *model) initCenters(r *rand.Rand) [][]float64 {
+	comps := m.neighborhoods()
 	// Neighborhoods: ML components with >= 1 member; singleton CL-only
 	// objects still hint at cluster representatives.
 	type hood struct {
@@ -193,7 +252,8 @@ func (m *model) initCenters(r *rand.Rand, cons *constraints.Set) [][]float64 {
 		// the largest, greedily add the centroid maximizing (size-weighted)
 		// distance to the chosen set.
 		chosen := []int{0}
-		used := map[int]bool{0: true}
+		used := make([]bool, len(hoods))
+		used[0] = true
 		for len(chosen) < m.k {
 			best, bestScore := -1, -1.0
 			for h := range hoods {
@@ -266,45 +326,59 @@ func (m *model) initCenters(r *rand.Rand, cons *constraints.Set) [][]float64 {
 	return centers
 }
 
-// pointCost is the E-step cost of putting object i into cluster c given the
-// current (partial) assignment of the other objects.
-func (m *model) pointCost(i, c int) float64 {
-	cost := linalg.WeightedSqDist(m.x[i], m.centers[c], m.metrics[c]) - m.logDet(c)
+// pointCosts fills m.cost[c] with the E-step cost of putting object i into
+// cluster c, for every c, given the current (partial) assignment of the
+// other objects. Each cluster's cost sums the centre term, then the
+// must-link terms in mlAdj[i] order, then the cannot-link terms in
+// clAdj[i] order; a neighbour's distance under its own cluster's metric is
+// computed once, not once per cluster.
+func (m *model) pointCosts(i int) {
+	xi := m.x[i]
+	for c := range m.cost {
+		m.cost[c] = linalg.WeightedSqDist(xi, m.centers[c], m.metrics[c]) - m.logDets[c]
+	}
 	for _, j := range m.mlAdj[i] {
 		lj := m.labels[j]
-		if lj >= 0 && lj != c {
-			cost += m.w * 0.5 * (linalg.WeightedSqDist(m.x[i], m.x[j], m.metrics[c]) +
-				linalg.WeightedSqDist(m.x[i], m.x[j], m.metrics[lj]))
+		if lj < 0 {
+			continue
+		}
+		own := linalg.WeightedSqDist(xi, m.x[j], m.metrics[lj])
+		for c := range m.cost {
+			if c != lj {
+				m.cost[c] += m.w * 0.5 * (linalg.WeightedSqDist(xi, m.x[j], m.metrics[c]) + own)
+			}
 		}
 	}
 	for _, j := range m.clAdj[i] {
-		if m.labels[j] == c {
-			pen := m.diameter(c) - linalg.WeightedSqDist(m.x[i], m.x[j], m.metrics[c])
-			if pen < 0 {
-				pen = 0
-			}
-			cost += m.w * pen
+		c := m.labels[j]
+		if c < 0 {
+			continue
 		}
+		pen := m.diameters[c] - linalg.WeightedSqDist(xi, m.x[j], m.metrics[c])
+		if pen < 0 {
+			pen = 0
+		}
+		m.cost[c] += m.w * pen
 	}
-	return cost
 }
 
-func (m *model) logDet(c int) float64 {
-	var s float64
-	for _, a := range m.metrics[c] {
-		s += math.Log(a)
+// metricTerms refreshes every cluster's log-determinant and cannot-link
+// diameter from its metric.
+func (m *model) metricTerms() {
+	for c, a := range m.metrics {
+		var ld float64
+		for _, v := range a {
+			ld += math.Log(v)
+		}
+		m.logDets[c] = ld
+		// The squared metric-scaled data diameter: the maximal separation
+		// term of the cannot-link penalty.
+		var d float64
+		for j, rg := range m.ranges {
+			d += a[j] * rg * rg
+		}
+		m.diameters[c] = d
 	}
-	return s
-}
-
-// diameter is the squared metric-scaled data diameter used as the maximal
-// separation term of the cannot-link penalty.
-func (m *model) diameter(c int) float64 {
-	var s float64
-	for j, rg := range m.ranges {
-		s += m.metrics[c][j] * rg * rg
-	}
-	return s
 }
 
 // assign performs the greedy sequential E-step in random order and reports
@@ -312,9 +386,10 @@ func (m *model) diameter(c int) float64 {
 func (m *model) assign(r *rand.Rand) bool {
 	changed := false
 	for _, i := range r.Perm(m.n) {
+		m.pointCosts(i)
 		best, bestCost := 0, math.Inf(1)
-		for c := 0; c < m.k; c++ {
-			if cost := m.pointCost(i, c); cost < bestCost {
+		for c, cost := range m.cost {
+			if cost < bestCost {
 				best, bestCost = c, cost
 			}
 		}
@@ -351,55 +426,69 @@ func (m *model) updateCenters(r *rand.Rand) {
 // updateMetrics recomputes the per-cluster diagonal metrics in closed form
 // (Bilenko et al. eq. 7, diagonal case), including the constraint-violation
 // terms, clamped to keep the metric positive definite.
+//
+// Each (cluster, dimension) denominator adds its points in index order,
+// then its violated must-links in pair order, then its violated
+// cannot-links in pair order. A cluster with a violated constraint holds
+// that constraint's object, so clusters without points get no terms and
+// keep their metric.
 func (m *model) updateMetrics() {
 	const (
 		minWeight = 1e-6
 		maxWeight = 1e6
 	)
-	for c := 0; c < m.k; c++ {
-		nC := 0
-		denom := make([]float64, m.dim)
-		for i, p := range m.x {
-			if m.labels[i] != c {
-				continue
-			}
-			nC++
-			for j := range denom {
-				d := p[j] - m.centers[c][j]
-				denom[j] += d * d
-			}
+	nC := make([]int, m.k)
+	denoms := make([][]float64, m.k)
+	for c := range denoms {
+		denoms[c] = make([]float64, m.dim)
+	}
+	for i, p := range m.x {
+		c := m.labels[i]
+		nC[c]++
+		denom, mu := denoms[c], m.centers[c]
+		for j := range denom {
+			d := p[j] - mu[j]
+			denom[j] += d * d
 		}
-		if nC == 0 {
+	}
+	for _, pr := range m.ml {
+		li, lj := m.labels[pr.A], m.labels[pr.B]
+		if li == lj {
 			continue
 		}
-		for _, pr := range m.ml {
-			li, lj := m.labels[pr.A], m.labels[pr.B]
-			if li == lj || (li != c && lj != c) {
-				continue
-			}
-			for j := range denom {
-				d := m.x[pr.A][j] - m.x[pr.B][j]
-				denom[j] += m.w * 0.5 * d * d
+		a, b := m.x[pr.A], m.x[pr.B]
+		di, dj := denoms[li], denoms[lj]
+		for j := range di {
+			d := a[j] - b[j]
+			t := m.w * 0.5 * d * d
+			di[j] += t
+			dj[j] += t
+		}
+	}
+	for _, pr := range m.cl {
+		c := m.labels[pr.A]
+		if m.labels[pr.B] != c {
+			continue
+		}
+		a, b, denom := m.x[pr.A], m.x[pr.B], denoms[c]
+		for j := range denom {
+			d := a[j] - b[j]
+			contrib := m.ranges[j]*m.ranges[j] - d*d
+			if contrib > 0 {
+				denom[j] += m.w * contrib
 			}
 		}
-		for _, pr := range m.cl {
-			if m.labels[pr.A] != c || m.labels[pr.B] != c {
-				continue
-			}
-			for j := range denom {
-				d := m.x[pr.A][j] - m.x[pr.B][j]
-				contrib := m.ranges[j]*m.ranges[j] - d*d
-				if contrib > 0 {
-					denom[j] += m.w * contrib
-				}
-			}
+	}
+	for c, denom := range denoms {
+		if nC[c] == 0 {
+			continue
 		}
 		for j := range denom {
 			var a float64
 			if denom[j] <= 0 {
 				a = maxWeight
 			} else {
-				a = float64(nC) / denom[j]
+				a = float64(nC[c]) / denom[j]
 			}
 			if a < minWeight {
 				a = minWeight
@@ -416,7 +505,7 @@ func (m *model) objective() float64 {
 	var J float64
 	for i, p := range m.x {
 		c := m.labels[i]
-		J += linalg.WeightedSqDist(p, m.centers[c], m.metrics[c]) - m.logDet(c)
+		J += linalg.WeightedSqDist(p, m.centers[c], m.metrics[c]) - m.logDets[c]
 	}
 	for _, pr := range m.ml {
 		li, lj := m.labels[pr.A], m.labels[pr.B]
@@ -427,7 +516,7 @@ func (m *model) objective() float64 {
 	}
 	for _, pr := range m.cl {
 		if c := m.labels[pr.A]; c == m.labels[pr.B] {
-			pen := m.diameter(c) - linalg.WeightedSqDist(m.x[pr.A], m.x[pr.B], m.metrics[c])
+			pen := m.diameters[c] - linalg.WeightedSqDist(m.x[pr.A], m.x[pr.B], m.metrics[c])
 			if pen > 0 {
 				J += m.w * pen
 			}

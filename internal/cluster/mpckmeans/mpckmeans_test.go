@@ -1,6 +1,7 @@
 package mpckmeans
 
 import (
+	"slices"
 	"testing"
 
 	"cvcp/internal/constraints"
@@ -37,6 +38,46 @@ func TestRunErrors(t *testing.T) {
 	bad.Add(0, 1, false)
 	if _, err := Run(x, bad, Config{K: 2}); err == nil {
 		t.Error("expected error for conflicting constraints")
+	}
+	for _, p := range [][2]int{{0, 30}, {-1, 5}, {3, 1 << 40}} {
+		for _, mustLink := range []bool{true, false} {
+			outside := constraints.NewSet()
+			outside.Add(1, 2, true)
+			outside.Add(p[0], p[1], mustLink)
+			if _, err := Run(x, outside, Config{K: 2}); err == nil {
+				t.Errorf("expected error for constraint %v (must-link %v) on 30 objects", p, mustLink)
+			}
+		}
+	}
+}
+
+// The must-link neighbourhoods Run derives from its adjacency lists are
+// exactly constraints.MustLinkComponents: same components, ordered by
+// smallest member, members ascending.
+func TestNeighborhoodsMatchComponents(t *testing.T) {
+	r := stats.NewRand(11)
+	for trial := 0; trial < 200; trial++ {
+		n := 2 + r.Intn(40)
+		cons := constraints.NewSet()
+		for m := r.Intn(3 * n); m > 0; m-- {
+			a, b := r.Intn(n), r.Intn(n)
+			if a != b && !cons.HasMustLink(a, b) && !cons.HasCannotLink(a, b) {
+				cons.Add(a, b, r.Intn(3) == 0)
+			}
+		}
+		mlAdj, err := adjacency(cons.MustLinks(), n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		clAdj, err := adjacency(cons.CannotLinks(), n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := (&model{n: n, mlAdj: mlAdj, clAdj: clAdj}).neighborhoods()
+		want := constraints.MustLinkComponents(cons)
+		if !slices.EqualFunc(got, want, slices.Equal[[]int]) {
+			t.Fatalf("trial %d: neighbourhoods %v, components %v", trial, got, want)
+		}
 	}
 }
 

@@ -52,7 +52,8 @@ type Supervision interface {
 // Labels is Scenario I supervision (§3.1.1): the objects at the given
 // indices are labeled, their labels read from the dataset's Y column.
 // Constraints are derived independently inside the training side and the
-// test side of each fold, which keeps the cross-validation leak-free.
+// test side of each fold, which keeps the cross-validation leak-free. An
+// index outside the dataset, or listed twice, fails the selection.
 func Labels(idx []int) Supervision { return labelSupervision{idx: idx} }
 
 type labelSupervision struct{ idx []int }
@@ -66,12 +67,32 @@ func (l labelSupervision) check(ds *dataset.Dataset) error {
 	if len(l.idx) < 4 {
 		return fmt.Errorf("cvcp: need at least 4 labeled objects, got %d", len(l.idx))
 	}
+	return l.checkIndices(ds.N())
+}
+
+// checkIndices rejects a labeled index outside [0, n) or listed twice,
+// naming the first such index. It only reads, so fold construction draws
+// the same random numbers whether or not it ran.
+func (l labelSupervision) checkIndices(n int) error {
+	seen := make([]bool, n)
+	for _, i := range l.idx {
+		if i < 0 || i >= n {
+			return fmt.Errorf("cvcp: labeled object %d outside [0, %d)", i, n)
+		}
+		if seen[i] {
+			return fmt.Errorf("cvcp: labeled object %d listed twice", i)
+		}
+		seen[i] = true
+	}
 	return nil
 }
 
 func (l labelSupervision) Full(ds *dataset.Dataset) (*constraints.Set, error) {
 	if !ds.Labeled() {
 		return nil, fmt.Errorf("cvcp: Scenario I requires a labeled dataset")
+	}
+	if err := l.checkIndices(ds.N()); err != nil {
+		return nil, err
 	}
 	return constraints.FromLabels(l.idx, ds.Y), nil
 }
@@ -101,6 +122,9 @@ func (l labelSupervision) BootstrapFolds(ds *dataset.Dataset, rounds int, seed i
 	}
 	if len(l.idx) < 4 {
 		return nil, nil, fmt.Errorf("cvcp: need at least 4 labeled objects, got %d", len(l.idx))
+	}
+	if err := l.checkIndices(ds.N()); err != nil {
+		return nil, nil, err
 	}
 	r := stats.NewRand(seed)
 	folds := make([]Fold, 0, rounds)
@@ -137,6 +161,7 @@ func (l labelSupervision) BootstrapFolds(ds *dataset.Dataset, rounds int, seed i
 // folds, and constraints crossing the train/test boundary are removed,
 // guaranteeing test independence. A nil set is treated as empty (usable
 // only with scorers that need no supervision, such as validity indices).
+// A constraint naming an object outside the dataset fails the selection.
 func ConstraintSet(cons *constraints.Set) Supervision {
 	return constraintSupervision{cons: cons}
 }
@@ -152,7 +177,26 @@ func (c constraintSupervision) set() *constraints.Set {
 	return c.cons
 }
 
-func (c constraintSupervision) Full(*dataset.Dataset) (*constraints.Set, error) {
+// checkIndices rejects a constraint with an endpoint outside [0, n),
+// naming the endpoint of the first such pair in sorted order.
+func (c constraintSupervision) checkIndices(n int) error {
+	cons := c.set()
+	for _, pairs := range [][]constraints.Pair{cons.MustLinks(), cons.CannotLinks()} {
+		for _, p := range pairs {
+			for _, o := range [2]int{p.A, p.B} {
+				if o < 0 || o >= n {
+					return fmt.Errorf("cvcp: constraint (%d,%d) names object %d outside [0, %d)", p.A, p.B, o, n)
+				}
+			}
+		}
+	}
+	return nil
+}
+
+func (c constraintSupervision) Full(ds *dataset.Dataset) (*constraints.Set, error) {
+	if err := c.checkIndices(ds.N()); err != nil {
+		return nil, err
+	}
 	return c.set(), nil
 }
 
@@ -160,6 +204,9 @@ func (c constraintSupervision) CVFolds(ds *dataset.Dataset, n int, seed int64) (
 	cons := c.set()
 	if cons.Len() == 0 {
 		return nil, nil, fmt.Errorf("cvcp: Scenario II requires a non-empty constraint set")
+	}
+	if err := c.checkIndices(ds.N()); err != nil {
+		return nil, nil, err
 	}
 	closed, err := constraints.Closure(cons)
 	if err != nil {

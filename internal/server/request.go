@@ -10,6 +10,7 @@ import (
 	"strconv"
 	"strings"
 
+	"cvcp/internal/constraints"
 	"cvcp/internal/dataset"
 )
 
@@ -163,11 +164,11 @@ func specFromRequest(req jobRequest) (Spec, *apiError) {
 		}
 	}
 	for _, c := range req.Constraints {
-		cs, err := constraintFromKind(c.A, c.B, c.Link)
+		mustLink, err := constraints.ParseKind(c.Link)
 		if err != nil {
 			return Spec{}, badRequest("invalid_request", "constraints: %v", err)
 		}
-		spec.Constraints = append(spec.Constraints, cs)
+		spec.Constraints = append(spec.Constraints, ConstraintSpec{A: c.A, B: c.B, MustLink: mustLink})
 	}
 	return spec, nil
 }
@@ -288,48 +289,16 @@ func parseOptions(get func(string) string) (spec Spec, hasLabel bool, name strin
 		}
 	}
 	if s := get("constraints"); s != "" {
-		cons, err := parseConstraintLines(s)
+		// The cmd/cvcp constraint-file format, one constraint per line.
+		lines, err := constraints.ParseLines(s)
 		if err != nil {
 			return Spec{}, false, "", badRequest("invalid_request", "constraints: %v", err)
 		}
-		spec.Constraints = cons
+		for _, c := range lines {
+			spec.Constraints = append(spec.Constraints, ConstraintSpec(c))
+		}
 	}
 	return spec, hasLabel, name, nil
-}
-
-// parseConstraintLines parses the cmd/cvcp constraint-file format: one
-// constraint per line, "<a> <b> ml" or "<a> <b> cl" with zero-based object
-// indices; blank lines and '#' comments are ignored.
-func parseConstraintLines(text string) ([]ConstraintSpec, error) {
-	var out []ConstraintSpec
-	for ln, line := range strings.Split(text, "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		var a, b int
-		var kind string
-		if _, err := fmt.Sscanf(line, "%d %d %s", &a, &b, &kind); err != nil {
-			return nil, fmt.Errorf("line %d: %q: %w", ln+1, line, err)
-		}
-		cs, err := constraintFromKind(a, b, kind)
-		if err != nil {
-			return nil, fmt.Errorf("line %d: %w", ln+1, err)
-		}
-		out = append(out, cs)
-	}
-	return out, nil
-}
-
-func constraintFromKind(a, b int, kind string) (ConstraintSpec, error) {
-	switch strings.ToLower(kind) {
-	case "ml", "must", "mustlink", "must-link":
-		return ConstraintSpec{A: a, B: b, MustLink: true}, nil
-	case "cl", "cannot", "cannotlink", "cannot-link":
-		return ConstraintSpec{A: a, B: b, MustLink: false}, nil
-	default:
-		return ConstraintSpec{}, fmt.Errorf("unknown constraint kind %q (want ml or cl)", kind)
-	}
 }
 
 // maxCandidates bounds the total candidate (algorithm, parameter) columns
@@ -529,11 +498,8 @@ func finishSpec(spec Spec, ds *dataset.Dataset) (Spec, *dataset.Dataset, *apiErr
 		}
 	default:
 		for _, c := range spec.Constraints {
-			if c.A < 0 || c.A >= ds.N() || c.B < 0 || c.B >= ds.N() {
-				return Spec{}, nil, badRequest("invalid_request", "constraint (%d, %d): object index out of range [0, %d)", c.A, c.B, ds.N())
-			}
-			if c.A == c.B {
-				return Spec{}, nil, badRequest("invalid_request", "constraint (%d, %d): a pair needs two distinct objects", c.A, c.B)
+			if err := constraints.Raw(c).Check(ds.N()); err != nil {
+				return Spec{}, nil, badRequest("invalid_request", "%v", err)
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"net/http"
+	"net/url"
 	"strings"
 	"testing"
 
@@ -240,6 +241,57 @@ func TestSpecOptionValidation(t *testing.T) {
 		apiErr := decodeAPIError(t, resp)
 		if apiErr.Code != "invalid_request" || !strings.Contains(apiErr.Message, c.wantInMsg) {
 			t.Errorf("%s: got (%q, %q), want invalid_request mentioning %q", c.name, apiErr.Code, apiErr.Message, c.wantInMsg)
+		}
+	}
+}
+
+// The constraint errors a submission can hit keep their codes and exact
+// messages whichever way the constraints arrive: JSON objects or the
+// constraint-file lines of a raw or multipart submission's "constraints"
+// option.
+func TestConstraintRequestErrors(t *testing.T) {
+	_, csvText := testDataset(t, 12)
+	ts, _ := newTestServer(t, Config{})
+	jsonBody := func(cons string) string {
+		return `{"csv": ` + jsonString(csvText) + `, "constraints": [` + cons + `]}`
+	}
+	rawURL := func(lines string) string {
+		return ts.URL + "/v1/jobs?" + url.Values{"constraints": {lines}}.Encode()
+	}
+	cases := []struct {
+		name, url, contentType, body, want string
+	}{
+		{"json unknown kind", ts.URL + "/v1/jobs", "application/json", jsonBody(`{"a":0,"b":1,"link":"maybe"}`),
+			`constraints: unknown constraint kind "maybe" (want ml or cl)`},
+		{"json index out of range", ts.URL + "/v1/jobs", "application/json", jsonBody(`{"a":0,"b":1,"link":"ml"},{"a":3,"b":12,"link":"cl"}`),
+			"constraint (3, 12): object index out of range [0, 12)"},
+		{"json negative index", ts.URL + "/v1/jobs", "application/json", jsonBody(`{"a":-1,"b":8,"link":"cl"}`),
+			"constraint (-1, 8): object index out of range [0, 12)"},
+		{"json self-pair", ts.URL + "/v1/jobs", "application/json", jsonBody(`{"a":7,"b":7,"link":"ml"}`),
+			"constraint (7, 7): a pair needs two distinct objects"},
+		{"lines unknown kind", rawURL("0 1 ml\n# note\n\n2 3 maybe"), "text/csv", csvText,
+			`constraints: line 4: unknown constraint kind "maybe" (want ml or cl)`},
+		{"lines malformed", rawURL("0 x ml"), "text/csv", csvText,
+			`constraints: line 1: "0 x ml": expected integer`},
+		{"lines index out of range", rawURL("0 500 ml"), "text/csv", csvText,
+			"constraint (0, 500): object index out of range [0, 12)"},
+		{"lines negative index", rawURL("-1 8 cl"), "text/csv", csvText,
+			"constraint (-1, 8): object index out of range [0, 12)"},
+		{"lines self-pair", rawURL("1 2 cannot-link\n7 7 ML"), "text/csv", csvText,
+			"constraint (7, 7): a pair needs two distinct objects"},
+	}
+	for _, c := range cases {
+		resp, err := http.Post(c.url, c.contentType, strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", c.name, resp.StatusCode)
+			resp.Body.Close()
+			continue
+		}
+		if apiErr := decodeAPIError(t, resp); apiErr.Code != "invalid_request" || apiErr.Message != c.want {
+			t.Errorf("%s: got (%q, %q), want (invalid_request, %q)", c.name, apiErr.Code, apiErr.Message, c.want)
 		}
 	}
 }
