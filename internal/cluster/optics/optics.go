@@ -25,15 +25,16 @@ type Result struct {
 // Run computes the OPTICS ordering of x with the given MinPts and ε = ∞.
 // The core distance of object i is the distance to its MinPts-th nearest
 // neighbor counting the object itself (the DBSCAN convention); it is +Inf
-// when the dataset has fewer than MinPts objects.
+// when the dataset has fewer than MinPts objects. Coordinates must not be
+// NaN (datasets reject them), since the order on NaN distances is not
+// defined; coordinates whose distances overflow to +Inf are fine.
 func Run(x [][]float64, minPts int) (*Result, error) {
-	rowInto := func(dst []float64, i int) {
+	return run(len(x), minPts, func(dst []float64, i int) {
 		xi := x[i]
 		for j := range x {
 			dst[j] = linalg.Dist(xi, x[j])
 		}
-	}
-	return run(len(x), minPts, func(i, j int) float64 { return linalg.Dist(x[i], x[j]) }, rowInto)
+	})
 }
 
 // RunWithMatrix is Run with distance evaluations replaced by lookups into a
@@ -43,79 +44,82 @@ func Run(x [][]float64, minPts int) (*Result, error) {
 // ordering is bit-identical to Run's (for float32 matrices, bit-identical
 // to running on the rounded entries).
 func RunWithMatrix(dm *linalg.DistMatrix, minPts int) (*Result, error) {
-	return run(dm.N(), minPts, dm.At, func(dst []float64, i int) { dm.RowInto(dst, i) })
+	return run(dm.N(), minPts, func(dst []float64, i int) { dm.RowInto(dst, i) })
 }
 
-// run is the dense (ε = ∞) driver. dist answers point lookups during
-// expansion; rowInto materializes a full distance row into a reused buffer
-// for the core-distance pass — for condensed matrices this is a linear
-// two-stride walk (DistMatrix.RowInto) instead of n branchy At calls, and
-// it never allocates.
-func run(n, minPts int, dist func(i, j int) float64, rowInto func(dst []float64, i int)) (*Result, error) {
+// run is the dense (ε = ∞) driver. rowInto materializes the distances
+// from object i to every object into a reused buffer; for the condensed
+// matrices that is DistMatrix.RowInto's two-stride walk. Each object's row
+// is materialized once, when it is popped: its core distance is selected
+// from that row, and its expansion reads it.
+//
+// With ε = ∞ the first core object to expand queues every unprocessed
+// object, and an object leaves the seed list only when it is popped, so
+// from then on the seed list is exactly the unprocessed set. run keeps
+// that set flat, in ids with their reachability keys in keys, instead of
+// in an indexed heap. One pass per pop lowers each key to
+// max(core, distance) when that is strictly smaller and tracks the
+// minimum by (key, index), the heap's order, so ties go to the lowest
+// index. Every key starts at +Inf, so until a core object has expanded
+// the lowest-index unprocessed object is popped next with reachability
+// +Inf: each object starts its own walk, in index order. Distances that
+// overflow to +Inf are keys like any other.
+func run(n, minPts int, rowInto func(dst []float64, i int)) (*Result, error) {
 	if n == 0 {
 		return nil, fmt.Errorf("optics: empty dataset")
 	}
 	if minPts < 1 {
 		return nil, fmt.Errorf("optics: MinPts must be >= 1, got %d", minPts)
 	}
-
-	core := coreDistances(n, minPts, rowInto)
-	processed := make([]bool, n)
-	order := make([]int, 0, n)
-	reach := make([]float64, 0, n)
-
-	h := newHeap(n)
-	for start := 0; start < n; start++ {
-		if processed[start] {
-			continue
-		}
-		// Begin a new walk at the first unprocessed object.
-		h.push(start, math.Inf(1))
-		for h.len() > 0 {
-			i, r := h.pop()
-			if processed[i] {
-				continue
-			}
-			processed[i] = true
-			order = append(order, i)
-			reach = append(reach, r)
-			if math.IsInf(core[i], 1) {
-				continue // not a core object: cannot expand
-			}
-			for j := 0; j < n; j++ {
-				if processed[j] {
-					continue
-				}
-				nr := math.Max(core[i], dist(i, j))
-				h.pushOrDecrease(j, nr)
-			}
-		}
-	}
-	return &Result{Order: order, Reach: reach, Core: core}, nil
-}
-
-// coreDistances returns, for every object, the distance to its minPts-th
-// nearest neighbor (the object itself counts as the first). kthSmallest
-// selects the minPts-th smallest row entry through a bounded heap of
-// minPts values, one buffer reused for every row.
-func coreDistances(n, minPts int, rowInto func(dst []float64, i int)) []float64 {
-	core := make([]float64, n)
+	res := &Result{Order: make([]int, 0, n), Reach: make([]float64, 0, n), Core: make([]float64, n)}
 	if minPts > n {
-		for i := range core {
-			core[i] = math.Inf(1)
+		// No object is a core object: each starts its own walk.
+		for i := range res.Core {
+			res.Order = append(res.Order, i)
+			res.Reach = append(res.Reach, math.Inf(1))
+			res.Core[i] = math.Inf(1)
 		}
-		return core
+		return res, nil
 	}
-	if minPts == 1 {
-		return core // distance to itself
+	row := make([]float64, n)
+	kbuf := make([]float64, minPts) // minPts <= n past the early return
+	ids := make([]int, n)
+	keys := make([]float64, n)
+	for j := range ids {
+		ids[j], keys[j] = j, math.Inf(1)
 	}
-	d := make([]float64, n)
-	h := make([]float64, minPts)
-	for i := 0; i < n; i++ {
-		rowInto(d, i)
-		core[i] = kthSmallest(d, minPts-1, h)
+	next := 0 // position in ids of the object popped next
+	for len(ids) > 0 {
+		i, r := ids[next], keys[next]
+		last := len(ids) - 1
+		ids[next], keys[next] = ids[last], keys[last]
+		ids, keys = ids[:last], keys[:last]
+		res.Order = append(res.Order, i)
+		res.Reach = append(res.Reach, r)
+
+		rowInto(row, i)
+		core := 0.0 // MinPts 1: the object itself
+		if minPts > 1 {
+			core = kthSmallest(row, minPts-1, kbuf)
+		}
+		res.Core[i] = core
+
+		next = 0
+		minKey, minID := math.Inf(1), n
+		for s, j := range ids {
+			k := keys[s]
+			// max(core, d) < k exactly when d < k and core < k; most
+			// entries fail the first test, so the max is rarely taken.
+			if d := row[j]; d < k && core < k {
+				k = max(core, d)
+				keys[s] = k
+			}
+			if k < minKey || k == minKey && j < minID {
+				next, minKey, minID = s, k, j
+			}
+		}
 	}
-	return core
+	return res, nil
 }
 
 // kthSmallest returns the k-th smallest value of a (0-indexed), the value

@@ -1,12 +1,226 @@
 package optics
 
 import (
+	"fmt"
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 
+	"cvcp/internal/linalg"
 	"cvcp/internal/stats"
 )
+
+// referenceRun is the indexed-heap dense driver that run replaced, kept as
+// the reference run is fuzzed against. Its core distances come from a
+// separate pass over every row, and dist answers the expansion's lookups.
+func referenceRun(n, minPts int, dist func(i, j int) float64, rowInto func(dst []float64, i int)) *Result {
+	core := coreDistances(n, minPts, rowInto)
+	processed := make([]bool, n)
+	order := make([]int, 0, n)
+	reach := make([]float64, 0, n)
+
+	h := newHeap(n)
+	for start := 0; start < n; start++ {
+		if processed[start] {
+			continue
+		}
+		// Begin a new walk at the first unprocessed object.
+		h.push(start, math.Inf(1))
+		for h.len() > 0 {
+			i, r := h.pop()
+			if processed[i] {
+				continue
+			}
+			processed[i] = true
+			order = append(order, i)
+			reach = append(reach, r)
+			if math.IsInf(core[i], 1) {
+				continue // not a core object: cannot expand
+			}
+			for j := 0; j < n; j++ {
+				if processed[j] {
+					continue
+				}
+				nr := math.Max(core[i], dist(i, j))
+				h.pushOrDecrease(j, nr)
+			}
+		}
+	}
+	return &Result{Order: order, Reach: reach, Core: core}
+}
+
+// coreDistances returns, for every object, the distance to its minPts-th
+// nearest neighbor (the object itself counts as the first).
+func coreDistances(n, minPts int, rowInto func(dst []float64, i int)) []float64 {
+	core := make([]float64, n)
+	if minPts > n {
+		for i := range core {
+			core[i] = math.Inf(1)
+		}
+		return core
+	}
+	if minPts == 1 {
+		return core // distance to itself
+	}
+	d := make([]float64, n)
+	h := make([]float64, minPts)
+	for i := 0; i < n; i++ {
+		rowInto(d, i)
+		core[i] = kthSmallest(d, minPts-1, h)
+	}
+	return core
+}
+
+// sameResult fails the test unless got and want agree bit for bit.
+func sameResult(t *testing.T, ctx string, got, want *Result) {
+	t.Helper()
+	if len(got.Order) != len(want.Order) {
+		t.Fatalf("%s: %d objects ordered, want %d", ctx, len(got.Order), len(want.Order))
+	}
+	for p := range want.Order {
+		if got.Order[p] != want.Order[p] || math.Float64bits(got.Reach[p]) != math.Float64bits(want.Reach[p]) {
+			t.Fatalf("%s: position %d holds %d at %v, want %d at %v", ctx, p, got.Order[p], got.Reach[p], want.Order[p], want.Reach[p])
+		}
+	}
+	for i := range want.Core {
+		if math.Float64bits(got.Core[i]) != math.Float64bits(want.Core[i]) {
+			t.Fatalf("%s: Core[%d] = %v, want %v", ctx, i, got.Core[i], want.Core[i])
+		}
+	}
+}
+
+// fuzzRows decodes data into a dataset of at most 64 rows of 1–4 finite
+// coordinates and a MinPts in [1, n+2]. Coordinates are multiples of 1/4
+// in [-32, 32), so distances tie exactly; a row may copy an earlier row,
+// and bytes 254 and 255 decode to ∓1e300, whose distances overflow to +Inf.
+func fuzzRows(data []byte) ([][]float64, int) {
+	if len(data) < 3 {
+		return nil, 0
+	}
+	n, d := 1+int(data[0])%64, 1+int(data[1])%4
+	minPts := 1 + int(data[2])%(n+2)
+	data = data[3:]
+	pos := 0
+	next := func() byte {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[pos%len(data)]
+		pos++
+		return b
+	}
+	x := make([][]float64, n)
+	for i := range x {
+		if b := next(); i > 0 && b >= 0xc0 {
+			x[i] = x[int(b)%i]
+			continue
+		}
+		x[i] = make([]float64, d)
+		for j := range x[i] {
+			switch b := next(); b {
+			case 254:
+				x[i][j] = -1e300
+			case 255:
+				x[i][j] = 1e300
+			default:
+				x[i][j] = float64(int8(b)) / 4
+			}
+		}
+	}
+	return x, minPts
+}
+
+// The flat-scan driver must reproduce the indexed-heap driver bit for bit:
+// Run, and RunWithMatrix on all three layouts, against referenceRun on the
+// same distances. The generated seeds draw coordinate bytes from 0, 4, 8
+// and 12 (integer grids, where reachabilities tie exactly and the index
+// tie-break decides the order), duplicate-row markers and ∓1e300 (objects
+// queued with key +Inf and popped by index).
+func FuzzDenseMatchesReference(f *testing.F) {
+	r := stats.NewRand(5)
+	alphabet := []byte{0, 4, 8, 12, 0xc1, 254, 255}
+	for k := 0; k < 200; k++ {
+		seed := []byte{byte(r.Intn(64)), byte(r.Intn(4)), byte(r.Intn(256))}
+		for range 1 + r.Intn(300) {
+			seed = append(seed, alphabet[r.Intn(len(alphabet))])
+		}
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		x, minPts := fuzzRows(data)
+		if x == nil {
+			return
+		}
+		n := len(x)
+		got, err := Run(x, minPts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := referenceRun(n, minPts,
+			func(i, j int) float64 { return linalg.Dist(x[i], x[j]) },
+			func(dst []float64, i int) {
+				for j := range x {
+					dst[j] = linalg.Dist(x[i], x[j])
+				}
+			})
+		sameResult(t, fmt.Sprintf("Run n=%d MinPts=%d", n, minPts), got, want)
+		for name, dm := range map[string]*linalg.DistMatrix{
+			"square":      linalg.NewDistMatrix(x),
+			"condensed":   linalg.NewDistMatrixCondensed(x),
+			"condensed32": linalg.NewDistMatrixCondensed32(x),
+		} {
+			got, err := RunWithMatrix(dm, minPts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := referenceRun(n, minPts, dm.At, func(dst []float64, i int) { dm.RowInto(dst, i) })
+			sameResult(t, fmt.Sprintf("RunWithMatrix/%s n=%d MinPts=%d", name, n, minPts), got, want)
+		}
+	})
+}
+
+// A MinPts far above n is valid input, not an allocation size: the
+// server accepts any MinPts >= 1. No object is a core object, so every
+// core distance and reachability is +Inf, and the driver allocates a
+// fixed multiple of n bytes whatever MinPts is.
+func TestDenseHugeMinPts(t *testing.T) {
+	const n = 100
+	x := make([][]float64, n)
+	for i := range x {
+		x[i] = []float64{float64(i % 7), float64(i % 3)}
+	}
+	drivers := map[string]func(int) (*Result, error){
+		"Run": func(minPts int) (*Result, error) { return Run(x, minPts) },
+	}
+	for name, dm := range map[string]*linalg.DistMatrix{
+		"square":      linalg.NewDistMatrix(x),
+		"condensed":   linalg.NewDistMatrixCondensed(x),
+		"condensed32": linalg.NewDistMatrixCondensed32(x),
+	} {
+		drivers["RunWithMatrix/"+name] = func(minPts int) (*Result, error) { return RunWithMatrix(dm, minPts) }
+	}
+	for name, run := range drivers {
+		for _, minPts := range []int{n + 1, math.MaxInt, 1 << 40} {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			res, err := run(minPts)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatalf("%s MinPts=%d: %v", name, minPts, err)
+			}
+			if b := after.TotalAlloc - before.TotalAlloc; b > 64*n {
+				t.Errorf("%s MinPts=%d: allocated %d bytes, want at most %d", name, minPts, b, 64*n)
+			}
+			for p, i := range res.Order {
+				if i != p || !math.IsInf(res.Reach[p], 1) || !math.IsInf(res.Core[i], 1) {
+					t.Fatalf("%s MinPts=%d: position %d holds %d, reach %v, core %v; want %d, +Inf, +Inf",
+						name, minPts, p, i, res.Reach[p], res.Core[i], p)
+				}
+			}
+		}
+	}
+}
 
 func TestRunErrors(t *testing.T) {
 	if _, err := Run(nil, 2); err == nil {

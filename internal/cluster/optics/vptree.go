@@ -189,9 +189,12 @@ func (t *VPTree) rangeNode(dst []Neighbor, node int32, q []float64, eps float64)
 // +Inf otherwise; only ε-neighbors are reachability-updated during
 // expansion, as in the original OPTICS formulation.
 //
-// With eps = +Inf every neighborhood is the full dataset and the result is
-// bit-identical to Run (the tree visits every node, inclusion uses the
-// same computed distances, and neighbors arrive in the same index order).
+// With eps = +Inf every neighborhood is the full dataset and, while every
+// distance is finite, the result is bit-identical to Run (the tree visits
+// every node, inclusion uses the same computed distances, and neighbors
+// arrive in the same index order). A distance that overflows to +Inf
+// makes a pruning bound +Inf − +Inf, so the tree may drop neighbors that
+// Run keeps.
 func RunWithEps(x [][]float64, minPts int, eps float64) (*Result, error) {
 	n := len(x)
 	if n == 0 {

@@ -227,8 +227,9 @@ func (m *DistMatrix) Row(i int) []float64 {
 // dst, which must have length N, and returns dst. It never allocates: the
 // condensed layouts are walked with two linear index strides (the column
 // i entries of earlier rows, then the contiguous row i tail) instead of
-// per-entry At arithmetic. This is the variant OPTICS uses in its
-// core-distance hot loop.
+// per-entry At arithmetic. OPTICS' dense driver reads each object's
+// distances this way, once per object, for both its core distance and
+// its expansion.
 func (m *DistMatrix) RowInto(dst []float64, i int) []float64 {
 	dst = ensure(dst, m.n)
 	if !m.condensed {
