@@ -434,6 +434,12 @@ func TestSSEConcurrentSubscribers(t *testing.T) {
 			wg.Add(1)
 			go func(id string, after int) {
 				defer wg.Done()
+				// Resume only from a sequence number the job has issued:
+				// an unissued Last-Event-ID is ignored and the stream
+				// replays from seq 1.
+				for len(j.EventsSince(after-1)) == 0 {
+					time.Sleep(time.Millisecond)
+				}
 				events := getSSE(t, ts, id, after)
 				prev := after
 				for _, ev := range events {
