@@ -294,9 +294,10 @@ func BenchmarkAblationClosureFolds(b *testing.B) {
 
 // legacyPerParamSelect replicates the pre-engine concurrency scheme —
 // whole parameters fan out, the folds within a parameter run serially —
-// on exactly the folds, seeds and scoring of SelectWithLabels. It is the
-// baseline BenchmarkEngineFoldParamGrid measures the fold×parameter engine
-// against; the library itself no longer contains this path.
+// on exactly the folds, seeds and scoring of a one-candidate Select over
+// Labels supervision. It is the baseline BenchmarkEngineFoldParamGrid
+// measures the fold×parameter engine against; the library itself no
+// longer contains this path.
 func legacyPerParamSelect(alg corecvcp.Algorithm, ds *dataset.Dataset, labeledIdx, params []int, nfolds int, seed int64) (*corecvcp.Selection, error) {
 	n := constraints.AdaptFolds(nfolds, len(labeledIdx))
 	folds, err := constraints.SplitLabels(stats.NewRand(seed), labeledIdx, n)

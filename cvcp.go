@@ -48,11 +48,6 @@
 //     Bootstrap{Rounds: n} (resampling), or Validity{Index: vi} (the
 //     classical unsupervised baselines).
 //
-// The historical entry points (SelectWithLabels, SelectWithConstraints,
-// SelectAlgorithmWith*, BootstrapWithLabels, SelectByValidityIndex,
-// SelectBySilhouette) remain as thin deprecated wrappers over Select and
-// return bit-identical results.
-//
 // The examples/ directory contains complete runnable programs, and
 // cmd/experiments regenerates every table and figure of the paper.
 //
@@ -208,10 +203,6 @@ type COPKMeans = corecvcp.COPKMeans
 // Grid.
 type Candidate = corecvcp.Candidate
 
-// AlgorithmSelection is the outcome of a legacy cross-method selection; new
-// code reads Result instead.
-type AlgorithmSelection = corecvcp.AlgorithmSelection
-
 // DefaultMinPtsRange is the MinPts candidate range the paper uses for
 // FOSC-OPTICSDend: {3, 6, 9, 12, 15, 18, 21, 24}.
 var DefaultMinPtsRange = corecvcp.DefaultMinPtsRange
@@ -251,26 +242,6 @@ func TransitiveClosure(s *Constraints) (*Constraints, error) {
 	return constraints.Closure(s)
 }
 
-// SelectWithLabels runs CVCP in Scenario I: supervision is a set of labeled
-// objects (indices into ds; labels are read from ds.Y).
-//
-// Deprecated: use Select with Supervision: Labels(labeledIdx); this
-// compatibility shim returns bit-identical results.
-func SelectWithLabels(alg Algorithm, ds *Dataset, labeledIdx []int, params []int, opt Options) (*Selection, error) {
-	//lint:ignore SA1019 compatibility shim delegating to the deprecated core wrapper
-	return corecvcp.SelectWithLabels(alg, ds, labeledIdx, params, opt)
-}
-
-// SelectWithConstraints runs CVCP in Scenario II: supervision is a set of
-// pairwise constraints.
-//
-// Deprecated: use Select with Supervision: ConstraintSet(cons); this
-// compatibility shim returns bit-identical results.
-func SelectWithConstraints(alg Algorithm, ds *Dataset, cons *Constraints, params []int, opt Options) (*Selection, error) {
-	//lint:ignore SA1019 compatibility shim delegating to the deprecated core wrapper
-	return corecvcp.SelectWithConstraints(alg, ds, cons, params, opt)
-}
-
 // ValidityIndex is a relative clustering validity criterion usable as an
 // unsupervised model-selection baseline.
 type ValidityIndex = corecvcp.ValidityIndex
@@ -278,60 +249,6 @@ type ValidityIndex = corecvcp.ValidityIndex
 // ValidityIndices returns Silhouette, Davies–Bouldin, Calinski–Harabasz and
 // Dunn — the classical criteria from the comparative study the paper cites.
 func ValidityIndices() []ValidityIndex { return corecvcp.ValidityIndices() }
-
-// SelectByValidityIndex picks the parameter whose full-supervision
-// clustering optimizes the given relative validity criterion.
-//
-// Deprecated: use Select with Scorer: Validity{Index: vi}; this
-// compatibility shim returns bit-identical results.
-func SelectByValidityIndex(alg Algorithm, ds *Dataset, full *Constraints, params []int, vi ValidityIndex, opt Options) (*Selection, error) {
-	//lint:ignore SA1019 compatibility shim delegating to the deprecated core wrapper
-	return corecvcp.SelectByValidityIndex(alg, ds, full, params, vi, opt)
-}
-
-// SelectBySilhouette is the classical unsupervised model-selection baseline:
-// pick the parameter whose full-supervision clustering maximizes the
-// Silhouette coefficient.
-//
-// Deprecated: use Select with Scorer: Validity over the silhouette index
-// from ValidityIndices(); this compatibility shim returns bit-identical
-// results.
-func SelectBySilhouette(alg Algorithm, ds *Dataset, full *Constraints, params []int, opt Options) (*Selection, error) {
-	//lint:ignore SA1019 compatibility shim delegating to the deprecated core wrapper
-	return corecvcp.SelectBySilhouette(alg, ds, full, params, opt)
-}
-
-// SelectAlgorithmWithLabels runs CVCP across several candidate algorithms
-// on the same Scenario I supervision and returns the best method+parameter
-// combination.
-//
-// Deprecated: use Select with a multi-candidate Grid; this compatibility
-// shim returns bit-identical results.
-func SelectAlgorithmWithLabels(cands []Candidate, ds *Dataset, labeledIdx []int, opt Options) (*AlgorithmSelection, error) {
-	//lint:ignore SA1019 compatibility shim delegating to the deprecated core wrapper
-	return corecvcp.SelectAlgorithmWithLabels(cands, ds, labeledIdx, opt)
-}
-
-// SelectAlgorithmWithConstraints is SelectAlgorithmWithLabels for
-// Scenario II supervision.
-//
-// Deprecated: use Select with a multi-candidate Grid; this compatibility
-// shim returns bit-identical results.
-func SelectAlgorithmWithConstraints(cands []Candidate, ds *Dataset, cons *Constraints, opt Options) (*AlgorithmSelection, error) {
-	//lint:ignore SA1019 compatibility shim delegating to the deprecated core wrapper
-	return corecvcp.SelectAlgorithmWithConstraints(cands, ds, cons, opt)
-}
-
-// BootstrapWithLabels scores parameters by bootstrap resampling instead of
-// cross-validation — the alternative partition-based evaluation mentioned
-// in the paper's Section 3.1.
-//
-// Deprecated: use Select with Scorer: Bootstrap{Rounds: rounds}; this
-// compatibility shim returns bit-identical results.
-func BootstrapWithLabels(alg Algorithm, ds *Dataset, labeledIdx []int, params []int, rounds int, opt Options) (*Selection, error) {
-	//lint:ignore SA1019 compatibility shim delegating to the deprecated core wrapper
-	return corecvcp.BootstrapWithLabels(alg, ds, labeledIdx, params, rounds, opt)
-}
 
 // ConstraintF scores a labeling as a classifier over the given constraints —
 // the paper's internal quality measure (average per-class F-measure).

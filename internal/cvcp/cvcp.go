@@ -10,8 +10,7 @@
 // or a relative validity index). The scorer evaluates every candidate cell
 // through the execution engine as one run, picks each candidate's best
 // parameter, refits with all supervision, and the overall winner is the
-// cross-candidate best. The historical per-scenario entry points survive as
-// thin deprecated wrappers over Select.
+// cross-candidate best.
 package cvcp
 
 import (
@@ -160,54 +159,6 @@ func (s *Selection) ScoreCurve() []float64 {
 		out[i] = ps.Score
 	}
 	return out
-}
-
-// SelectWithLabels runs CVCP in Scenario I (§3.1.1): the supervision is the
-// set of labeled objects labeledIdx (their labels are read from ds.Y).
-//
-// Deprecated: use Select with Spec{Grid: Grid{{alg, params}},
-// Supervision: Labels(labeledIdx)}; this wrapper remains for compatibility
-// and returns bit-identical results.
-func SelectWithLabels(alg Algorithm, ds *dataset.Dataset, labeledIdx []int, params []int, opt Options) (*Selection, error) {
-	return selectOne(Spec{
-		Dataset:     ds,
-		Grid:        Grid{{Algorithm: alg, Params: params}},
-		Supervision: Labels(labeledIdx),
-		Options:     opt,
-	})
-}
-
-// SelectWithConstraints runs CVCP in Scenario II (§3.1.2): the supervision
-// is a set of pairwise constraints.
-//
-// Deprecated: use Select with Spec{Grid: Grid{{alg, params}},
-// Supervision: ConstraintSet(cons)}; this wrapper remains for compatibility
-// and returns bit-identical results.
-func SelectWithConstraints(alg Algorithm, ds *dataset.Dataset, cons *constraints.Set, params []int, opt Options) (*Selection, error) {
-	return selectOne(Spec{
-		Dataset:     ds,
-		Grid:        Grid{{Algorithm: alg, Params: params}},
-		Supervision: ConstraintSet(cons),
-		Options:     opt,
-	})
-}
-
-// SelectBySilhouette is the classical unsupervised model-selection baseline
-// the paper compares against for MPCKmeans (§4.3).
-//
-// Deprecated: use Select with Scorer: Validity{Index: silhouette}; this
-// wrapper remains for compatibility and returns bit-identical results.
-func SelectBySilhouette(alg Algorithm, ds *dataset.Dataset, full *constraints.Set, params []int, opt Options) (*Selection, error) {
-	return SelectByValidityIndex(alg, ds, full, params, silhouetteIndex(), opt)
-}
-
-// selectOne runs a single-candidate Spec and unwraps the lone selection.
-func selectOne(spec Spec) (*Selection, error) {
-	res, err := Select(spec.Options.Context, spec)
-	if err != nil {
-		return nil, err
-	}
-	return res.PerCandidate[0], nil
 }
 
 // SortScores returns a copy of scores ordered by decreasing Score (ties by

@@ -1,6 +1,7 @@
 package cvcp
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -26,6 +27,16 @@ func blobsDataset(seed int64, k, m int, gap float64) *dataset.Dataset {
 	return ds
 }
 
+// selectWinner runs spec through Select and returns the winning selection.
+func selectWinner(t *testing.T, spec Spec) *Selection {
+	t.Helper()
+	res, err := Select(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Winner
+}
+
 func allIdx(n int) []int {
 	idx := make([]int, n)
 	for i := range idx {
@@ -38,10 +49,12 @@ func TestSelectWithLabelsRecoversK(t *testing.T) {
 	ds := blobsDataset(1, 3, 20, 15)
 	r := stats.NewRand(2)
 	labeled := ds.SampleLabels(r, 0.25)
-	sel, err := SelectWithLabels(MPCKMeans{}, ds, labeled, []int{2, 3, 4, 5, 6}, Options{Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sel := selectWinner(t, Spec{
+		Dataset:     ds,
+		Grid:        Grid{{Algorithm: MPCKMeans{}, Params: []int{2, 3, 4, 5, 6}}},
+		Supervision: Labels(labeled),
+		Options:     Options{Seed: 3},
+	})
 	if sel.Best.Param != 3 {
 		t.Errorf("selected k=%d, want 3 (scores %v)", sel.Best.Param, sel.ScoreCurve())
 	}
@@ -55,10 +68,12 @@ func TestSelectWithConstraintsRecoversK(t *testing.T) {
 	r := stats.NewRand(5)
 	pool := constraints.Pool(r, ds.Y, 0.3)
 	cons := constraints.Sample(r, pool, 0.5)
-	sel, err := SelectWithConstraints(MPCKMeans{}, ds, cons, []int{2, 3, 4, 5, 6}, Options{Seed: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sel := selectWinner(t, Spec{
+		Dataset:     ds,
+		Grid:        Grid{{Algorithm: MPCKMeans{}, Params: []int{2, 3, 4, 5, 6}}},
+		Supervision: ConstraintSet(cons),
+		Options:     Options{Seed: 6},
+	})
 	if sel.Best.Param != 4 {
 		t.Errorf("selected k=%d, want 4 (scores %v)", sel.Best.Param, sel.ScoreCurve())
 	}
@@ -68,10 +83,12 @@ func TestSelectFOSCWithLabels(t *testing.T) {
 	ds := blobsDataset(7, 3, 25, 18)
 	r := stats.NewRand(8)
 	labeled := ds.SampleLabels(r, 0.2)
-	sel, err := SelectWithLabels(FOSCOpticsDend{}, ds, labeled, []int{3, 6, 9, 12}, Options{Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sel := selectWinner(t, Spec{
+		Dataset:     ds,
+		Grid:        Grid{{Algorithm: FOSCOpticsDend{}, Params: []int{3, 6, 9, 12}}},
+		Supervision: Labels(labeled),
+		Options:     Options{Seed: 9},
+	})
 	if sel.Best.Score < 0.8 {
 		t.Errorf("best FOSC score %v on easy blobs", sel.Best.Score)
 	}
@@ -80,29 +97,33 @@ func TestSelectFOSCWithLabels(t *testing.T) {
 func TestSelectErrors(t *testing.T) {
 	ds := blobsDataset(1, 2, 10, 10)
 	idx := allIdx(ds.N())
-	if _, err := SelectWithLabels(nil, ds, idx, []int{2}, Options{}); err == nil {
+	run := func(alg Algorithm, ds *dataset.Dataset, params []int, sup Supervision) error {
+		_, err := Select(context.Background(), Spec{Dataset: ds, Grid: Grid{{Algorithm: alg, Params: params}}, Supervision: sup})
+		return err
+	}
+	if run(nil, ds, []int{2}, Labels(idx)) == nil {
 		t.Error("nil algorithm")
 	}
-	if _, err := SelectWithLabels(MPCKMeans{}, nil, idx, []int{2}, Options{}); err == nil {
+	if run(MPCKMeans{}, nil, []int{2}, Labels(idx)) == nil {
 		t.Error("nil dataset")
 	}
-	if _, err := SelectWithLabels(MPCKMeans{}, ds, idx, nil, Options{}); err == nil {
+	if run(MPCKMeans{}, ds, nil, Labels(idx)) == nil {
 		t.Error("empty parameter range")
 	}
-	if _, err := SelectWithLabels(MPCKMeans{}, ds, idx[:2], []int{2}, Options{}); err == nil {
+	if run(MPCKMeans{}, ds, []int{2}, Labels(idx[:2])) == nil {
 		t.Error("too few labeled objects")
 	}
 	unlabeled := dataset.MustNew("u", ds.X, nil)
-	if _, err := SelectWithLabels(MPCKMeans{}, unlabeled, idx, []int{2}, Options{}); err == nil {
+	if run(MPCKMeans{}, unlabeled, []int{2}, Labels(idx)) == nil {
 		t.Error("unlabeled dataset in Scenario I")
 	}
-	if _, err := SelectWithConstraints(MPCKMeans{}, ds, constraints.NewSet(), []int{2}, Options{}); err == nil {
+	if run(MPCKMeans{}, ds, []int{2}, ConstraintSet(constraints.NewSet())) == nil {
 		t.Error("empty constraint set in Scenario II")
 	}
 	bad := constraints.NewSet()
 	bad.Add(0, 1, true)
 	bad.Add(0, 1, false)
-	if _, err := SelectWithConstraints(MPCKMeans{}, ds, bad, []int{2}, Options{}); err == nil {
+	if run(MPCKMeans{}, ds, []int{2}, ConstraintSet(bad)) == nil {
 		t.Error("inconsistent constraints")
 	}
 }
@@ -112,14 +133,15 @@ func TestParallelMatchesSerial(t *testing.T) {
 	r := stats.NewRand(11)
 	labeled := ds.SampleLabels(r, 0.3)
 	params := []int{2, 3, 4, 5}
-	serial, err := SelectWithLabels(MPCKMeans{}, ds, labeled, params, Options{Seed: 12})
-	if err != nil {
-		t.Fatal(err)
+	spec := Spec{
+		Dataset:     ds,
+		Grid:        Grid{{Algorithm: MPCKMeans{}, Params: params}},
+		Supervision: Labels(labeled),
+		Options:     Options{Seed: 12},
 	}
-	parallel, err := SelectWithLabels(MPCKMeans{}, ds, labeled, params, Options{Seed: 12, Workers: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	serial := selectWinner(t, spec)
+	spec.Options.Workers = -1
+	parallel := selectWinner(t, spec)
 	for i := range serial.Scores {
 		if serial.Scores[i].Score != parallel.Scores[i].Score {
 			t.Errorf("param %d: serial %v, parallel %v",
@@ -134,14 +156,13 @@ func TestParallelMatchesSerial(t *testing.T) {
 func TestDeterministicForSeed(t *testing.T) {
 	ds := blobsDataset(13, 3, 15, 12)
 	labeled := ds.SampleLabels(stats.NewRand(14), 0.3)
-	a, err := SelectWithLabels(MPCKMeans{}, ds, labeled, []int{2, 3, 4}, Options{Seed: 15})
-	if err != nil {
-		t.Fatal(err)
+	spec := Spec{
+		Dataset:     ds,
+		Grid:        Grid{{Algorithm: MPCKMeans{}, Params: []int{2, 3, 4}}},
+		Supervision: Labels(labeled),
+		Options:     Options{Seed: 15},
 	}
-	b, err := SelectWithLabels(MPCKMeans{}, ds, labeled, []int{2, 3, 4}, Options{Seed: 15})
-	if err != nil {
-		t.Fatal(err)
-	}
+	a, b := selectWinner(t, spec), selectWinner(t, spec)
 	if a.Best.Param != b.Best.Param || a.Best.Score != b.Best.Score {
 		t.Error("selection not deterministic")
 	}
@@ -149,10 +170,13 @@ func TestDeterministicForSeed(t *testing.T) {
 
 func TestSelectBySilhouette(t *testing.T) {
 	ds := blobsDataset(16, 3, 20, 15)
-	sel, err := SelectBySilhouette(MPCKMeans{}, ds, nil, []int{2, 3, 4, 5}, Options{Seed: 17})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sel := selectWinner(t, Spec{
+		Dataset:     ds,
+		Grid:        Grid{{Algorithm: MPCKMeans{}, Params: []int{2, 3, 4, 5}}},
+		Supervision: ConstraintSet(nil),
+		Scorer:      Validity{Index: silhouetteIndex()},
+		Options:     Options{Seed: 17},
+	})
 	if sel.Best.Param != 3 {
 		t.Errorf("silhouette selected k=%d on 3 clean blobs, want 3", sel.Best.Param)
 	}
@@ -175,14 +199,15 @@ func TestScenarioIIReducesToScenarioI(t *testing.T) {
 	ds := blobsDataset(18, 3, 20, 15)
 	labeled := ds.SampleLabels(stats.NewRand(19), 0.25)
 	cons := constraints.FromLabels(labeled, ds.Y)
-	s1, err := SelectWithLabels(MPCKMeans{}, ds, labeled, []int{2, 3, 4, 5}, Options{Seed: 20})
-	if err != nil {
-		t.Fatal(err)
+	spec := Spec{
+		Dataset:     ds,
+		Grid:        Grid{{Algorithm: MPCKMeans{}, Params: []int{2, 3, 4, 5}}},
+		Supervision: Labels(labeled),
+		Options:     Options{Seed: 20},
 	}
-	s2, err := SelectWithConstraints(MPCKMeans{}, ds, cons, []int{2, 3, 4, 5}, Options{Seed: 20})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s1 := selectWinner(t, spec)
+	spec.Supervision = ConstraintSet(cons)
+	s2 := selectWinner(t, spec)
 	if s1.Best.Param != 3 || s2.Best.Param != 3 {
 		t.Errorf("scenario I selected %d, scenario II selected %d, want 3",
 			s1.Best.Param, s2.Best.Param)

@@ -49,28 +49,19 @@ func TestWorkersGolden(t *testing.T) {
 		{"mpck", MPCKMeans{}, []int{2, 3, 4, 5}},
 	}
 	for _, a := range algs {
-		t.Run(a.name+"/labels", func(t *testing.T) {
-			one, err := SelectWithLabels(a.alg, ds, labeled, a.params, Options{Seed: 23, Workers: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			eight, err := SelectWithLabels(a.alg, ds, labeled, a.params, Options{Seed: 23, Workers: 8})
-			if err != nil {
-				t.Fatal(err)
-			}
-			equalSelection(t, one, eight, "workers 1 vs 8")
-		})
-		t.Run(a.name+"/constraints", func(t *testing.T) {
-			one, err := SelectWithConstraints(a.alg, ds, cons, a.params, Options{Seed: 23, Workers: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			eight, err := SelectWithConstraints(a.alg, ds, cons, a.params, Options{Seed: 23, Workers: 8})
-			if err != nil {
-				t.Fatal(err)
-			}
-			equalSelection(t, one, eight, "workers 1 vs 8")
-		})
+		for _, sup := range []Supervision{Labels(labeled), ConstraintSet(cons)} {
+			t.Run(a.name+"/"+sup.Kind(), func(t *testing.T) {
+				spec := Spec{
+					Dataset:     ds,
+					Grid:        Grid{{Algorithm: a.alg, Params: a.params}},
+					Supervision: sup,
+					Options:     Options{Seed: 23, Workers: 1},
+				}
+				one := selectWinner(t, spec)
+				spec.Options.Workers = 8
+				equalSelection(t, one, selectWinner(t, spec), "workers 1 vs 8")
+			})
+		}
 	}
 }
 
@@ -80,21 +71,16 @@ func TestWorkerCountInvariance(t *testing.T) {
 	ds := blobsDataset(24, 3, 15, 12)
 	labeled := ds.SampleLabels(stats.NewRand(25), 0.3)
 	params := []int{2, 3, 4, 5, 6}
-	base, err := SelectWithLabels(MPCKMeans{}, ds, labeled, params, Options{Seed: 26})
-	if err != nil {
-		t.Fatal(err)
+	spec := Spec{
+		Dataset:     ds,
+		Grid:        Grid{{Algorithm: MPCKMeans{}, Params: params}},
+		Supervision: Labels(labeled),
+		Options:     Options{Seed: 26},
 	}
-	for _, opt := range []Options{
-		{Seed: 26, Workers: 3},
-		{Seed: 26, Workers: 7},
-		{Seed: 26, Workers: 64},
-		{Seed: 26, Workers: -1},
-	} {
-		got, err := SelectWithLabels(MPCKMeans{}, ds, labeled, params, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		equalSelection(t, base, got, fmt.Sprintf("workers=%d", opt.Workers))
+	base := selectWinner(t, spec)
+	for _, w := range []int{3, 7, 64, -1} {
+		spec.Options.Workers = w
+		equalSelection(t, base, selectWinner(t, spec), fmt.Sprintf("workers=%d", w))
 	}
 }
 
@@ -103,8 +89,12 @@ func TestSelectCancellation(t *testing.T) {
 	labeled := ds.SampleLabels(stats.NewRand(28), 0.3)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := SelectWithLabels(MPCKMeans{}, ds, labeled, []int{2, 3, 4},
-		Options{Seed: 29, Workers: 4, Context: ctx})
+	_, err := Select(ctx, Spec{
+		Dataset:     ds,
+		Grid:        Grid{{Algorithm: MPCKMeans{}, Params: []int{2, 3, 4}}},
+		Supervision: Labels(labeled),
+		Options:     Options{Seed: 29, Workers: 4},
+	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -117,12 +107,18 @@ func TestSelectCancelledMidGrid(t *testing.T) {
 	defer cancel()
 	// Cancel from the progress callback: the selection must abandon the
 	// remaining grid and report the cancellation.
-	opt := Options{Seed: 32, Workers: 2, Context: ctx, Progress: func(done, total int) {
+	opt := Options{Seed: 32, Workers: 2, Progress: func(done, total int) {
 		if done == 2 {
 			cancel()
 		}
 	}}
-	if _, err := SelectWithLabels(MPCKMeans{}, ds, labeled, []int{2, 3, 4, 5, 6, 7}, opt); !errors.Is(err, context.Canceled) {
+	_, err := Select(ctx, Spec{
+		Dataset:     ds,
+		Grid:        Grid{{Algorithm: MPCKMeans{}, Params: []int{2, 3, 4, 5, 6, 7}}},
+		Supervision: Labels(labeled),
+		Options:     opt,
+	})
+	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
@@ -140,9 +136,12 @@ func TestSelectProgress(t *testing.T) {
 		calls++
 		total = tot
 	}}
-	if _, err := SelectWithLabels(MPCKMeans{}, ds, labeled, params, opt); err != nil {
-		t.Fatal(err)
-	}
+	selectWinner(t, Spec{
+		Dataset:     ds,
+		Grid:        Grid{{Algorithm: MPCKMeans{}, Params: params}},
+		Supervision: Labels(labeled),
+		Options:     opt,
+	})
 	if want := len(params) * 3; total != want || last != want || calls != want {
 		t.Errorf("progress: last=%d calls=%d total=%d, want all %d", last, calls, total, want)
 	}
@@ -205,14 +204,18 @@ func TestConcurrentSelectionsAcrossDatasets(t *testing.T) {
 			defer wg.Done()
 			ds := blobsDataset(int64(40+i), 3, 15, 12)
 			labeled := ds.SampleLabels(stats.NewRand(int64(50+i)), 0.3)
-			sel, err := SelectWithLabels(FOSCOpticsDend{}, ds, labeled, []int{3, 6, 9},
-				Options{Seed: int64(60 + i), Workers: 2})
+			res, err := Select(context.Background(), Spec{
+				Dataset:     ds,
+				Grid:        Grid{{Algorithm: FOSCOpticsDend{}, Params: []int{3, 6, 9}}},
+				Supervision: Labels(labeled),
+				Options:     Options{Seed: int64(60 + i), Workers: 2},
+			})
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			if len(sel.FinalLabels) != ds.N() {
-				t.Errorf("dataset %d: %d final labels, want %d", i, len(sel.FinalLabels), ds.N())
+			if len(res.Winner.FinalLabels) != ds.N() {
+				t.Errorf("dataset %d: %d final labels, want %d", i, len(res.Winner.FinalLabels), ds.N())
 			}
 		}()
 	}

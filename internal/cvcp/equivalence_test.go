@@ -92,11 +92,6 @@ func checkPinned(t *testing.T, what string, res *Result, want string) {
 	}
 }
 
-// single wraps a one-candidate selection as a Result.
-func single(sel *Selection) *Result {
-	return &Result{Winner: sel, PerCandidate: []*Selection{sel}}
-}
-
 func TestSelectWithLabelsEquivalence(t *testing.T) {
 	requirePinnedArch(t)
 	ds := blobsDataset(81, 3, 20, 15)
@@ -104,11 +99,6 @@ func TestSelectWithLabelsEquivalence(t *testing.T) {
 	params := []int{2, 3, 4, 5}
 	for _, w := range equivalenceWorkers {
 		opt := Options{Seed: 83, NFolds: 4, Workers: w}
-		legacy, err := SelectWithLabels(MPCKMeans{}, ds, labeled, params, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkPinned(t, fmt.Sprintf("SelectWithLabels, workers %d", w), single(legacy), selectWithLabelsPinnedDigest)
 		res, err := Select(context.Background(), Spec{
 			Dataset:     ds,
 			Grid:        Grid{{Algorithm: MPCKMeans{}, Params: params}},
@@ -131,11 +121,6 @@ func TestSelectWithConstraintsEquivalence(t *testing.T) {
 	params := []int{3, 6, 9}
 	for _, w := range equivalenceWorkers {
 		opt := Options{Seed: 86, NFolds: 4, Workers: w}
-		legacy, err := SelectWithConstraints(FOSCOpticsDend{}, ds, cons, params, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkPinned(t, fmt.Sprintf("SelectWithConstraints, workers %d", w), single(legacy), selectWithConstraintsPinnedDigest)
 		res, err := Select(context.Background(), Spec{
 			Dataset:     ds,
 			Grid:        Grid{{Algorithm: FOSCOpticsDend{}, Params: params}},
@@ -156,11 +141,6 @@ func TestBootstrapWithLabelsEquivalence(t *testing.T) {
 	params := []int{2, 3, 4}
 	for _, w := range equivalenceWorkers {
 		opt := Options{Seed: 89, Workers: w}
-		legacy, err := BootstrapWithLabels(MPCKMeans{}, ds, labeled, params, 6, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkPinned(t, fmt.Sprintf("BootstrapWithLabels, workers %d", w), single(legacy), bootstrapWithLabelsPinnedDigest)
 		res, err := Select(context.Background(), Spec{
 			Dataset:     ds,
 			Grid:        Grid{{Algorithm: MPCKMeans{}, Params: params}},
@@ -183,11 +163,6 @@ func TestSelectByValidityIndexEquivalence(t *testing.T) {
 		want := validityPinnedDigests[vi.Name]
 		for _, w := range equivalenceWorkers {
 			opt := Options{Seed: 91, Workers: w}
-			legacy, err := SelectByValidityIndex(MPCKMeans{}, ds, nil, params, vi, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			checkPinned(t, fmt.Sprintf("SelectByValidityIndex(%s), workers %d", vi.Name, w), single(legacy), want)
 			res, err := Select(context.Background(), Spec{
 				Dataset:     ds,
 				Grid:        Grid{{Algorithm: MPCKMeans{}, Params: params}},
@@ -211,11 +186,6 @@ func TestSelectBySilhouetteEquivalence(t *testing.T) {
 	params := []int{2, 3, 4, 5}
 	for _, w := range equivalenceWorkers {
 		opt := Options{Seed: 94, Workers: w}
-		legacy, err := SelectBySilhouette(MPCKMeans{}, ds, full, params, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkPinned(t, fmt.Sprintf("SelectBySilhouette, workers %d", w), single(legacy), selectBySilhouettePinnedDigest)
 		res, err := Select(context.Background(), Spec{
 			Dataset:     ds,
 			Grid:        Grid{{Algorithm: MPCKMeans{}, Params: params}},
@@ -241,12 +211,6 @@ func TestSelectAlgorithmWithLabelsEquivalence(t *testing.T) {
 	}
 	for _, w := range equivalenceWorkers {
 		opt := Options{Seed: 97, NFolds: 4, Workers: w}
-		legacy, err := SelectAlgorithmWithLabels(cands, ds, labeled, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkPinned(t, fmt.Sprintf("SelectAlgorithmWithLabels, workers %d", w),
-			&Result{Winner: legacy.Winner, PerCandidate: legacy.PerMethod}, algorithmLabelsPinnedDigest)
 		res, err := Select(context.Background(), Spec{
 			Dataset:     ds,
 			Grid:        Grid(cands),
@@ -271,12 +235,6 @@ func TestSelectAlgorithmWithConstraintsEquivalence(t *testing.T) {
 	}
 	for _, w := range equivalenceWorkers {
 		opt := Options{Seed: 100, NFolds: 4, Workers: w}
-		legacy, err := SelectAlgorithmWithConstraints(cands, ds, cons, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkPinned(t, fmt.Sprintf("SelectAlgorithmWithConstraints, workers %d", w),
-			&Result{Winner: legacy.Winner, PerCandidate: legacy.PerMethod}, algorithmConstraintsPinnedDigest)
 		res, err := Select(context.Background(), Spec{
 			Dataset:     ds,
 			Grid:        Grid(cands),

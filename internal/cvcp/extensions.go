@@ -10,11 +10,10 @@ import (
 )
 
 // This file implements the extensions the paper's conclusion names as
-// future work: additional semi-supervised clustering methods under CVCP
-// (COP-KMeans) and extending the framework to compare and select between
-// alternative clustering methods — multi-candidate Grids under Select —
-// plus the legacy cross-method and validity-index entry points, now thin
-// deprecated wrappers over the unified core.
+// future work: another semi-supervised clustering method under CVCP
+// (COP-KMeans) and, through multi-candidate Grids under Select, selection
+// between clustering methods. It also holds the relative validity indices
+// of the Validity scorer and the multi-index sweep of the ablations.
 
 // COPKMeans adapts hard-constrained COP-KMeans (Wagstaff et al., ICML 2001)
 // to the Algorithm interface. The parameter under selection is k. Infeasible
@@ -60,47 +59,6 @@ func isInfeasible(err error) bool {
 	return false
 }
 
-// AlgorithmSelection reports the winner of a cross-method selection along
-// with each candidate's own selection result. It is the legacy form of
-// Result.
-type AlgorithmSelection struct {
-	Winner    *Selection
-	PerMethod []*Selection
-}
-
-// SelectAlgorithmWithLabels extends CVCP across clustering paradigms (the
-// paper's final future-work item) on Scenario I supervision: the algorithm
-// whose best parameter achieves the highest cross-validated constraint
-// F-measure wins. All candidates share the same seed, hence the same folds,
-// so the comparison is paired — and since the whole grid runs as one
-// engine dispatch, they also share one worker pool and one run cache.
-//
-// Deprecated: use Select with a multi-candidate Grid; this wrapper remains
-// for compatibility and returns bit-identical results.
-func SelectAlgorithmWithLabels(cands []Candidate, ds *dataset.Dataset, labeledIdx []int, opt Options) (*AlgorithmSelection, error) {
-	return selectAlgorithms(cands, ds, Labels(labeledIdx), opt)
-}
-
-// SelectAlgorithmWithConstraints is SelectAlgorithmWithLabels for
-// Scenario II supervision.
-//
-// Deprecated: use Select with a multi-candidate Grid; this wrapper remains
-// for compatibility and returns bit-identical results.
-func SelectAlgorithmWithConstraints(cands []Candidate, ds *dataset.Dataset, cons *constraints.Set, opt Options) (*AlgorithmSelection, error) {
-	return selectAlgorithms(cands, ds, ConstraintSet(cons), opt)
-}
-
-func selectAlgorithms(cands []Candidate, ds *dataset.Dataset, sup Supervision, opt Options) (*AlgorithmSelection, error) {
-	if len(cands) == 0 {
-		return nil, fmt.Errorf("cvcp: no candidate algorithms")
-	}
-	res, err := Select(opt.Context, Spec{Dataset: ds, Grid: Grid(cands), Supervision: sup, Options: opt})
-	if err != nil {
-		return nil, err
-	}
-	return &AlgorithmSelection{Winner: res.Winner, PerMethod: res.PerCandidate}, nil
-}
-
 // ValidityIndex is a relative clustering validity criterion used as an
 // unsupervised model-selection baseline. Better reports whether larger
 // values are better (Calinski–Harabasz, Dunn, Silhouette) or smaller ones
@@ -129,19 +87,6 @@ func ValidityIndices() []ValidityIndex {
 		{Name: "calinski-harabasz", Score: eval.CalinskiHarabasz, Better: func(a, b float64) bool { return a > b }},
 		{Name: "dunn", Score: eval.Dunn, Better: func(a, b float64) bool { return a > b }},
 	}
-}
-
-// SelectByValidityIndex picks the parameter whose full-supervision
-// clustering optimizes the given relative validity criterion.
-//
-// Deprecated: use Select with Scorer: Validity{Index: vi}; this wrapper
-// remains for compatibility and returns bit-identical results.
-func SelectByValidityIndex(alg Algorithm, ds *dataset.Dataset, full *constraints.Set, params []int, vi ValidityIndex, opt Options) (*Selection, error) {
-	sels, err := SelectByValidityIndices(alg, ds, full, params, []ValidityIndex{vi}, opt)
-	if err != nil {
-		return nil, err
-	}
-	return sels[0], nil
 }
 
 // SelectByValidityIndices evaluates several relative validity criteria over
@@ -173,21 +118,4 @@ func SelectByValidityIndices(alg Algorithm, ds *dataset.Dataset, full *constrain
 		return nil, err
 	}
 	return per[0], nil
-}
-
-// BootstrapWithLabels scores parameters by bootstrap resampling instead of
-// cross-validation — the alternative partition-based evaluation the paper's
-// Section 3.1 mentions ("the same reasoning would apply to other
-// partition-based evaluation procedures such as bootstrapping").
-//
-// Deprecated: use Select with Scorer: Bootstrap{Rounds: rounds}; this
-// wrapper remains for compatibility and returns bit-identical results.
-func BootstrapWithLabels(alg Algorithm, ds *dataset.Dataset, labeledIdx []int, params []int, rounds int, opt Options) (*Selection, error) {
-	return selectOne(Spec{
-		Dataset:     ds,
-		Grid:        Grid{{Algorithm: alg, Params: params}},
-		Supervision: Labels(labeledIdx),
-		Scorer:      Bootstrap{Rounds: rounds},
-		Options:     opt,
-	})
 }

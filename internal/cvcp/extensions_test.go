@@ -1,6 +1,7 @@
 package cvcp
 
 import (
+	"context"
 	"testing"
 
 	"cvcp/internal/constraints"
@@ -11,10 +12,12 @@ import (
 func TestCOPKMeansUnderCVCP(t *testing.T) {
 	ds := blobsDataset(21, 3, 20, 15)
 	labeled := ds.SampleLabels(stats.NewRand(22), 0.25)
-	sel, err := SelectWithLabels(COPKMeans{}, ds, labeled, []int{2, 3, 4, 5}, Options{Seed: 23})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sel := selectWinner(t, Spec{
+		Dataset:     ds,
+		Grid:        Grid{{Algorithm: COPKMeans{}, Params: []int{2, 3, 4, 5}}},
+		Supervision: Labels(labeled),
+		Options:     Options{Seed: 23},
+	})
 	if sel.Best.Param != 3 {
 		t.Errorf("COP-KMeans selected k=%d, want 3 (scores %v)", sel.Best.Param, sel.ScoreCurve())
 	}
@@ -25,10 +28,12 @@ func TestCOPKMeansUnderCVCP(t *testing.T) {
 func TestCOPKMeansInfeasibleParamScoresLow(t *testing.T) {
 	ds := blobsDataset(24, 4, 15, 15)
 	labeled := ds.SampleLabels(stats.NewRand(25), 0.3)
-	sel, err := SelectWithLabels(COPKMeans{}, ds, labeled, []int{2, 3, 4, 5, 6}, Options{Seed: 26})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sel := selectWinner(t, Spec{
+		Dataset:     ds,
+		Grid:        Grid{{Algorithm: COPKMeans{}, Params: []int{2, 3, 4, 5, 6}}},
+		Supervision: Labels(labeled),
+		Options:     Options{Seed: 26},
+	})
 	// k=2 and k=3 cannot host 4 mutually cannot-linked classes; the
 	// selection must avoid them.
 	if sel.Best.Param < 4 {
@@ -41,23 +46,29 @@ func TestSelectAlgorithmWithLabels(t *testing.T) {
 	// win the cross-paradigm selection.
 	ds := datagen.Zyeast(31)
 	labeled := ds.SampleLabels(stats.NewRand(32), 0.2)
-	cands := []Candidate{
-		{Algorithm: FOSCOpticsDend{}, Params: []int{3, 6, 9, 12}},
-		{Algorithm: MPCKMeans{}, Params: []int{2, 3, 4, 5, 6}},
+	spec := Spec{
+		Dataset: ds,
+		Grid: Grid{
+			{Algorithm: FOSCOpticsDend{}, Params: []int{3, 6, 9, 12}},
+			{Algorithm: MPCKMeans{}, Params: []int{2, 3, 4, 5, 6}},
+		},
+		Supervision: Labels(labeled),
+		Options:     Options{Seed: 33},
 	}
-	res, err := SelectAlgorithmWithLabels(cands, ds, labeled, Options{Seed: 33})
+	res, err := Select(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.PerMethod) != 2 || res.Winner == nil {
+	if len(res.PerCandidate) != 2 || res.Winner == nil {
 		t.Fatalf("incomplete result: %+v", res)
 	}
-	for _, sel := range res.PerMethod {
+	for _, sel := range res.PerCandidate {
 		if sel.Best.Score > res.Winner.Best.Score {
 			t.Error("winner is not the best-scoring candidate")
 		}
 	}
-	if _, err := SelectAlgorithmWithLabels(nil, ds, labeled, Options{}); err == nil {
+	spec.Grid = nil
+	if _, err := Select(context.Background(), spec); err == nil {
 		t.Error("expected error for empty candidate list")
 	}
 }
@@ -66,49 +77,63 @@ func TestSelectAlgorithmWithConstraints(t *testing.T) {
 	ds := blobsDataset(41, 3, 20, 15)
 	r := stats.NewRand(42)
 	cons := constraints.Sample(r, constraints.Pool(r, ds.Y, 0.25), 0.6)
-	cands := []Candidate{
-		{Algorithm: MPCKMeans{}, Params: []int{2, 3, 4, 5}},
-		{Algorithm: COPKMeans{}, Params: []int{2, 3, 4, 5}},
-	}
-	res, err := SelectAlgorithmWithConstraints(cands, ds, cons, Options{Seed: 43})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Winner.Best.Score < 0.8 {
-		t.Errorf("winner score %v on easy blobs", res.Winner.Best.Score)
+	winner := selectWinner(t, Spec{
+		Dataset: ds,
+		Grid: Grid{
+			{Algorithm: MPCKMeans{}, Params: []int{2, 3, 4, 5}},
+			{Algorithm: COPKMeans{}, Params: []int{2, 3, 4, 5}},
+		},
+		Supervision: ConstraintSet(cons),
+		Options:     Options{Seed: 43},
+	})
+	if winner.Best.Score < 0.8 {
+		t.Errorf("winner score %v on easy blobs", winner.Best.Score)
 	}
 }
 
 func TestBootstrapWithLabels(t *testing.T) {
 	ds := blobsDataset(51, 3, 20, 15)
 	labeled := ds.SampleLabels(stats.NewRand(52), 0.25)
-	sel, err := BootstrapWithLabels(MPCKMeans{}, ds, labeled, []int{2, 3, 4, 5}, 8, Options{Seed: 53})
-	if err != nil {
-		t.Fatal(err)
+	spec := Spec{
+		Dataset:     ds,
+		Grid:        Grid{{Algorithm: MPCKMeans{}, Params: []int{2, 3, 4, 5}}},
+		Supervision: Labels(labeled),
+		Scorer:      Bootstrap{Rounds: 8},
+		Options:     Options{Seed: 53},
 	}
+	sel := selectWinner(t, spec)
 	if sel.Best.Param != 3 {
 		t.Errorf("bootstrap selected k=%d, want 3 (scores %v)", sel.Best.Param, sel.ScoreCurve())
 	}
 	if len(sel.Best.FoldScores) != 8 {
 		t.Errorf("got %d bootstrap rounds, want 8", len(sel.Best.FoldScores))
 	}
-	if _, err := BootstrapWithLabels(MPCKMeans{}, ds, labeled[:2], []int{2}, 4, Options{}); err == nil {
+	spec.Supervision = Labels(labeled[:2])
+	if _, err := Select(context.Background(), spec); err == nil {
 		t.Error("expected error for too few labeled objects")
 	}
 }
 
 func TestSelectByValidityIndex(t *testing.T) {
 	ds := blobsDataset(71, 3, 20, 15)
+	spec := Spec{
+		Dataset:     ds,
+		Grid:        Grid{{Algorithm: MPCKMeans{}, Params: []int{2, 3, 4, 5}}},
+		Supervision: ConstraintSet(nil),
+		Options:     Options{Seed: 72},
+	}
 	for _, vi := range ValidityIndices() {
-		sel, err := SelectByValidityIndex(MPCKMeans{}, ds, nil, []int{2, 3, 4, 5}, vi, Options{Seed: 72})
+		spec.Scorer = Validity{Index: vi}
+		res, err := Select(context.Background(), spec)
 		if err != nil {
 			t.Fatalf("%s: %v", vi.Name, err)
 		}
-		if sel.Best.Param != 3 {
-			t.Errorf("%s selected k=%d on 3 clean blobs, want 3", vi.Name, sel.Best.Param)
+		if res.Winner.Best.Param != 3 {
+			t.Errorf("%s selected k=%d on 3 clean blobs, want 3", vi.Name, res.Winner.Best.Param)
 		}
 	}
-	if _, err := SelectByValidityIndex(MPCKMeans{}, ds, nil, []int{2}, ValidityIndex{Name: "broken"}, Options{}); err == nil {
+	spec.Scorer = Validity{Index: ValidityIndex{Name: "broken"}}
+	if _, err := Select(context.Background(), spec); err == nil {
 		t.Error("expected error for incomplete validity index")
 	}
 }
@@ -116,14 +141,14 @@ func TestSelectByValidityIndex(t *testing.T) {
 func TestBootstrapDeterministic(t *testing.T) {
 	ds := blobsDataset(61, 3, 15, 12)
 	labeled := ds.SampleLabels(stats.NewRand(62), 0.3)
-	a, err := BootstrapWithLabels(MPCKMeans{}, ds, labeled, []int{2, 3, 4}, 5, Options{Seed: 63})
-	if err != nil {
-		t.Fatal(err)
+	spec := Spec{
+		Dataset:     ds,
+		Grid:        Grid{{Algorithm: MPCKMeans{}, Params: []int{2, 3, 4}}},
+		Supervision: Labels(labeled),
+		Scorer:      Bootstrap{Rounds: 5},
+		Options:     Options{Seed: 63},
 	}
-	b, err := BootstrapWithLabels(MPCKMeans{}, ds, labeled, []int{2, 3, 4}, 5, Options{Seed: 63})
-	if err != nil {
-		t.Fatal(err)
-	}
+	a, b := selectWinner(t, spec), selectWinner(t, spec)
 	if a.Best.Param != b.Best.Param || a.Best.Score != b.Best.Score {
 		t.Error("bootstrap not deterministic")
 	}

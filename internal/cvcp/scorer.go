@@ -177,10 +177,10 @@ func (v Validity) Score(ds *dataset.Dataset, grid Grid, sup Supervision, opt Opt
 // every candidate — then aggregates per-candidate scores and refits each
 // candidate's winner with the full supervision.
 //
-// Determinism: each cell's seed derives from its within-candidate grid
-// position (stats.SplitSeed(opt.Seed, pi*len(folds)+fi+1)), exactly the
-// derivation the per-candidate legacy entry points used, so a multi-candidate
-// run is bit-identical to running each candidate alone.
+// Determinism: each cell's seed is stats.SplitSeed(opt.Seed,
+// pi*len(folds)+fi+1), a function of its parameter and fold index within
+// its candidate only, so a multi-candidate run is bit-identical to running
+// each candidate alone.
 func partitionScore(ds *dataset.Dataset, grid Grid, folds []Fold, full *constraints.Set, opt Options) ([]*Selection, error) {
 	scores := newScoreGrid(grid, len(folds))
 	tasks := cellTasks(ds, grid, folds, opt, scores, opt.CellStats, 0, gridCells(grid, len(folds)))
@@ -219,11 +219,10 @@ func gridCells(grid Grid, nFolds int) int {
 // cellTasks builds one engine task per (candidate, parameter, fold) cell
 // whose index lies in [lo, hi). Cells are indexed in canonical cell order
 // — ci outermost, then pi, then fi — the linearization the distributed
-// layer's shard ranges index into. Each cell's seed derives from its
-// within-candidate grid position (stats.SplitSeed(seed, pi*len(folds)+fi+1)),
-// exactly the derivation the per-candidate legacy entry points used, so any
-// contiguous subrange computes bit-identically to those cells of the full
-// grid.
+// layer's shard ranges index into. Each cell's seed is
+// stats.SplitSeed(seed, pi*len(folds)+fi+1), a function of its
+// within-candidate position only, so any contiguous subrange computes
+// bit-identically to those cells of the full grid.
 //
 // The tasks come in claim order, which differs from cell order: within a
 // candidate, fold-major — fold 0 of every parameter column before fold 1
@@ -316,9 +315,10 @@ func reduceScores(grid Grid, scores [][]ParamScore) []*Selection {
 // refitFinals computes each candidate's final clustering with the full
 // supervision. The final clusterings dispatch through the engine too —
 // one task per candidate, still under the shared Limiter and context —
-// with the same seed derivation the legacy single-candidate path used.
-// Progress reporting covers the scoring grid only, so the callback never
-// sees a second, smaller (done, total) sequence after the grid completed.
+// each seeded with stats.SplitSeed(opt.Seed, 0), an index no grid cell
+// uses. Progress reporting covers the scoring grid only, so the callback
+// never sees a second, smaller (done, total) sequence after the grid
+// completed.
 func refitFinals(ds *dataset.Dataset, grid Grid, full *constraints.Set, opt Options, out []*Selection) error {
 	fopt := opt.engineOptions()
 	fopt.OnProgress = nil

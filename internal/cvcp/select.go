@@ -63,10 +63,7 @@ type Result struct {
 // every worker count and identical to scoring each candidate alone.
 //
 // ctx cancels the selection mid-grid; when non-nil it supersedes
-// spec.Options.Context. The legacy entry points (SelectWithLabels,
-// SelectWithConstraints, SelectAlgorithmWith*, BootstrapWithLabels,
-// SelectByValidityIndex, SelectBySilhouette) are thin deprecated wrappers
-// over this function.
+// spec.Options.Context.
 func Select(ctx context.Context, spec Spec) (*Result, error) {
 	if err := spec.validate(); err != nil {
 		return nil, err
@@ -92,8 +89,8 @@ func Select(ctx context.Context, spec Spec) (*Result, error) {
 	return res, nil
 }
 
-// validate rejects malformed specs with the same errors the legacy entry
-// points raised.
+// validate rejects a spec with no data, no candidates, a nil algorithm, an
+// empty parameter range or no supervision.
 func (s Spec) validate() error {
 	if s.Dataset == nil || s.Dataset.N() == 0 {
 		return fmt.Errorf("cvcp: empty dataset")

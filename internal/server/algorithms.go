@@ -68,11 +68,3 @@ func algorithmNames() []string {
 	sort.Strings(out)
 	return out
 }
-
-// resolveScorer maps a job spec's scorer name onto the library's Scorer
-// strategies via the library's own name registry, so submission
-// validation, job execution and the cvcp CLI all accept exactly the same
-// vocabulary.
-func resolveScorer(name string, rounds int) (corecvcp.Scorer, error) {
-	return corecvcp.ScorerByName(name, rounds)
-}

@@ -37,22 +37,10 @@ type BatchView struct {
 }
 
 // batchRequest is the JSON document of POST /v1/batches: N datasets
-// sharing one option set. The option fields mirror the single-job JSON
-// submission (jobRequest) exactly, minus the inline CSV.
+// sharing one option set, the single-job JSON submission's options.
 type batchRequest struct {
+	jobOptions
 	Datasets []batchDataset `json:"datasets"`
-
-	Algorithm       string           `json:"algorithm"`
-	Algorithms      []string         `json:"algorithms"`
-	Scorer          string           `json:"scorer"`
-	BootstrapRounds int              `json:"bootstrap_rounds"`
-	Params          []int            `json:"params"`
-	ParamMin        int              `json:"param_min"`
-	ParamMax        int              `json:"param_max"`
-	Folds           int              `json:"folds"`
-	Seed            int64            `json:"seed"`
-	LabelFraction   float64          `json:"label_fraction"`
-	Constraints     []constraintJSON `json:"constraints"`
 }
 
 // batchDataset is one dataset of a batch submission.
@@ -80,14 +68,7 @@ func parseBatchSubmission(r *http.Request, maxBody int64) ([]BatchItem, *apiErro
 	if len(req.Datasets) > maxBatchDatasets {
 		return nil, badRequest("invalid_request", "%d datasets in one batch, limit %d", len(req.Datasets), maxBatchDatasets)
 	}
-	base, apiErr := specFromRequest(jobRequest{
-		Algorithm: req.Algorithm, Algorithms: req.Algorithms,
-		Scorer: req.Scorer, BootstrapRounds: req.BootstrapRounds,
-		Params:   req.Params,
-		ParamMin: req.ParamMin, ParamMax: req.ParamMax,
-		Folds: req.Folds, Seed: req.Seed,
-		LabelFraction: req.LabelFraction, Constraints: req.Constraints,
-	})
+	base, apiErr := req.spec()
 	if apiErr != nil {
 		return nil, apiErr
 	}

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -161,6 +162,60 @@ func TestBatchValidation(t *testing.T) {
 	}
 	if e := decodeAPIError(t, gresp); gresp.StatusCode != http.StatusNotFound || e.Code != "not_found" {
 		t.Fatalf("missing batch: status %d code %q", gresp.StatusCode, e.Code)
+	}
+}
+
+// A batch takes every JSON job option, matrix32 and eps included: each
+// item's result equals the same job submitted alone, and a grid that
+// cannot use the option is refused for the dataset that carries it.
+func TestBatchMatrix32AndEps(t *testing.T) {
+	ts, _ := newTestServer(t, Config{MaxRunningJobs: 2, WorkerBudget: 4, QueueDepth: 16})
+	var datasets []map[string]any
+	for _, n := range []int{24, 30} {
+		_, csvText := testDataset(t, n)
+		datasets = append(datasets, map[string]any{"name": fmt.Sprintf("n%d", n), "csv": csvText, "has_label": true})
+	}
+	options := func(extra map[string]any) map[string]any {
+		doc := map[string]any{"algorithm": "fosc", "params": []int{3, 6}, "folds": 2, "seed": 5, "label_fraction": 0.5}
+		for k, v := range extra {
+			doc[k] = v
+		}
+		return doc
+	}
+	for _, opt := range []struct {
+		name  string
+		value any
+	}{{"matrix32", true}, {"eps", 5}} {
+		batch := options(map[string]any{opt.name: opt.value, "datasets": datasets})
+		resp := postJSON(t, ts.URL+"/v1/batches", batch)
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("%s: batch status %d: %+v", opt.name, resp.StatusCode, decodeAPIError(t, resp))
+		}
+		byName := map[string]*ResultView{}
+		for _, jv := range pollBatch(t, ts, decodeBatch(t, resp).ID).Jobs {
+			byName[jv.Dataset] = jv.Result
+		}
+		for _, d := range datasets {
+			job := options(d)
+			job[opt.name] = opt.value
+			resp := postJSON(t, ts.URL+"/v1/jobs", job)
+			if resp.StatusCode != http.StatusAccepted {
+				t.Fatalf("%s: job status %d: %+v", opt.name, resp.StatusCode, decodeAPIError(t, resp))
+			}
+			jv := decodeJob(t, resp.Body)
+			resp.Body.Close()
+			alone := pollJob(t, ts, jv.ID, StatusDone).Result
+			if got := byName[d["name"].(string)]; got == nil || !reflect.DeepEqual(*got, *alone) {
+				t.Errorf("%s, dataset %s: batch result %+v, alone %+v", opt.name, d["name"], got, alone)
+			}
+		}
+
+		batch["algorithm"] = "mpck"
+		resp = postJSON(t, ts.URL+"/v1/batches", batch)
+		want := "datasets[0]: " + opt.name + " requires a fosc candidate in the grid"
+		if e := decodeAPIError(t, resp); resp.StatusCode != http.StatusBadRequest || e.Code != "invalid_request" || e.Message != want {
+			t.Errorf("%s on mpck: status %d, error (%q, %q), want 400 (invalid_request, %q)", opt.name, resp.StatusCode, e.Code, e.Message, want)
+		}
 	}
 }
 

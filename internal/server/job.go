@@ -658,7 +658,7 @@ func buildSelectionSpec(spec Spec, ds *dataset.Dataset) (corecvcp.Spec, error) {
 		r := stats.NewRand(spec.Seed)
 		sup = corecvcp.Labels(ds.SampleLabels(r, spec.LabelFraction))
 	}
-	scorer, err := resolveScorer(spec.Scorer, spec.BootstrapRounds)
+	scorer, err := corecvcp.ScorerByName(spec.Scorer, spec.BootstrapRounds)
 	if err != nil {
 		return corecvcp.Spec{}, err
 	}

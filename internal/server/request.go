@@ -11,6 +11,7 @@ import (
 	"strings"
 
 	"cvcp/internal/constraints"
+	corecvcp "cvcp/internal/cvcp"
 	"cvcp/internal/dataset"
 )
 
@@ -26,13 +27,10 @@ func badRequest(code, format string, args ...any) *apiError {
 	return &apiError{status: http.StatusBadRequest, Code: code, Message: fmt.Sprintf(format, args...)}
 }
 
-// jobRequest is the JSON submission document.
-type jobRequest struct {
-	Name            string           `json:"name"`
-	CSV             string           `json:"csv"`
-	HasLabel        bool             `json:"has_label"`
-	DatasetID       string           `json:"dataset_id"`
-	DatasetVersion  int              `json:"dataset_version"`
+// jobOptions are the selection options of every submission shape: the
+// JSON job and batch documents embed them, and raw and multipart
+// submissions decode their option strings into them (parseOptions).
+type jobOptions struct {
 	Algorithm       string           `json:"algorithm"`
 	Algorithms      []string         `json:"algorithms"`
 	Scorer          string           `json:"scorer"`
@@ -46,6 +44,16 @@ type jobRequest struct {
 	Eps             float64          `json:"eps"`
 	LabelFraction   float64          `json:"label_fraction"`
 	Constraints     []constraintJSON `json:"constraints"`
+}
+
+// jobRequest is the JSON submission document.
+type jobRequest struct {
+	jobOptions
+	Name           string `json:"name"`
+	CSV            string `json:"csv"`
+	HasLabel       bool   `json:"has_label"`
+	DatasetID      string `json:"dataset_id"`
+	DatasetVersion int    `json:"dataset_version"`
 }
 
 type constraintJSON struct {
@@ -92,10 +100,14 @@ func parseJSONSubmission(r *http.Request, maxBody int64) (Spec, *dataset.Dataset
 		if req.HasLabel {
 			return Spec{}, nil, badRequest("invalid_request", `"has_label" is a property of the registered dataset, not of a "dataset_id" job`)
 		}
-		spec, apiErr := specFromRequest(req)
+		if req.DatasetVersion < 0 {
+			return Spec{}, nil, badRequest("invalid_request", "dataset_version must be >= 0 (0 means the current version)")
+		}
+		spec, apiErr := req.spec()
 		if apiErr != nil {
 			return Spec{}, nil, apiErr
 		}
+		spec.DatasetID, spec.DatasetVersion = req.DatasetID, req.DatasetVersion
 		return spec, nil, nil
 	}
 	if req.DatasetVersion != 0 {
@@ -104,7 +116,7 @@ func parseJSONSubmission(r *http.Request, maxBody int64) (Spec, *dataset.Dataset
 	if req.CSV == "" {
 		return Spec{}, nil, badRequest("invalid_request", `JSON submissions require a non-empty "csv" field`)
 	}
-	spec, apiErr := specFromRequest(req)
+	spec, apiErr := req.spec()
 	if apiErr != nil {
 		return Spec{}, nil, apiErr
 	}
@@ -136,34 +148,28 @@ func decodeStrictJSON(r io.Reader, v any) *apiError {
 	return nil
 }
 
-// specFromRequest assembles the job spec from a JSON submission's option
-// fields (shared by single-job and batch submissions). The spec still
-// needs finishSpec against a concrete dataset.
-func specFromRequest(req jobRequest) (Spec, *apiError) {
+// spec assembles the job spec the options describe, for every submission
+// shape. The spec still needs finishSpec against a concrete dataset.
+func (o jobOptions) spec() (Spec, *apiError) {
 	spec := Spec{
-		Algorithm:       req.Algorithm,
-		Algorithms:      req.Algorithms,
-		Scorer:          req.Scorer,
-		BootstrapRounds: req.BootstrapRounds,
-		Params:          req.Params,
-		NFolds:          req.Folds,
-		Seed:            req.Seed,
-		Matrix32:        req.Matrix32,
-		Eps:             req.Eps,
-		DatasetID:       req.DatasetID,
-		DatasetVersion:  req.DatasetVersion,
-		LabelFraction:   req.LabelFraction,
+		Algorithm:       o.Algorithm,
+		Algorithms:      o.Algorithms,
+		Scorer:          o.Scorer,
+		BootstrapRounds: o.BootstrapRounds,
+		Params:          o.Params,
+		NFolds:          o.Folds,
+		Seed:            o.Seed,
+		Matrix32:        o.Matrix32,
+		Eps:             o.Eps,
+		LabelFraction:   o.LabelFraction,
 	}
-	if spec.DatasetVersion < 0 {
-		return Spec{}, badRequest("invalid_request", "dataset_version must be >= 0 (0 means the current version)")
-	}
-	if len(spec.Params) == 0 && (req.ParamMin != 0 || req.ParamMax != 0) {
+	if len(spec.Params) == 0 && (o.ParamMin != 0 || o.ParamMax != 0) {
 		var apiErr *apiError
-		if spec.Params, apiErr = paramRange(req.ParamMin, req.ParamMax); apiErr != nil {
+		if spec.Params, apiErr = paramRange(o.ParamMin, o.ParamMax); apiErr != nil {
 			return Spec{}, apiErr
 		}
 	}
-	for _, c := range req.Constraints {
+	for _, c := range o.Constraints {
 		mustLink, err := constraints.ParseKind(c.Link)
 		if err != nil {
 			return Spec{}, badRequest("invalid_request", "constraints: %v", err)
@@ -209,19 +215,20 @@ func parseRawSubmission(r *http.Request, maxBody int64) (Spec, *dataset.Dataset,
 	return finishSpec(spec, ds)
 }
 
-// parseOptions reads the non-dataset job options through get (URL query for
-// raw submissions, form values for multipart ones).
+// parseOptions decodes the option strings of a raw or multipart
+// submission, read through get (URL query or form values), into the job
+// options, and returns their spec with the dataset's has_label and name.
 func parseOptions(get func(string) string) (spec Spec, hasLabel bool, name string, apiErr *apiError) {
-	name = get("name")
-	spec.Algorithm = get("algorithm")
+	var o jobOptions
+	o.Algorithm = get("algorithm")
 	if s := get("algorithms"); s != "" {
 		for _, part := range strings.Split(s, ",") {
 			if part = strings.TrimSpace(part); part != "" {
-				spec.Algorithms = append(spec.Algorithms, part)
+				o.Algorithms = append(o.Algorithms, part)
 			}
 		}
 	}
-	spec.Scorer = get("scorer")
+	o.Scorer = get("scorer")
 	intField := func(field string, dst *int) bool {
 		s := get(field)
 		if s == "" {
@@ -235,9 +242,8 @@ func parseOptions(get func(string) string) (spec Spec, hasLabel bool, name strin
 		*dst = v
 		return true
 	}
-	var pmin, pmax int
-	if !intField("folds", &spec.NFolds) || !intField("param_min", &pmin) || !intField("param_max", &pmax) ||
-		!intField("bootstrap_rounds", &spec.BootstrapRounds) {
+	if !intField("folds", &o.Folds) || !intField("param_min", &o.ParamMin) || !intField("param_max", &o.ParamMax) ||
+		!intField("bootstrap_rounds", &o.BootstrapRounds) {
 		return Spec{}, false, "", apiErr
 	}
 	if s := get("seed"); s != "" {
@@ -245,21 +251,21 @@ func parseOptions(get func(string) string) (spec Spec, hasLabel bool, name strin
 		if err != nil {
 			return Spec{}, false, "", badRequest("invalid_request", "option %q: %v", "seed", err)
 		}
-		spec.Seed = v
+		o.Seed = v
 	}
 	if s := get("eps"); s != "" {
 		v, err := strconv.ParseFloat(s, 64)
 		if err != nil {
 			return Spec{}, false, "", badRequest("invalid_request", "option %q: %v", "eps", err)
 		}
-		spec.Eps = v
+		o.Eps = v
 	}
 	if s := get("label_fraction"); s != "" {
 		v, err := strconv.ParseFloat(s, 64)
 		if err != nil {
 			return Spec{}, false, "", badRequest("invalid_request", "option %q: %v", "label_fraction", err)
 		}
-		spec.LabelFraction = v
+		o.LabelFraction = v
 	}
 	switch strings.ToLower(get("has_label")) {
 	case "", "0", "false", "no":
@@ -271,7 +277,7 @@ func parseOptions(get func(string) string) (spec Spec, hasLabel bool, name strin
 	switch strings.ToLower(get("matrix32")) {
 	case "", "0", "false", "no":
 	case "1", "true", "yes":
-		spec.Matrix32 = true
+		o.Matrix32 = true
 	default:
 		return Spec{}, false, "", badRequest("invalid_request", "option %q: want a boolean", "matrix32")
 	}
@@ -281,11 +287,7 @@ func parseOptions(get func(string) string) (spec Spec, hasLabel bool, name strin
 			if err != nil {
 				return Spec{}, false, "", badRequest("invalid_request", "option %q: %v", "params", err)
 			}
-			spec.Params = append(spec.Params, v)
-		}
-	} else if pmin != 0 || pmax != 0 {
-		if spec.Params, apiErr = paramRange(pmin, pmax); apiErr != nil {
-			return Spec{}, false, "", apiErr
+			o.Params = append(o.Params, v)
 		}
 	}
 	if s := get("constraints"); s != "" {
@@ -295,10 +297,15 @@ func parseOptions(get func(string) string) (spec Spec, hasLabel bool, name strin
 			return Spec{}, false, "", badRequest("invalid_request", "constraints: %v", err)
 		}
 		for _, c := range lines {
-			spec.Constraints = append(spec.Constraints, ConstraintSpec(c))
+			link := "cl"
+			if c.MustLink {
+				link = "ml"
+			}
+			o.Constraints = append(o.Constraints, constraintJSON{A: c.A, B: c.B, Link: link})
 		}
 	}
-	return spec, hasLabel, name, nil
+	spec, apiErr = o.spec()
+	return spec, hasLabel, get("name"), apiErr
 }
 
 // maxCandidates bounds the total candidate (algorithm, parameter) columns
@@ -435,7 +442,7 @@ func finishSpec(spec Spec, ds *dataset.Dataset) (Spec, *dataset.Dataset, *apiErr
 	if spec.NFolds < 0 {
 		return Spec{}, nil, badRequest("invalid_request", "folds must be >= 0 (0 means the default)")
 	}
-	if _, err := resolveScorer(spec.Scorer, spec.BootstrapRounds); err != nil {
+	if _, err := corecvcp.ScorerByName(spec.Scorer, spec.BootstrapRounds); err != nil {
 		return Spec{}, nil, badRequest("invalid_request", "%v", err)
 	}
 	if spec.BootstrapRounds < 0 {
