@@ -92,6 +92,18 @@ func main() {
 	if explicit["rounds"] && *scorer != "bootstrap" {
 		fatal(fmt.Errorf("-rounds requires -scorer bootstrap"))
 	}
+	if *folds < 0 {
+		fatal(fmt.Errorf("-folds must be >= 0 (0 means the default)"))
+	}
+	if *rounds < 0 {
+		fatal(fmt.Errorf("-rounds must be >= 0 (0 means the default)"))
+	}
+	if explicit["labelfrac"] && *consPath != "" {
+		fatal(fmt.Errorf("-labelfrac and -constraints are mutually exclusive"))
+	}
+	if !(*frac > 0 && *frac <= 1) {
+		fatal(fmt.Errorf("-labelfrac %v: want a value in (0, 1]", *frac))
+	}
 	if *dsetDir != "" {
 		// The incremental path is exactly the server's dataset-job shape:
 		// stable-fold cross-validation over labeled row batches. Options
@@ -154,9 +166,14 @@ func main() {
 	if *matrix32 && !seen["fosc"] {
 		fatal(fmt.Errorf("-matrix32 applies only to the fosc method (add fosc to -algo)"))
 	}
+	if (explicit["kmin"] || explicit["kmax"]) && !seen["mpck"] && !seen["copk"] {
+		fatal(fmt.Errorf("-kmin and -kmax apply only to the mpck and copk methods (add one to -algo)"))
+	}
 	switch {
 	case *eps < 0 || math.IsNaN(*eps):
 		fatal(fmt.Errorf("-eps %v: want a positive radius", *eps))
+	case math.IsInf(*eps, 1):
+		fatal(fmt.Errorf("-eps must be finite (omit it for the dense ε=∞ path)"))
 	case *eps > 0 && !seen["fosc"]:
 		fatal(fmt.Errorf("-eps applies only to the fosc method (add fosc to -algo)"))
 	case *eps > 0 && *matrix32:

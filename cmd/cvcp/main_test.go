@@ -53,7 +53,8 @@ func TestLoadConstraints(t *testing.T) {
 }
 
 // The command exits 1 with a one-line message, not a stack trace, for a
-// constraint file naming an object the dataset lacks or one object twice.
+// constraint file naming an object the dataset lacks or one object twice,
+// and for an option value the selection service would also refuse.
 func TestCLIInvalidConstraintsExit1(t *testing.T) {
 	dir := t.TempDir()
 	var csv strings.Builder
@@ -64,18 +65,36 @@ func TestCLIInvalidConstraintsExit1(t *testing.T) {
 	if err := os.WriteFile(data, []byte(csv.String()), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	valid := "0 2 ml\n2 4 ml\n1 3 ml\n3 5 ml\n0 1 cl\n4 5 cl\n6 8 ml\n7 9 ml\n6 7 cl\n"
-	for _, c := range []struct{ name, text, want string }{
-		{"far", valid + "0 500 ml\n", "constraint (0, 500): object index out of range [0, 20)"},
-		{"negative", valid + "-1 8 cl\n", "constraint (-1, 8): object index out of range [0, 20)"},
-		{"self", valid + "7 7 ml\n", "constraint (7, 7): a pair needs two distinct objects"},
-	} {
-		cons := filepath.Join(dir, c.name+".txt")
-		if err := os.WriteFile(cons, []byte(c.text), 0o644); err != nil {
+	consFile := func(name, text string) string {
+		path := filepath.Join(dir, name+".txt")
+		if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		cmd := exec.Command(os.Args[0], "-data", data, "-labeled", "-algo", "mpck", "-constraints", cons,
-			"-kmin", "2", "-kmax", "3", "-folds", "2", "-workers", "2", "-quiet")
+		return path
+	}
+	valid := "0 2 ml\n2 4 ml\n1 3 ml\n3 5 ml\n0 1 cl\n4 5 cl\n6 8 ml\n7 9 ml\n6 7 cl\n"
+	far, negative, self := consFile("far", valid+"0 500 ml\n"), consFile("negative", valid+"-1 8 cl\n"), consFile("self", valid+"7 7 ml\n")
+	mpck := func(cons string) []string {
+		return []string{"-algo", "mpck", "-constraints", cons, "-kmin", "2", "-kmax", "3", "-folds", "2"}
+	}
+	for _, c := range []struct {
+		name string
+		args []string
+		want string
+	}{
+		{"far", mpck(far), far + ": constraint (0, 500): object index out of range [0, 20)"},
+		{"negative", mpck(negative), negative + ": constraint (-1, 8): object index out of range [0, 20)"},
+		{"self", mpck(self), self + ": constraint (7, 7): a pair needs two distinct objects"},
+		{"negative folds", []string{"-labelfrac", "0.5", "-folds", "-3"}, "-folds must be >= 0 (0 means the default)"},
+		{"infinite eps", []string{"-labelfrac", "0.5", "-eps", "inf"}, "-eps must be finite (omit it for the dense ε=∞ path)"},
+		{"label fraction above 1", []string{"-labelfrac", "1.5"}, "-labelfrac 1.5: want a value in (0, 1]"},
+		{"negative rounds", []string{"-labelfrac", "0.5", "-scorer", "bootstrap", "-rounds", "-1"}, "-rounds must be >= 0 (0 means the default)"},
+		{"label fraction with constraints", append(mpck(consFile("valid", valid)), "-labelfrac", "0.3"),
+			"-labelfrac and -constraints are mutually exclusive"},
+		{"k range without a k method", []string{"-labelfrac", "0.5", "-algo", "fosc", "-kmin", "3", "-kmax", "5"},
+			"-kmin and -kmax apply only to the mpck and copk methods (add one to -algo)"},
+	} {
+		cmd := exec.Command(os.Args[0], append([]string{"-data", data, "-labeled", "-workers", "2", "-quiet"}, c.args...)...)
 		cmd.Env = append(os.Environ(), "CVCP_TEST_MAIN=1")
 		var stderr strings.Builder
 		cmd.Stderr = &stderr
@@ -84,7 +103,7 @@ func TestCLIInvalidConstraintsExit1(t *testing.T) {
 		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
 			t.Errorf("%s: exit %v, want status 1 (stderr %q)", c.name, err, stderr.String())
 		}
-		if want := "cvcp: " + cons + ": " + c.want + "\n"; stderr.String() != want {
+		if want := "cvcp: " + c.want + "\n"; stderr.String() != want {
 			t.Errorf("%s: stderr %q, want %q", c.name, stderr.String(), want)
 		}
 	}
