@@ -9,7 +9,7 @@
 // the spec computes any cell bit-identically; distribution is therefore
 // pure work division, never a source of nondeterminism.
 //
-// Roles, over one shared store (store.Shared in production, any
+// Roles, over one shared store (store.OpenShared in production, any
 // Store+Updater in tests):
 //
 //   - The Coordinator plans the grid into contiguous cell-range shards,
@@ -56,7 +56,8 @@ import (
 
 // Store is what distribution requires of the shared store: the job-store
 // contract plus the atomic read-modify-write that shard leases are built
-// on. store.Shared, store.File and store.Memory all satisfy it.
+// on. store.File (opened by Open or OpenShared) and store.Memory both
+// satisfy it.
 type Store interface {
 	store.Store
 	store.Updater

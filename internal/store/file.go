@@ -14,6 +14,11 @@ const (
 	snapshotName = "jobs.snapshot.json"
 	walName      = "jobs.wal.jsonl"
 
+	// A shared store keeps its log under a name of its own, beside the
+	// file every process of the topology flocks.
+	sharedWALName  = "shared.wal.jsonl"
+	sharedLockName = "shared.lock"
+
 	// compactMinWAL is the write-ahead log length below which the file
 	// store never compacts: snapshots cost a full rewrite, so tiny logs
 	// are left alone.
@@ -55,11 +60,26 @@ type snapshot struct {
 }
 
 // File is the durable Store: every Put/Delete/AppendEvents is appended
-// to a write-ahead log of framed JSON lines (see framing.go), and the full state (records plus event
-// logs) is periodically compacted into a snapshot so the log stays
-// short. Opening a directory loads the snapshot, replays the log on top
-// of it — tolerating a torn final line from a crash mid-append — and
-// serves the merged state.
+// to a write-ahead log of framed JSON lines (see framing.go). Opening a
+// directory replays the log — trimming a torn final line from a crash
+// mid-append — and serves the resulting state. A File is opened in one
+// of two modes:
+//
+//   - Open: the store belongs to one process. The full state (records
+//     plus event logs) is periodically compacted into a snapshot so the
+//     log stays short, and the log is replayed on top of it.
+//   - OpenShared: the store is one handle of a log that several
+//     processes (a distributed coordinator and its workers, see
+//     internal/dist) open in the same directory, each observing the
+//     others' writes. Every operation runs inside an flock-guarded
+//     critical section: it takes the exclusive lock, replays any log
+//     suffix appended by other processes since its last look
+//     ("refresh"), performs its read or append, and releases the lock.
+//     Because record writers sync before unlocking, a process that
+//     acquires the lock sees every acknowledged write that preceded it —
+//     the cross-process read-your-writes guarantee Update's
+//     compare-and-swap relies on. A process crash never strands the
+//     lock: the OS releases flock with the file descriptor.
 //
 // Durability model: a record entry is fsynced before the corresponding
 // call returns, so a job submitted (or finished) before a crash is
@@ -67,10 +87,21 @@ type snapshot struct {
 // fsync-coalesced: the sync happens at the next record write, at the
 // next eventSyncInterval tick, or at Close — whichever comes first — so
 // a crash can lose only a suffix of recent events, and never events
-// older than a record state they preceded. Compaction is atomic
-// (snapshot written to a temp file and renamed); a crash between the
-// rename and the log truncation merely replays log entries that are
-// already in the snapshot, which is idempotent.
+// older than a record state they preceded. On a shared store the
+// barrier spans processes: fsync flushes the file whichever handle
+// wrote it, so any process's record write makes every event appended
+// before it durable. Compaction is atomic (snapshot written to a temp
+// file and renamed); a crash between the rename and the log truncation
+// merely replays log entries that are already in the snapshot, which is
+// idempotent.
+//
+// Only what a second process makes unsafe stays single-process: a
+// shared store neither compacts nor sweeps orphans at open. It is built
+// for the bounded coordination state of a running topology (job,
+// shard-lease and partial-score records, which the coordinator deletes
+// as jobs finish), not for long-lived archives. Deleted state stops
+// occupying memory but its log lines remain until the directory is
+// recycled.
 type File struct {
 	dir string
 
@@ -84,16 +115,21 @@ type File struct {
 
 	mu        sync.Mutex
 	tab       *table
-	wal       *os.File
-	walLen    int   // entries appended since the last compaction
-	walSize   int64 // bytes of complete, valid entries in the log file
-	dirty     bool  // written-but-unsynced entries pending in the log
-	syncArmed bool  // a coalescing sync timer is scheduled
+	wal       *os.File // O_APPEND handle, also read by replay
+	lock      *os.File // the flocked file of a shared store; nil for Open's
+	walLen    int      // entries appended since the last compaction
+	walSize   int64    // bytes of complete, valid entries in the log file (on a shared store, the prefix this handle has applied)
+	dirty     bool     // written-but-unsynced entries pending in the log
+	syncArmed bool     // a coalescing sync timer is scheduled
 	closed    bool
 }
 
-// Open loads (or initializes) a file store in dir, creating the
-// directory if needed.
+// Shared is the type OpenShared returns: a File in its multi-process
+// mode.
+type Shared = File
+
+// Open loads (or initializes) a single-process file store in dir,
+// creating the directory if needed.
 func Open(dir string) (*File, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: creating %s: %w", dir, err)
@@ -102,26 +138,15 @@ func Open(dir string) (*File, error) {
 	if err := f.loadSnapshot(); err != nil {
 		return nil, err
 	}
-	replayed, validLen, err := f.replayWAL()
-	if err != nil {
-		return nil, err
-	}
-	// Drop any torn tail now, before appending after it would turn the
-	// tolerated final line into fatal interior corruption on the next
-	// Open.
-	path := filepath.Join(dir, walName)
-	if st, err := os.Stat(path); err == nil && st.Size() > validLen {
-		if err := os.Truncate(path, validLen); err != nil {
-			return nil, fmt.Errorf("store: trimming torn WAL tail: %w", err)
-		}
-	}
-	f.walLen = replayed
-	f.walSize = validLen
-	wal, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	wal, err := openWAL(filepath.Join(dir, walName))
 	if err != nil {
 		return nil, fmt.Errorf("store: opening WAL: %w", err)
 	}
 	f.wal = wal
+	if err := f.refreshLocked(); err != nil {
+		wal.Close()
+		return nil, err
+	}
 	// Sweep event logs with no owning record: a crash in the submission
 	// window (queued event appended, record Put never acknowledged)
 	// leaves one behind, the job was never visible, and nothing else
@@ -134,11 +159,10 @@ func Open(dir string) (*File, error) {
 	// orphan and deduping the new job's first events away.
 	for id := range f.tab.events {
 		if _, ok := f.tab.recs[id]; !ok {
-			if err := f.append(walEntry{Delete: id}, true); err != nil {
+			if err := f.append(walEntry{Delete: id}); err != nil {
 				f.wal.Close()
 				return nil, fmt.Errorf("store: sweeping orphan event log %s: %w", id, err)
 			}
-			f.tab.dropEvents(id)
 		}
 	}
 	// Sweep cell-cache records whose owning dataset record is gone: a
@@ -158,13 +182,43 @@ func Open(dir string) (*File, error) {
 		}
 	}
 	for _, id := range orphanCells {
-		if err := f.append(walEntry{Delete: id}, true); err != nil {
+		if err := f.append(walEntry{Delete: id}); err != nil {
 			f.wal.Close()
 			return nil, fmt.Errorf("store: sweeping orphan cell record %s: %w", id, err)
 		}
-		f.tab.delete(id)
 	}
 	return f, nil
+}
+
+// OpenShared opens (or initializes) a shared store in dir, creating the
+// directory if needed. Every process of a topology opens the same dir.
+func OpenShared(dir string) (*File, error) {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, fmt.Errorf("store: creating %s: %w", dir, err)
+	}
+	lock, err := os.OpenFile(filepath.Join(dir, sharedLockName), os.O_CREATE|os.O_RDWR, 0o644)
+	if err != nil {
+		return nil, fmt.Errorf("store: opening shared lock: %w", err)
+	}
+	wal, err := openWAL(filepath.Join(dir, sharedWALName))
+	if err != nil {
+		lock.Close()
+		return nil, fmt.Errorf("store: opening shared WAL: %w", err)
+	}
+	f := &File{dir: dir, tab: newTable(), wal: wal, lock: lock}
+	// An empty critical section refreshes, so OpenShared surfaces an
+	// unreadable or corrupt log immediately rather than on first use.
+	if err := f.withLock(func() error { return nil }); err != nil {
+		wal.Close()
+		lock.Close()
+		return nil, err
+	}
+	return f, nil
+}
+
+// openWAL opens a log for appending and for replay's reads.
+func openWAL(path string) (*os.File, error) {
+	return os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 }
 
 func (f *File) loadSnapshot() error {
@@ -192,62 +246,120 @@ func (f *File) loadSnapshot() error {
 	return nil
 }
 
-// replayWAL applies the write-ahead log on top of the snapshot. It
-// returns the entry count and the byte length of the valid prefix. A
-// malformed final line is tolerated (a crash mid-append leaves one) and
-// excluded from the valid length so Open can trim it. A malformed line
-// with entries after it is tolerated only when nothing after it is a
-// record entry: event entries are the only unsynced writes (their
-// fsyncs coalesce), so a crash can garble any part of the
-// since-last-sync suffix — which by construction contains no record
-// entries — and losing that suffix is within the event-durability
-// contract. A corrupt line with a record entry (put/delete) anywhere
-// after it is real damage, and an error: records are fsynced per write,
-// so silently dropping one would lose acknowledged state.
-func (f *File) replayWAL() (entries int, validLen int64, err error) {
-	data, err := os.ReadFile(filepath.Join(f.dir, walName))
-	if os.IsNotExist(err) {
-		return 0, 0, nil
+// withLock runs fn inside the store's critical section: mu, plus — on a
+// shared store — the flock and a refresh, so fn sees every write any
+// process acknowledged before it.
+func (f *File) withLock(fn func() error) error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.closed {
+		return ErrClosed
 	}
+	if f.lock == nil {
+		return fn()
+	}
+	if err := flockEx(f.lock); err != nil {
+		return fmt.Errorf("store: locking shared store: %w", err)
+	}
+	err := f.refreshLocked()
+	if err == nil {
+		err = fn()
+	}
+	if uerr := flockUn(f.lock); err == nil && uerr != nil {
+		err = fmt.Errorf("store: unlocking shared store: %w", uerr)
+	}
+	return err
+}
+
+// refreshLocked replays the log past walSize — at Open the whole log, on
+// a shared store whatever other processes appended since this handle
+// last looked — and trims what replay did not accept. A torn tail left
+// in place would fuse with the next append into one damaged line, and
+// the next replay would drop that append with it. On a shared store the
+// trim is safe because writers append whole lines under the flock: an
+// unterminated tail seen under the flock is a crashed writer's. Callers
+// hold mu and, on a shared store, the flock.
+func (f *File) refreshLocked() error {
+	st, err := f.wal.Stat()
 	if err != nil {
-		return 0, 0, fmt.Errorf("store: reading WAL: %w", err)
+		return fmt.Errorf("store: stating WAL: %w", err)
 	}
+	size := st.Size()
+	if size <= f.walSize {
+		return nil
+	}
+	data := make([]byte, size-f.walSize)
+	if _, err := f.wal.ReadAt(data, f.walSize); err != nil {
+		return fmt.Errorf("store: reading WAL: %w", err)
+	}
+	entries, valid, err := f.replay(data)
+	if err != nil {
+		return err
+	}
+	f.walLen += entries
+	f.walSize += valid
+	if f.walSize < size {
+		if err := f.wal.Truncate(f.walSize); err != nil {
+			return fmt.Errorf("store: trimming torn WAL tail: %w", err)
+		}
+	}
+	return nil
+}
+
+// replay applies the log lines in data, which starts at a line
+// boundary. It returns the entry count and the byte length of the
+// accepted prefix. Only newline-terminated lines count: every append
+// writes its line whole, newline last, so an unterminated final line is
+// a write torn by a crash, never an acknowledged one, even when what
+// survives of it is a valid frame. A malformed line with entries after
+// it is tolerated only when nothing after it is a record entry: event
+// entries are the only unsynced writes (their fsyncs coalesce), so a
+// crash can garble any part of the since-last-sync suffix — which by
+// construction contains no record entries — and losing that suffix is
+// within the event-durability contract. A corrupt line with a record
+// entry (put/delete) anywhere after it is real damage, and an error:
+// records are fsynced per write, so silently dropping one would lose
+// acknowledged state.
+func (f *File) replay(data []byte) (entries int, valid int64, err error) {
+	data = data[:bytes.LastIndexByte(data, '\n')+1]
 	off := 0
 	for off < len(data) {
-		lineEnd := len(data)
-		next := len(data)
-		if nl := bytes.IndexByte(data[off:], '\n'); nl >= 0 {
-			lineEnd = off + nl
-			next = off + nl + 1
-		}
-		line := data[off:lineEnd]
+		nl := bytes.IndexByte(data[off:], '\n')
+		line, next := data[off:off+nl], off+nl+1
 		if len(bytes.TrimSpace(line)) == 0 {
 			off = next
 			continue
 		}
 		var e walEntry
 		if err := unmarshalWALLine(line, &e); err != nil {
-			// Scan from the corrupt line itself: a torn final line is
-			// always tolerated (Put holds the mutex through its fsync, so
-			// a torn record write is unacknowledged), and interior damage
-			// is tolerated only when no intact record entry follows it.
+			// Scan from the corrupt line itself: a damaged final line is
+			// always tolerated (a record write holds the lock through its
+			// fsync, so a torn record write is unacknowledged), and
+			// interior damage is tolerated only when no intact record
+			// entry follows it.
 			if next < len(data) && recordEntryIn(data[off:]) {
-				return 0, 0, fmt.Errorf("store: corrupt WAL entry %d: %w", entries+1, err)
+				return 0, 0, fmt.Errorf("store: corrupt WAL entry %d: %w", f.walLen+entries+1, err)
 			}
 			return entries, int64(off), nil // torn tail (possibly spanning coalesced event appends): drop it
 		}
-		switch {
-		case e.Put != nil:
-			f.tab.put(*e.Put)
-		case e.Delete != "":
-			f.tab.delete(e.Delete)
-		case e.Events != nil:
-			f.tab.appendEvents(e.Events.ID, e.Events.Events)
-		}
+		f.tab.apply(e)
 		entries++
 		off = next
 	}
 	return entries, int64(off), nil
+}
+
+// apply installs one log entry in the resident state: the one apply
+// path of replay and of every append.
+func (t *table) apply(e walEntry) {
+	switch {
+	case e.Put != nil:
+		t.put(*e.Put)
+	case e.Delete != "":
+		t.delete(e.Delete)
+	case e.Events != nil:
+		t.appendEvents(e.Events.ID, e.Events.Events)
+	}
 }
 
 // unmarshalWALLine decodes one WAL line into e. Framed lines (see
@@ -266,7 +378,7 @@ func unmarshalWALLine(line []byte, e *walEntry) error {
 }
 
 // recordEntryIn reports whether any WAL line in data carries (or might
-// carry) a record entry — the check that lets replayWAL treat crash
+// carry) a record entry — the check that lets replay treat crash
 // damage among coalesced event appends as a recoverable torn tail
 // rather than fatal interior corruption. Framed lines are classified
 // structurally: an intact frame is a record entry iff its payload
@@ -307,15 +419,17 @@ func recordEntryIn(data []byte) bool {
 	return false
 }
 
-// append writes one WAL entry, syncing it to disk when sync is true and
-// scheduling a coalesced sync otherwise. On failure the log is truncated
-// back to its last known-good length: a partial line left in place would
-// poison every later append (the next Open would see interior
-// corruption and refuse to start). A failed inline sync also truncates —
-// the entry has not been applied in memory yet, so disk and memory agree
-// that it never happened. Coalesced syncs (flushEvents) never truncate:
-// their entries were already reported as appended.
-func (f *File) append(e walEntry, sync bool) error {
+// append frames and writes one WAL entry, makes it durable — a record
+// entry (put or delete) by an inline fsync, an event batch by the
+// coalescing sync — and applies it to the resident state. Callers hold
+// the critical section (see withLock), so the log ends at walSize. On
+// failure the log is truncated back to that length: a partial line left
+// in place would poison every later append (the next replay would see
+// interior corruption and refuse). A failed inline sync also truncates
+// — the entry has not been applied in memory yet, so disk and memory
+// agree that it never happened. Coalesced syncs (flushEvents) never
+// truncate: their entries were already reported as appended.
+func (f *File) append(e walEntry) error {
 	payload, err := json.Marshal(e)
 	if err != nil {
 		return fmt.Errorf("store: encoding WAL entry: %w", err)
@@ -325,23 +439,29 @@ func (f *File) append(e walEntry, sync bool) error {
 		_ = f.wal.Truncate(f.walSize)
 		return fmt.Errorf("store: appending WAL entry: %w", err)
 	}
-	if !sync {
-		f.walSize += int64(len(data))
-		f.walLen++
-		mWALAppends.Inc()
+	if e.Events != nil {
 		f.scheduleSyncLocked()
-		return nil
+	} else {
+		if err := syncWAL(f.wal); err != nil {
+			_ = f.wal.Truncate(f.walSize)
+			return fmt.Errorf("store: syncing WAL: %w", err)
+		}
+		f.dirty = false // the sync covered every earlier unsynced entry too
 	}
-	start := time.Now()
-	if err := f.wal.Sync(); err != nil {
-		_ = f.wal.Truncate(f.walSize)
-		return fmt.Errorf("store: syncing WAL: %w", err)
-	}
-	mWALFsync.Observe(time.Since(start).Seconds())
 	f.walSize += int64(len(data))
 	f.walLen++
 	mWALAppends.Inc()
-	f.dirty = false // the sync covered every earlier unsynced entry too
+	f.tab.apply(e)
+	return nil
+}
+
+// syncWAL fsyncs a log and records the latency.
+func syncWAL(wal *os.File) error {
+	start := time.Now()
+	if err := wal.Sync(); err != nil {
+		return err
+	}
+	mWALFsync.Observe(time.Since(start).Seconds())
 	return nil
 }
 
@@ -362,7 +482,8 @@ func (f *File) scheduleSyncLocked() {
 // holding the store mutex across disk latency would stall every event
 // append (and, transitively, the job mutex of each publisher). A write
 // landing while the sync is in flight re-marks dirty and re-arms the
-// timer, so it is covered by the next flush at the latest.
+// timer, so it is covered by the next flush at the latest. It needs no
+// flock either: fsync flushes whatever any process wrote.
 func (f *File) flushEvents() {
 	f.mu.Lock()
 	f.syncArmed = false
@@ -373,9 +494,7 @@ func (f *File) flushEvents() {
 	f.dirty = false
 	wal := f.wal
 	f.mu.Unlock()
-	start := time.Now()
-	if wal.Sync() == nil {
-		mWALFsync.Observe(time.Since(start).Seconds())
+	if syncWAL(wal) == nil {
 		return
 	}
 	// Transient sync failure (EIO and kin): re-mark the bytes unsynced
@@ -474,10 +593,11 @@ func (f *File) buildSnapshotLocked(clone bool) snapshot {
 
 // wantCompactLocked reports whether the log has grown well past the
 // resident state (records plus event log entries) — the point where
-// replay would mostly apply overwritten or deleted state. Callers
-// hold mu.
+// replay would mostly apply overwritten or deleted state. A shared
+// store never compacts: other processes replay the log it would
+// rewrite. Callers hold mu.
 func (f *File) wantCompactLocked() bool {
-	return f.walLen >= compactMinWAL && f.walLen >= 4*(len(f.tab.recs)+f.tab.numEvents)
+	return f.lock == nil && f.walLen >= compactMinWAL && f.walLen >= 4*(len(f.tab.recs)+f.tab.numEvents)
 }
 
 // compact is the live-path compaction: the resident state is CLONED
@@ -533,14 +653,8 @@ func (f *File) cutWALLocked(coveredSize int64, coveredLen int) error {
 	path := filepath.Join(f.dir, walName)
 	var suffix []byte
 	if f.walSize > coveredSize {
-		rf, err := os.Open(path)
-		if err != nil {
-			return fmt.Errorf("store: reopening WAL for compaction: %w", err)
-		}
 		suffix = make([]byte, f.walSize-coveredSize)
-		_, err = rf.ReadAt(suffix, coveredSize)
-		rf.Close()
-		if err != nil {
+		if _, err := f.wal.ReadAt(suffix, coveredSize); err != nil {
 			return fmt.Errorf("store: reading WAL suffix: %w", err)
 		}
 	}
@@ -569,7 +683,7 @@ func (f *File) cutWALLocked(coveredSize int64, coveredLen int) error {
 		_ = d.Sync()
 		d.Close()
 	}
-	wal, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	wal, err := openWAL(path)
 	if err != nil {
 		// The old handle now points at the renamed-over (unlinked)
 		// inode: writing to it would "succeed" while landing nowhere.
@@ -586,120 +700,98 @@ func (f *File) cutWALLocked(coveredSize int64, coveredLen int) error {
 	return nil
 }
 
-// Put inserts or overwrites rec under rec.ID, durably.
-func (f *File) Put(rec Record) error {
-	f.mu.Lock()
-	if f.closed {
-		f.mu.Unlock()
-		return ErrClosed
-	}
-	rec = rec.Clone()
-	if err := f.append(walEntry{Put: &rec}, true); err != nil {
-		f.mu.Unlock()
-		return err
-	}
-	f.tab.put(rec)
-	want := f.wantCompactLocked()
-	f.mu.Unlock()
-	// A compaction failure is NOT a Put failure: the record is already
-	// durable in the WAL (reporting an error here would make the caller
-	// treat a persisted record as unpersisted — a ghost a restart would
-	// resurrect). Compaction retries at the next threshold and on Close.
+// commit is the critical section of a record write: fn picks, from the
+// resident state, the entry to append (nil for none), and commit
+// appends it. A write can leave a single-process log due for
+// compaction, which then runs after the critical section. A compaction
+// failure is NOT a write failure: the record is already durable in the
+// WAL (reporting an error here would make the caller treat a persisted
+// record as unpersisted — a ghost a restart would resurrect).
+// Compaction retries at the next threshold and on Close.
+func (f *File) commit(fn func() (*walEntry, error)) error {
+	want := false
+	err := f.withLock(func() error {
+		e, err := fn()
+		if err != nil || e == nil {
+			return err
+		}
+		if err := f.append(*e); err != nil {
+			return err
+		}
+		want = f.wantCompactLocked()
+		return nil
+	})
 	if want {
 		_ = f.compact()
 	}
-	return nil
+	return err
+}
+
+// Put inserts or overwrites rec under rec.ID, durably.
+func (f *File) Put(rec Record) error {
+	rec = rec.Clone()
+	return f.commit(func() (*walEntry, error) { return &walEntry{Put: &rec}, nil })
 }
 
 // Update applies an atomic read-modify-write to the record under id
 // (see Updater). The write, if any, is durable before Update returns,
-// like Put's.
+// like Put's. On a shared store the critical section spans processes,
+// making this the topology-wide compare-and-swap.
 func (f *File) Update(id string, fn func(cur Record, ok bool) (Record, bool, error)) (Record, error) {
-	f.mu.Lock()
-	if f.closed {
-		f.mu.Unlock()
-		return Record{}, ErrClosed
-	}
-	cur, ok := f.tab.recs[id]
-	if ok {
-		cur = cur.Clone()
-	}
-	out, write, err := fn(cur, ok)
+	var out Record
+	err := f.commit(func() (*walEntry, error) {
+		cur, ok := f.tab.recs[id]
+		if ok {
+			cur = cur.Clone()
+		}
+		var write bool
+		var err error
+		out, write, err = fn(cur, ok)
+		if err != nil || !write {
+			return nil, err
+		}
+		if out.ID != id {
+			return nil, fmt.Errorf("store: update of %q returned record %q", id, out.ID)
+		}
+		stored := out.Clone()
+		return &walEntry{Put: &stored}, nil
+	})
 	if err != nil {
-		f.mu.Unlock()
 		return Record{}, err
 	}
-	if !write {
-		f.mu.Unlock()
-		return out, nil
-	}
-	if out.ID != id {
-		f.mu.Unlock()
-		return Record{}, fmt.Errorf("store: update of %q returned record %q", id, out.ID)
-	}
-	out = out.Clone()
-	if err := f.append(walEntry{Put: &out}, true); err != nil {
-		f.mu.Unlock()
-		return Record{}, err
-	}
-	f.tab.put(out)
-	want := f.wantCompactLocked()
-	f.mu.Unlock()
-	if want {
-		_ = f.compact() // durable already; see Put
-	}
-	return out.Clone(), nil
+	return out, nil
 }
 
 // Get returns the record under id and whether it exists.
-func (f *File) Get(id string) (Record, bool, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.closed {
-		return Record{}, false, ErrClosed
-	}
-	rec, ok := f.tab.recs[id]
-	if !ok {
-		return Record{}, false, nil
-	}
-	return rec.Clone(), true, nil
+func (f *File) Get(id string) (rec Record, ok bool, err error) {
+	err = f.withLock(func() error {
+		if rec, ok = f.tab.recs[id]; ok {
+			rec = rec.Clone()
+		}
+		return nil
+	})
+	return rec, ok, err
 }
 
 // List pages through the records in ascending ID order.
-func (f *File) List(cursor string, limit int) ([]Record, string, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.closed {
-		return nil, "", ErrClosed
-	}
-	recs, next := f.tab.list(cursor, limit)
-	return recs, next, nil
+func (f *File) List(cursor string, limit int) (recs []Record, next string, err error) {
+	err = f.withLock(func() error {
+		recs, next = f.tab.list(cursor, limit)
+		return nil
+	})
+	return recs, next, err
 }
 
 // Delete removes the record under id (and the job's event log), durably.
 func (f *File) Delete(id string) error {
-	f.mu.Lock()
-	if f.closed {
-		f.mu.Unlock()
-		return ErrClosed
-	}
-	_, haveRec := f.tab.recs[id]
-	_, haveEvs := f.tab.events[id]
-	if !haveRec && !haveEvs {
-		f.mu.Unlock()
-		return nil
-	}
-	if err := f.append(walEntry{Delete: id}, true); err != nil {
-		f.mu.Unlock()
-		return err
-	}
-	f.tab.delete(id)
-	want := f.wantCompactLocked()
-	f.mu.Unlock()
-	if want {
-		_ = f.compact() // durable already; see Put
-	}
-	return nil
+	return f.commit(func() (*walEntry, error) {
+		_, haveRec := f.tab.recs[id]
+		_, haveEvs := f.tab.events[id]
+		if !haveRec && !haveEvs {
+			return nil, nil
+		}
+		return &walEntry{Delete: id}, nil
+	})
 }
 
 // AppendEvents appends the batch to the job's event log. The write lands
@@ -709,48 +801,41 @@ func (f *File) AppendEvents(id string, events []Event) error {
 	if len(events) == 0 {
 		return nil
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.closed {
-		return ErrClosed
-	}
 	evs := cloneEvents(events)
-	if err := f.append(walEntry{Events: &walEvents{ID: id, Events: evs}}, false); err != nil {
-		return err
-	}
-	f.tab.appendEvents(id, evs)
 	// No compaction here, deliberately: the server appends from inside
 	// the job mutex (the progress hot path). The appended entries still
 	// count toward walLen, so the next Put/Delete — always outside any
 	// job mutex — triggers the compaction they accrue (and even that
 	// compaction holds the store mutex only to clone state and swap the
 	// WAL, never across the snapshot write).
-	return nil
+	return f.withLock(func() error {
+		return f.append(walEntry{Events: &walEvents{ID: id, Events: evs}})
+	})
 }
 
 // EventsSince returns the job's events with Seq > afterSeq, in order.
-func (f *File) EventsSince(id string, afterSeq int) ([]Event, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.closed {
-		return nil, ErrClosed
-	}
-	return f.tab.eventsSince(id, afterSeq), nil
+func (f *File) EventsSince(id string, afterSeq int) (evs []Event, err error) {
+	err = f.withLock(func() error {
+		evs = f.tab.eventsSince(id, afterSeq)
+		return nil
+	})
+	return evs, err
 }
 
 // Len reports how many records are resident.
-func (f *File) Len() (int, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.closed {
-		return 0, ErrClosed
-	}
-	return len(f.tab.recs), nil
+func (f *File) Len() (n int, err error) {
+	err = f.withLock(func() error {
+		n = len(f.tab.recs)
+		return nil
+	})
+	return n, err
 }
 
-// Close compacts the store into its snapshot and releases the log file.
-// compactMu is taken first (the lock order), so an in-flight live
-// compaction finishes before the final synchronous one runs.
+// Close releases the store. A single-process store first compacts into
+// its snapshot; compactMu is taken first (the lock order), so an
+// in-flight live compaction finishes before the final synchronous one
+// runs. A shared store leaves its log as-is for the other processes of
+// the topology, after one last fsync of any coalesced event appends.
 func (f *File) Close() error {
 	f.compactMu.Lock()
 	defer f.compactMu.Unlock()
@@ -760,9 +845,19 @@ func (f *File) Close() error {
 		return nil
 	}
 	f.closed = true
-	err := f.compactLocked()
+	var err error
+	if f.lock == nil {
+		err = f.compactLocked()
+	} else if f.dirty {
+		err = syncWAL(f.wal)
+	}
 	if cerr := f.wal.Close(); err == nil {
 		err = cerr
+	}
+	if f.lock != nil {
+		if cerr := f.lock.Close(); err == nil {
+			err = cerr
+		}
 	}
 	return err
 }

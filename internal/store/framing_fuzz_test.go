@@ -55,55 +55,57 @@ func FuzzFrameDecodeCorrupt(f *testing.F) {
 // FuzzWALTornTail: a WAL holding two complete entries plus any strict
 // prefix of a further framed line — the shape a crash mid-append leaves —
 // must open cleanly with exactly the two complete entries, the torn tail
-// dropped. Payloads are scrubbed of newlines first: a framed payload
-// never contains one (WAL payloads are JSON), and an embedded newline
-// would turn the single torn line into interior damage, which Open
-// rightly refuses.
+// dropped, through Open and through OpenShared alike. Payloads are
+// scrubbed of newlines first: a framed payload never contains one (WAL
+// payloads are JSON), and an embedded newline would turn the single torn
+// line into interior damage, which Open rightly refuses.
 func FuzzWALTornTail(f *testing.F) {
 	f.Add([]byte(`{"put":{"id":"job-000003","status":"queued"}}`), uint16(10))
 	f.Add([]byte(""), uint16(0))
 	f.Add([]byte{0xff, 0x00, 0x41}, uint16(3))
 	f.Fuzz(func(t *testing.T, payload []byte, cut uint16) {
 		payload = bytes.ReplaceAll(payload, []byte("\n"), []byte(" "))
-
-		dir := t.TempDir()
-		s, err := Open(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Put(rec(1, "running")); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Put(rec(2, "queued")); err != nil {
-			t.Fatal(err)
-		}
-		// Crash: no Close (Close would compact the WAL away); tear a
-		// partial frame onto the tail instead.
 		frame := encodeFrame(payload)
 		k := int(cut) % len(frame) // strict prefix, possibly empty
-		wal := filepath.Join(dir, walName)
-		wf, err := os.OpenFile(wal, os.O_APPEND|os.O_WRONLY, 0o644)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := wf.Write(frame[:k]); err != nil {
-			t.Fatal(err)
-		}
-		wf.Close()
 
-		re, err := Open(dir)
-		if err != nil {
-			t.Fatalf("Open with torn tail (%d of %d frame bytes): %v", k, len(frame), err)
-		}
-		defer re.Close()
-		for n := 1; n <= 2; n++ {
-			if _, ok, err := re.Get(rec(n, "").ID); err != nil || !ok {
-				t.Fatalf("complete entry %d lost after torn-tail recovery (ok %v, err %v)", n, ok, err)
+		for _, mode := range walModes {
+			dir := t.TempDir()
+			s, err := mode.open(dir)
+			if err != nil {
+				t.Fatal(err)
 			}
+			if err := s.Put(rec(1, "running")); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Put(rec(2, "queued")); err != nil {
+				t.Fatal(err)
+			}
+			// Crash: no Close (Close would compact the WAL away); tear a
+			// partial frame onto the tail instead.
+			wal := filepath.Join(dir, mode.wal)
+			wf, err := os.OpenFile(wal, os.O_APPEND|os.O_WRONLY, 0o644)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := wf.Write(frame[:k]); err != nil {
+				t.Fatal(err)
+			}
+			wf.Close()
+
+			re, err := mode.open(dir)
+			if err != nil {
+				t.Fatalf("%s: open with torn tail (%d of %d frame bytes): %v", mode.name, k, len(frame), err)
+			}
+			for n := 1; n <= 2; n++ {
+				if _, ok, err := re.Get(rec(n, "").ID); err != nil || !ok {
+					t.Fatalf("%s: complete entry %d lost after torn-tail recovery (ok %v, err %v)", mode.name, n, ok, err)
+				}
+			}
+			if got, err := re.Len(); err != nil || got != 2 {
+				t.Fatalf("%s: recovered %d records (err %v), want 2", mode.name, got, err)
+			}
+			re.Close()
+			s.Close()
 		}
-		if got, err := re.Len(); err != nil || got != 2 {
-			t.Fatalf("recovered %d records (err %v), want 2", got, err)
-		}
-		s.Close()
 	})
 }

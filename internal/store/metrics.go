@@ -4,8 +4,8 @@ import "cvcp/internal/metrics"
 
 // File-store metric families (see internal/metrics): WAL append volume,
 // fsync latency — both the inline per-commit syncs and the coalesced
-// event-log syncs — and snapshot compactions. Shared across every File
-// (and Shared) store in the process.
+// event-log syncs — and snapshot compactions. Every File in the process
+// feeds them, opened by Open or by OpenShared; only Open's compact.
 var (
 	mWALAppends = metrics.NewCounter("cvcpd_wal_appends_total",
 		"WAL entries appended (records, deletes and event batches).")

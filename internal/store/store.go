@@ -4,10 +4,13 @@
 // pagination, and two implementations —
 //
 //   - Memory: maps, for servers that accept losing state on restart;
-//   - File: an append-only JSONL write-ahead log plus periodic snapshot
-//     in a directory, so a server restarted with the same directory
-//     replays its finished jobs — event histories included — and
-//     re-queues the interrupted ones.
+//   - File: an append-only JSONL write-ahead log in a directory. Opened
+//     by Open, it belongs to one process and compacts into a periodic
+//     snapshot, so a server restarted with the same directory replays
+//     its finished jobs — event histories included — and re-queues the
+//     interrupted ones. Opened by OpenShared, it is one handle of a log
+//     that several processes (a coordinator and its workers) share
+//     under a file lock.
 //
 // The store is deliberately ignorant of what a job is. A Record carries
 // the fields every implementation needs for ordering and lifecycle
@@ -144,10 +147,9 @@ type EventLog interface {
 // the returned record (whose ID must equal id), write=false leaves the
 // store untouched, and a non-nil error aborts without writing and is
 // returned verbatim. No concurrent Put, Delete or Update of the same
-// store interleaves with the read-modify-write; for Shared, the
-// guarantee holds across processes. Update returns the record as of the
-// call's completion. All three implementations (Memory, File, Shared)
-// are Updaters.
+// store interleaves with the read-modify-write; for a File opened by
+// OpenShared, the guarantee holds across processes. Update returns the
+// record as of the call's completion. Memory and File are Updaters.
 type Updater interface {
 	Update(id string, fn func(cur Record, ok bool) (Record, bool, error)) (Record, error)
 }

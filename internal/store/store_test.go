@@ -1331,8 +1331,8 @@ func TestSharedStoreCrossHandle(t *testing.T) {
 }
 
 // A writer killed mid-append leaves an unterminated partial line in the
-// shared log; other handles must not consume it, and the next writer
-// must terminate it so later entries replay cleanly.
+// shared log; other handles must not consume it, and the next critical
+// section must trim it so later entries replay cleanly.
 func TestSharedStoreTornTail(t *testing.T) {
 	dir := t.TempDir()
 	a, err := OpenShared(dir)
@@ -1383,5 +1383,170 @@ func TestSharedStoreTornTail(t *testing.T) {
 	defer c.Close()
 	if n, _ := c.Len(); n != 2 {
 		t.Fatalf("fresh replay Len = %d, want 2", n)
+	}
+}
+
+// walModes are the two ways to open the one WAL engine, each with the
+// log file it writes.
+var walModes = []struct {
+	name string
+	open func(dir string) (*File, error)
+	wal  string
+}{
+	{"file", Open, walName},
+	{"shared", OpenShared, sharedWALName},
+}
+
+func appendToFile(t *testing.T, path string, data []byte) {
+	t.Helper()
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.Write(data); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A log that ends in a whole frame minus its newline ends in a torn
+// write: replay must neither apply nor keep it. Kept, it would fuse with
+// the next append into one damaged line, and the replay after that would
+// drop the append — an fsynced Put — with it.
+func TestWALFrameWithoutNewlineIsTorn(t *testing.T) {
+	for _, mode := range walModes {
+		t.Run(mode.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s, err := mode.open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			if err := s.Put(rec(1, "running")); err != nil {
+				t.Fatal(err)
+			}
+			torn := rec(2, "queued")
+			payload, err := json.Marshal(walEntry{Put: &torn})
+			if err != nil {
+				t.Fatal(err)
+			}
+			frame := encodeFrame(payload)
+			appendToFile(t, filepath.Join(dir, mode.wal), frame[:len(frame)-1])
+
+			re, err := mode.open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer re.Close()
+			if _, ok, _ := re.Get(torn.ID); ok {
+				t.Fatal("replay applied a frame whose newline never landed")
+			}
+			if err := re.Put(rec(3, "queued")); err != nil {
+				t.Fatal(err)
+			}
+			// No Close (a single-process Close compacts the log away):
+			// reopen over the log as a crash would leave it.
+			again, err := mode.open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer again.Close()
+			if n, _ := again.Len(); n != 2 {
+				t.Fatalf("second reopen Len = %d, want 2", n)
+			}
+			if _, ok, _ := again.Get(rec(3, "").ID); !ok {
+				t.Fatal("Put made after the first reopen lost")
+			}
+		})
+	}
+}
+
+// A damaged line with an intact record entry after it is real damage in
+// a shared log too: OpenShared refuses it, as Open does, rather than
+// skipping the line and serving a state without the record it held.
+func TestSharedStoreCorruptInteriorLineRefused(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenShared(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n := 1; n <= 2; n++ {
+		if err := s.Put(rec(n, "queued")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	wal := filepath.Join(dir, sharedWALName)
+	data, err := os.ReadFile(wal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := bytes.Index(data, []byte("job-000001"))
+	if i < 0 {
+		t.Fatal("first record not found in the shared log")
+	}
+	data[i] = 'J' // the first frame fails its CRC; job-000002's put follows it
+	if err := os.WriteFile(wal, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenShared(dir); err == nil {
+		t.Fatal("OpenShared accepted a damaged line with a record entry after it")
+	}
+}
+
+// An event append on a shared store syncs as a single-process store's
+// does: not inline, but at the next record write (of any process: fsync
+// flushes the file whichever handle wrote it) or the coalescing timer.
+func TestSharedStoreCoalescesEventSyncs(t *testing.T) {
+	s, err := OpenShared(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	// Mark a coalescing timer as armed, so the append schedules none and
+	// only a record write can clear dirty: the check reads the store's
+	// state, not the clock.
+	s.mu.Lock()
+	s.syncArmed = true
+	s.mu.Unlock()
+	if err := s.AppendEvents("job-000001", []Event{ev(1)}); err != nil {
+		t.Fatal(err)
+	}
+	s.mu.Lock()
+	dirty := s.dirty
+	s.mu.Unlock()
+	if !dirty {
+		t.Fatal("an event append on a shared store synced inline")
+	}
+	if err := s.Put(rec(1, "running")); err != nil {
+		t.Fatal(err)
+	}
+	s.mu.Lock()
+	dirty = s.dirty
+	s.mu.Unlock()
+	if dirty {
+		t.Fatal("a record write left an earlier event append unsynced")
+	}
+}
+
+// Every WAL write feeds the durability metrics, however the store was
+// opened: a Put through OpenShared counts an append and an fsync.
+func TestSharedStoreFeedsWALMetrics(t *testing.T) {
+	s, err := OpenShared(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	appends, fsyncs := mWALAppends.Value(), mWALFsync.Count()
+	if err := s.Put(rec(1, "queued")); err != nil {
+		t.Fatal(err)
+	}
+	if got := mWALAppends.Value(); got <= appends {
+		t.Errorf("cvcpd_wal_appends_total %d after a shared Put, was %d", got, appends)
+	}
+	if got := mWALFsync.Count(); got <= fsyncs {
+		t.Errorf("cvcpd_wal_fsync_seconds_count %d after a shared Put, was %d", got, fsyncs)
 	}
 }
