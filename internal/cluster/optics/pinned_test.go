@@ -14,15 +14,17 @@ import (
 )
 
 // opticsPinnedDigests are the SHA-256s of TestOpticsPinned's sweep, one
-// per driver, recorded on the indexed-heap dense driver. Any change to
-// one is a change of that driver's output.
+// per driver, recorded on the indexed-heap dense driver. The two
+// RunWithEps digests were re-recorded when the VP-tree stopped pruning
+// subtrees behind a NaN bound. Any change to one is a change of that
+// driver's output.
 var opticsPinnedDigests = map[string]string{
 	"Run":                       "1ec71c9906909d3b58dc342b52441e19aafc306b69a664a72b44232d8dcdd60c",
 	"RunWithMatrix/square":      "1ec71c9906909d3b58dc342b52441e19aafc306b69a664a72b44232d8dcdd60c",
 	"RunWithMatrix/condensed":   "1ec71c9906909d3b58dc342b52441e19aafc306b69a664a72b44232d8dcdd60c",
 	"RunWithMatrix/condensed32": "f1f103a584fb2920a736b693c47a4985c52226bcf587d299ca4ea158d1ed8b52",
-	"RunWithEps/inf":            "5f4c0f92349d8dca47bf4c8b51cd5e43ff4db39d7e39bfe5117466a0aeb6130e",
-	"RunWithEps/finite":         "5b2df514b55c53c98b850e3cd7532cae18195d9183d1c3dabe66b2fbf8c36d0f",
+	"RunWithEps/inf":            "1ec71c9906909d3b58dc342b52441e19aafc306b69a664a72b44232d8dcdd60c",
+	"RunWithEps/finite":         "5e9a8c0bb57bd021cff932473ee7fdf6ba5f6c97ad83487c17201c4581816e7d",
 }
 
 // pinnedRows draws one sweep dataset of n rows in d dimensions: Gaussian
@@ -94,10 +96,10 @@ func hashResult(h hash.Hash, res *Result) {
 // +Inf), at MinPts 1, 2, 3, 5, ⌈n/2⌉, n and n+1. The same-build
 // comparisons (RunWithEps at +Inf against Run, float32 against float64)
 // would pass a change that moved every driver alike; these digests do
-// not. RunWithEps at +Inf pins a digest of its own: on the overflowing
-// rows its VP-tree pruning bound evaluates +Inf − +Inf, so it drops
-// neighbours Run keeps. Skipped off amd64, where the compiler may fuse
-// multiply-adds.
+// not. RunWithEps at +Inf keeps an entry of its own, equal to Run's: on
+// the overflowing rows its VP-tree pruning bounds evaluate +Inf − +Inf,
+// and a NaN bound must visit its subtree, not drop the neighbours Run
+// keeps. Skipped off amd64, where the compiler may fuse multiply-adds.
 func TestOpticsPinned(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("digests recorded on amd64; %s may fuse multiply-adds", runtime.GOARCH)

@@ -172,10 +172,12 @@ func (t *VPTree) rangeNode(dst []Neighbor, node int32, q []float64, eps float64)
 	tol := vpPruneTol(dq, nd.radius, eps)
 	// Inner holds points with d(vp, ·) <= radius: reachable from q only if
 	// dq - eps <= radius (+ slack). Outer symmetric with d >= radius.
-	if nd.inner >= 0 && dq <= nd.radius+eps+tol {
+	// Both tests are negated, so a NaN bound — +Inf − +Inf once a distance
+	// overflows — visits its subtree instead of pruning it.
+	if nd.inner >= 0 && !(dq > nd.radius+eps+tol) {
 		dst = t.rangeNode(dst, nd.inner, q, eps)
 	}
-	if nd.outer >= 0 && dq >= nd.radius-eps-tol {
+	if nd.outer >= 0 && !(dq < nd.radius-eps-tol) {
 		dst = t.rangeNode(dst, nd.outer, q, eps)
 	}
 	return dst
@@ -189,12 +191,11 @@ func (t *VPTree) rangeNode(dst []Neighbor, node int32, q []float64, eps float64)
 // +Inf otherwise; only ε-neighbors are reachability-updated during
 // expansion, as in the original OPTICS formulation.
 //
-// With eps = +Inf every neighborhood is the full dataset and, while every
-// distance is finite, the result is bit-identical to Run (the tree visits
-// every node, inclusion uses the same computed distances, and neighbors
-// arrive in the same index order). A distance that overflows to +Inf
-// makes a pruning bound +Inf − +Inf, so the tree may drop neighbors that
-// Run keeps.
+// With eps = +Inf every neighborhood is the full dataset and the result is
+// bit-identical to Run (the tree visits every node, inclusion uses the
+// same computed distances, and neighbors arrive in the same index order).
+// That holds for distances that overflow to +Inf too: they make a pruning
+// bound +Inf − +Inf, and the tree visits the subtree behind a NaN bound.
 func RunWithEps(x [][]float64, minPts int, eps float64) (*Result, error) {
 	n := len(x)
 	if n == 0 {

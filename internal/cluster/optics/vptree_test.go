@@ -50,12 +50,22 @@ func sameNeighbors(t *testing.T, ctx string, got, want []Neighbor) {
 // The tree must return exactly the brute-force result set — same indices,
 // same exact distances, same canonical (index-sorted) order — for every
 // query point and radius, including ε = 0, ε exactly on a pairwise
-// distance, and ε at or beyond the dataset diameter.
+// distance, and ε at or beyond the dataset diameter. Every dataset also
+// holds a row at ±1e300 and a copy of it: their distances to every other
+// row overflow to +Inf, so pruning bounds meet +Inf − +Inf.
 func TestVPTreeRangeMatchesBruteForce(t *testing.T) {
 	r := rand.New(rand.NewSource(53))
-	for _, n := range []int{1, 2, 3, 7, 33, 120} {
+	for _, rows := range []int{1, 2, 3, 7, 33, 120} {
 		for _, d := range []int{2, 8} {
-			x := randRows(r, n, d)
+			huge := make([]float64, d)
+			for j := range huge {
+				huge[j] = 1e300
+				if j%2 == 1 {
+					huge[j] = -1e300
+				}
+			}
+			x := append(randRows(r, rows, d), huge, append([]float64(nil), huge...))
+			n := len(x)
 			tree := NewVPTree(x)
 
 			// Dataset diameter and a sorted pool of exact pairwise
