@@ -336,8 +336,7 @@ type Histogram struct {
 	bounds   []float64
 	buckets  []atomic.Uint64 // non-cumulative; bucket i counts v <= bounds[i]
 	inf      atomic.Uint64   // v > bounds[len-1]
-	count    atomic.Uint64
-	sumBits  atomic.Uint64 // float64 bits, updated by CAS
+	sumBits  atomic.Uint64   // float64 bits, updated by CAS
 }
 
 // NewHistogram constructs and registers a histogram in the default
@@ -373,7 +372,6 @@ func (h *Histogram) Observe(v float64) {
 	if !placed {
 		h.inf.Add(1)
 	}
-	h.count.Add(1)
 	for {
 		old := h.sumBits.Load()
 		next := math.Float64bits(math.Float64frombits(old) + v)
@@ -383,8 +381,15 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
+// Count returns the number of observations: the sum of the buckets, as
+// an exposition's _count is.
+func (h *Histogram) Count() uint64 {
+	n := h.inf.Load()
+	for i := range h.buckets {
+		n += h.buckets[i].Load()
+	}
+	return n
+}
 
 // Sum returns the sum of observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
@@ -409,7 +414,10 @@ func (h *Histogram) write(w io.Writer) error {
 	if _, err := fmt.Fprintf(w, "%s_sum %s\n", h.nam, formatFloat(h.Sum())); err != nil {
 		return err
 	}
-	_, err := fmt.Fprintf(w, "%s_count %d\n", h.nam, h.count.Load())
+	// _count is the +Inf bucket, from the same loads. A count kept apart
+	// and loaded after the buckets could include an observation that
+	// landed in between, and the scrape would print _count above +Inf.
+	_, err := fmt.Fprintf(w, "%s_count %d\n", h.nam, cum)
 	return err
 }
 

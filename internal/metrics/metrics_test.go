@@ -3,6 +3,7 @@ package metrics
 import (
 	"math"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -180,8 +181,32 @@ func TestLabelEscaping(t *testing.T) {
 	}
 }
 
+// histogramTotals returns the +Inf bucket and the _count of the named
+// histogram in an exposition.
+func histogramTotals(t *testing.T, exposition, name string) (inf, count uint64) {
+	t.Helper()
+	for _, line := range strings.Split(exposition, "\n") {
+		if v, ok := strings.CutPrefix(line, name+`_bucket{le="+Inf"} `); ok {
+			inf = parseCount(t, v)
+		}
+		if v, ok := strings.CutPrefix(line, name+"_count "); ok {
+			count = parseCount(t, v)
+		}
+	}
+	return inf, count
+}
+
+func parseCount(t *testing.T, v string) uint64 {
+	t.Helper()
+	n, err := strconv.ParseUint(v, 10, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
 func TestConcurrentObservations(t *testing.T) {
-	fresh(t)
+	reg := fresh(t)
 	c := NewCounter("test_conc_total", "x")
 	h := NewHistogram("test_conc_seconds", "x", []float64{0.5})
 	var wg sync.WaitGroup
@@ -194,6 +219,23 @@ func TestConcurrentObservations(t *testing.T) {
 				h.Observe(0.25)
 			}
 		}()
+	}
+	// Scrape while the observers run: every exposition must be
+	// self-consistent, its +Inf bucket equal to its _count.
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	for scraping := true; scraping; {
+		select {
+		case <-done:
+			scraping = false // one last scrape, of the settled histogram
+		default:
+		}
+		if inf, count := histogramTotals(t, render(t, reg), "test_conc_seconds"); inf != count {
+			t.Fatalf("+Inf bucket %d != _count %d", inf, count)
+		}
 	}
 	wg.Wait()
 	if c.Value() != 8000 {
