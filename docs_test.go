@@ -123,6 +123,7 @@ var requiredAPIDocs = map[string][]string{
 		"EventLog", "Last-Event-ID",
 		"coordinator", "dist.Worker", "lease", "epoch", "Float64bits",
 		"Versioned", "RowBatch", "StableFold", "ScoreCache",
+		"OpenShared",
 	},
 	"docs/static-analysis.md": {
 		"mapiter", "nondeterm", "lockio", "fpreduce", "metricreg",

@@ -124,8 +124,7 @@ type File struct {
 	closed    bool
 }
 
-// Shared is the type OpenShared returns: a File in its multi-process
-// mode.
+// Shared is another name for File, for handles opened by OpenShared.
 type Shared = File
 
 // Open loads (or initializes) a single-process file store in dir,
