@@ -2,7 +2,6 @@ package store
 
 import (
 	"bytes"
-	"os"
 	"path/filepath"
 	"testing"
 )
@@ -82,15 +81,7 @@ func FuzzWALTornTail(f *testing.F) {
 			}
 			// Crash: no Close (Close would compact the WAL away); tear a
 			// partial frame onto the tail instead.
-			wal := filepath.Join(dir, mode.wal)
-			wf, err := os.OpenFile(wal, os.O_APPEND|os.O_WRONLY, 0o644)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := wf.Write(frame[:k]); err != nil {
-				t.Fatal(err)
-			}
-			wf.Close()
+			appendToFile(t, filepath.Join(dir, mode.wal), frame[:k])
 
 			re, err := mode.open(dir)
 			if err != nil {
