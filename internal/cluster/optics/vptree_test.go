@@ -50,9 +50,11 @@ func sameNeighbors(t *testing.T, ctx string, got, want []Neighbor) {
 // The tree must return exactly the brute-force result set — same indices,
 // same exact distances, same canonical (index-sorted) order — for every
 // query point and radius, including ε = 0, ε exactly on a pairwise
-// distance, and ε at or beyond the dataset diameter. Every dataset also
-// holds a row at ±1e300 and a copy of it: their distances to every other
-// row overflow to +Inf, so pruning bounds meet +Inf − +Inf.
+// distance, and ε at or beyond the dataset diameter. Every dataset runs
+// twice: as drawn, and with a row at ±1e300 and a copy of it appended,
+// whose distances to every other row overflow to +Inf, so pruning bounds
+// meet +Inf − +Inf. The ε probes come from the finite pairwise distances,
+// so the second run keeps every finite boundary of the first.
 func TestVPTreeRangeMatchesBruteForce(t *testing.T) {
 	r := rand.New(rand.NewSource(53))
 	for _, rows := range []int{1, 2, 3, 7, 33, 120} {
@@ -64,45 +66,50 @@ func TestVPTreeRangeMatchesBruteForce(t *testing.T) {
 					huge[j] = -1e300
 				}
 			}
-			x := append(randRows(r, rows, d), huge, append([]float64(nil), huge...))
-			n := len(x)
-			tree := NewVPTree(x)
+			drawn := randRows(r, rows, d)
+			withHuge := append(drawn[:rows:rows], huge, append([]float64(nil), huge...))
+			for _, x := range [][][]float64{drawn, withHuge} {
+				n := len(x)
+				tree := NewVPTree(x)
 
-			// Dataset diameter and a sorted pool of exact pairwise
-			// distances for boundary-ε probes.
-			var dists []float64
-			for i := 0; i < n; i++ {
-				for j := i + 1; j < n; j++ {
-					dists = append(dists, linalg.Dist(x[i], x[j]))
-				}
-			}
-			sort.Float64s(dists)
-			diameter := 0.0
-			if len(dists) > 0 {
-				diameter = dists[len(dists)-1]
-			}
-
-			epsCases := []float64{0, diameter, diameter * 1.5, math.Inf(1)}
-			if len(dists) > 0 {
-				// ε exactly equal to an existing pairwise distance (the
-				// boundary point must be included: d <= eps), and one ULP
-				// below it (it must be excluded).
-				mid := dists[len(dists)/2]
-				epsCases = append(epsCases, mid, math.Nextafter(mid, 0), mid/3)
-			}
-			var buf []Neighbor
-			for _, eps := range epsCases {
+				// Dataset diameter and a sorted pool of exact finite
+				// pairwise distances for boundary-ε probes.
+				var dists []float64
 				for i := 0; i < n; i++ {
-					buf = tree.RangeInto(buf, x[i], eps)
-					sameNeighbors(t, "query from row", buf, bruteRange(x, x[i], eps))
+					for j := i + 1; j < n; j++ {
+						if dist := linalg.Dist(x[i], x[j]); !math.IsInf(dist, 1) {
+							dists = append(dists, dist)
+						}
+					}
 				}
-				// Off-dataset query points too.
-				q := make([]float64, d)
-				for k := range q {
-					q[k] = r.NormFloat64() * 2
+				sort.Float64s(dists)
+				diameter := 0.0
+				if len(dists) > 0 {
+					diameter = dists[len(dists)-1]
 				}
-				buf = tree.RangeInto(buf, q, eps)
-				sameNeighbors(t, "off-dataset query", buf, bruteRange(x, q, eps))
+
+				epsCases := []float64{0, diameter, diameter * 1.5, math.Inf(1)}
+				if len(dists) > 0 {
+					// ε exactly equal to an existing pairwise distance (the
+					// boundary point must be included: d <= eps), and one ULP
+					// below it (it must be excluded).
+					mid := dists[len(dists)/2]
+					epsCases = append(epsCases, mid, math.Nextafter(mid, 0), mid/3)
+				}
+				var buf []Neighbor
+				for _, eps := range epsCases {
+					for i := 0; i < n; i++ {
+						buf = tree.RangeInto(buf, x[i], eps)
+						sameNeighbors(t, "query from row", buf, bruteRange(x, x[i], eps))
+					}
+					// Off-dataset query points too.
+					q := make([]float64, d)
+					for k := range q {
+						q[k] = r.NormFloat64() * 2
+					}
+					buf = tree.RangeInto(buf, q, eps)
+					sameNeighbors(t, "off-dataset query", buf, bruteRange(x, q, eps))
+				}
 			}
 		}
 	}
