@@ -506,35 +506,41 @@ func (f *File) flushEvents() {
 	f.mu.Unlock()
 }
 
-// writeSnapshot durably installs a snapshot document: write to a temp
-// file, fsync it, rename into place, fsync the directory. The snapshot
-// must be durably on disk BEFORE the log shrinks; otherwise a crash
-// could leave both an unflushed snapshot and a truncated log.
+// writeSnapshot durably installs a snapshot document (see installFile).
+// The snapshot must be durably on disk BEFORE the log shrinks; otherwise
+// a crash could leave both an unflushed snapshot and a truncated log.
 func (f *File) writeSnapshot(snap snapshot) error {
 	data, err := json.Marshal(snap)
 	if err != nil {
 		return fmt.Errorf("store: encoding snapshot: %w", err)
 	}
-	tmp := filepath.Join(f.dir, snapshotName+".tmp")
+	return installFile(filepath.Join(f.dir, snapshotName), "snapshot", data)
+}
+
+// installFile durably replaces path with data: write to a temp file,
+// fsync it, rename into place, fsync the directory. what names the file
+// in errors.
+func installFile(path, what string, data []byte) error {
+	tmp := path + ".tmp"
 	tf, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
-		return fmt.Errorf("store: creating snapshot: %w", err)
+		return fmt.Errorf("store: creating %s: %w", what, err)
 	}
 	if _, err := tf.Write(data); err != nil {
 		tf.Close()
-		return fmt.Errorf("store: writing snapshot: %w", err)
+		return fmt.Errorf("store: writing %s: %w", what, err)
 	}
 	if err := tf.Sync(); err != nil {
 		tf.Close()
-		return fmt.Errorf("store: syncing snapshot: %w", err)
+		return fmt.Errorf("store: syncing %s: %w", what, err)
 	}
 	if err := tf.Close(); err != nil {
-		return fmt.Errorf("store: closing snapshot: %w", err)
+		return fmt.Errorf("store: closing %s: %w", what, err)
 	}
-	if err := os.Rename(tmp, filepath.Join(f.dir, snapshotName)); err != nil {
-		return fmt.Errorf("store: installing snapshot: %w", err)
+	if err := os.Rename(tmp, path); err != nil {
+		return fmt.Errorf("store: installing %s: %w", what, err)
 	}
-	if d, err := os.Open(f.dir); err == nil {
+	if d, err := os.Open(filepath.Dir(path)); err == nil {
 		_ = d.Sync() // make the rename durable; best-effort on filesystems without dir fsync
 		d.Close()
 	}
@@ -657,30 +663,8 @@ func (f *File) cutWALLocked(coveredSize int64, coveredLen int) error {
 			return fmt.Errorf("store: reading WAL suffix: %w", err)
 		}
 	}
-	tmp := path + ".tmp"
-	tf, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("store: creating compacted WAL: %w", err)
-	}
-	if len(suffix) > 0 {
-		if _, err := tf.Write(suffix); err != nil {
-			tf.Close()
-			return fmt.Errorf("store: writing compacted WAL: %w", err)
-		}
-	}
-	if err := tf.Sync(); err != nil {
-		tf.Close()
-		return fmt.Errorf("store: syncing compacted WAL: %w", err)
-	}
-	if err := tf.Close(); err != nil {
-		return fmt.Errorf("store: closing compacted WAL: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("store: installing compacted WAL: %w", err)
-	}
-	if d, err := os.Open(f.dir); err == nil {
-		_ = d.Sync()
-		d.Close()
+	if err := installFile(path, "compacted WAL", suffix); err != nil {
+		return err
 	}
 	wal, err := openWAL(path)
 	if err != nil {
