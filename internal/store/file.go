@@ -318,7 +318,10 @@ func (f *File) refreshLocked() error {
 // within the event-durability contract. A corrupt line with a record
 // entry (put/delete) anywhere after it is real damage, and an error:
 // records are fsynced per write, so silently dropping one would lose
-// acknowledged state.
+// acknowledged state — unless the line is a short frame (see
+// shortFrame), which an older shared store left newline-terminated
+// before later records: a write cut short was never acknowledged, so
+// replay skips it and goes on.
 func (f *File) replay(data []byte) (entries int, valid int64, err error) {
 	data = data[:bytes.LastIndexByte(data, '\n')+1]
 	off := 0
@@ -337,7 +340,11 @@ func (f *File) replay(data []byte) (entries int, valid int64, err error) {
 			// interior damage is tolerated only when no intact record
 			// entry follows it.
 			if next < len(data) && recordEntryIn(data[off:]) {
-				return 0, 0, fmt.Errorf("store: corrupt WAL entry %d: %w", f.walLen+entries+1, err)
+				if !shortFrame(line) {
+					return 0, 0, fmt.Errorf("store: corrupt WAL entry %d: %w", f.walLen+entries+1, err)
+				}
+				off = next
+				continue
 			}
 			return entries, int64(off), nil // torn tail (possibly spanning coalesced event appends): drop it
 		}

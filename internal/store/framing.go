@@ -23,6 +23,7 @@ package store
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"strconv"
@@ -70,4 +71,33 @@ func decodeFrame(line []byte) (payload []byte, ok bool) {
 		return nil, false
 	}
 	return payload, true
+}
+
+// shortFrame reports whether line is a strict prefix of a frame, as a
+// write cut short by a crash or a full disk leaves it. Shared logs of
+// builds before the one WAL engine hold such lines mid-log: their shared
+// store newline-terminated a crashed writer's partial line and appended
+// after it, where this engine trims it. The payload must be incomplete
+// JSON, as a strict prefix of an entry is; a whole payload under a
+// length that claims more is damage, not a short write.
+func shortFrame(line []byte) bool {
+	head, ok := bytes.CutPrefix(line, []byte{frameMark})
+	if !ok {
+		return false
+	}
+	// The header as encodeFrame writes it: eight lowercase hex digits, a
+	// space, the decimal payload length and a space.
+	crc, rest, crcWhole := bytes.Cut(head, []byte(" "))
+	if len(crc) > 8 || crcWhole && len(crc) < 8 || len(bytes.Trim(crc, "0123456789abcdef")) > 0 {
+		return false
+	}
+	length, payload, headWhole := bytes.Cut(rest, []byte(" "))
+	if len(bytes.Trim(length, "0123456789")) > 0 {
+		return false
+	}
+	if !headWhole {
+		return true // cut inside the header
+	}
+	n, err := strconv.Atoi(string(length))
+	return err == nil && len(payload) < n && !json.Valid(payload)
 }

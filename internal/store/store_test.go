@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sync"
@@ -1365,7 +1366,8 @@ func TestSharedStoreTornTail(t *testing.T) {
 	if n, _ := b.Len(); n != 1 {
 		t.Fatalf("Len = %d, want 1 (torn entry must not apply)", n)
 	}
-	// The next write terminates the garbage; both handles then agree.
+	// b trimmed the torn tail when it opened, so its next write lands on a
+	// line boundary; both handles then agree.
 	if err := b.Put(rec(2, "queued")); err != nil {
 		t.Fatal(err)
 	}
@@ -1493,6 +1495,67 @@ func TestSharedStoreCorruptInteriorLineRefused(t *testing.T) {
 	}
 	if _, err := OpenShared(dir); err == nil {
 		t.Fatal("OpenShared accepted a damaged line with a record entry after it")
+	}
+}
+
+// Shared logs written by builds before the one WAL engine can hold a
+// write cut short mid-log: their shared store newline-terminated a
+// crashed writer's partial line and appended after it. Replay skips such
+// a short frame, wherever it was cut, even with a record after it, so
+// those logs still open. A whole payload under a length that claims more
+// is damage, not a short write, and is still refused.
+func TestWALSkipsShortFrameBeforeRecord(t *testing.T) {
+	putFrame := func(r Record) []byte {
+		payload, err := json.Marshal(walEntry{Put: &r})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return encodeFrame(payload)
+	}
+	torn := putFrame(rec(9, "queued"))
+	for _, mode := range walModes {
+		t.Run(mode.name, func(t *testing.T) {
+			// A cut at 0 leaves nothing, and one at the newline leaves a
+			// whole frame, which applies once terminated (as it did in
+			// those builds); every cut in between leaves a short frame.
+			for k := 1; k < len(torn)-1; k++ {
+				dir := t.TempDir()
+				log := putFrame(rec(1, "running"))
+				log = append(log, torn[:k]...)
+				log = append(log, '\n')
+				log = append(log, putFrame(rec(2, "queued"))...)
+				if err := os.WriteFile(filepath.Join(dir, mode.wal), log, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				s, err := mode.open(dir)
+				if err != nil {
+					t.Fatalf("cut at %d of %d frame bytes: %v", k, len(torn), err)
+				}
+				n, _ := s.Len()
+				_, tornApplied, _ := s.Get(rec(9, "").ID)
+				_, afterKept, _ := s.Get(rec(2, "").ID)
+				s.Close()
+				if n != 2 || tornApplied || !afterKept {
+					t.Fatalf("cut at %d of %d frame bytes: Len %d, short frame applied %v, record after it kept %v",
+						k, len(torn), n, tornApplied, afterKept)
+				}
+			}
+
+			payload, err := json.Marshal(walEntry{Put: &Record{ID: "job-000009"}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			dir := t.TempDir()
+			log := fmt.Appendf(nil, "=%08x %d %s\n", crc32.Checksum(payload, crcTable), len(payload)+1, payload)
+			log = append(log, putFrame(rec(2, "queued"))...)
+			if err := os.WriteFile(filepath.Join(dir, mode.wal), log, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if s, err := mode.open(dir); err == nil {
+				s.Close()
+				t.Fatal("a whole payload under an overlong length was skipped as a short write")
+			}
+		})
 	}
 }
 
