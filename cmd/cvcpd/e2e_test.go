@@ -169,7 +169,7 @@ func TestE2ETopologyBitIdentical(t *testing.T) {
 	dir := t.TempDir()
 	coordAddr := freePort(t)
 	shared := []string{"-store-dir", dir, "-lease-ttl", "500ms", "-poll", "5ms"}
-	coord, coordLogs := startCvcpd(t, bin, append([]string{"-role=coordinator", "-addr", coordAddr, "-shard-cells", "2"}, shared...)...)
+	coord, coordLogs := startCvcpd(t, bin, append([]string{"-role=coordinator", "-addr", coordAddr}, shared...)...)
 	defer terminate(coord)
 	w1, _ := startCvcpd(t, bin, append([]string{"-role=worker", "-worker-id", "w1", "-workers", "2"}, shared...)...)
 	defer terminate(w1)

@@ -77,7 +77,6 @@ func main() {
 		idleTimeout  = flag.Duration("idle-timeout", 2*time.Minute, "keep-alive idle connection timeout")
 		role         = flag.String("role", "single", "topology role: single (compute in-process), coordinator (shard jobs into the shared store), worker (lease and compute shards; serves no API)")
 		workerID     = flag.String("worker-id", "", "unique worker name in the topology (default hostname-pid)")
-		shardCells   = flag.Int("shard-cells", 0, "coordinator: target grid cells per shard (0 = 16)")
 		leaseTTL     = flag.Duration("lease-ttl", 0, "shard lease lifetime without heartbeat before reclaim (0 = 10s)")
 		poll         = flag.Duration("poll", 0, "shard watch/scan interval (0 = 100ms)")
 		metricsOn    = flag.Bool("metrics", true, "serve Prometheus metrics at GET /metrics on the API listener")
@@ -92,7 +91,6 @@ func main() {
 		WorkerBudget:   *workers,
 		RetainFinished: *retain,
 		MaxBodyBytes:   *maxBody,
-		ShardCells:     *shardCells,
 		LeaseTTL:       *leaseTTL,
 		Poll:           *poll,
 		DisableMetrics: !*metricsOn,

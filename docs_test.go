@@ -98,7 +98,7 @@ var requiredAPIDocs = map[string][]string{
 	"docs/api.md": {
 		"algorithms", "scorer", "bootstrap_rounds", "candidates",
 		"Last-Event-ID", "read-header-timeout", "read-timeout", "idle-timeout",
-		"matrix32", "shard_status", "-role", "-worker-id", "-shard-cells",
+		"matrix32", "shard_status", "-role", "-worker-id",
 		"-lease-ttl", "-poll",
 		"unauthorized", "quota_exceeded", "X-API-Key", "Bearer", "eps",
 		"dataset_id", "dataset_version", "/v1/datasets",

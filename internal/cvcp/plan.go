@@ -78,6 +78,10 @@ func PlanCells(spec Spec) (*CellPlan, error) {
 // NumCells returns the total cell count of the grid.
 func (p *CellPlan) NumCells() int { return p.cells }
 
+// NumFolds returns the fold count: the length of each (candidate,
+// parameter) column of consecutive cells.
+func (p *CellPlan) NumFolds() int { return len(p.folds) }
+
 // ScoreRange computes the cells in [lo, hi) and returns their scores in
 // cell order. workers and limiter are the executing node's own
 // machine-local budget — they affect scheduling only, never the scores,

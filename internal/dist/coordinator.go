@@ -2,18 +2,18 @@ package dist
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"time"
+
+	"cvcp/internal/cvcp"
+	"cvcp/internal/store"
 )
 
-// Default tuning. ShardCells trades scheduling granularity against
-// store traffic; maxShards bounds the record count (and the poll scan)
+// Default tuning. maxShards bounds the record count (and the poll scan)
 // for very large grids.
 const (
-	defaultShardCells = 16
-	defaultPoll       = 100 * time.Millisecond
-	maxShards         = 256
+	defaultPoll = 100 * time.Millisecond
+	maxShards   = 256
 )
 
 // ShardEvent is one observed shard transition, reported by the
@@ -49,22 +49,8 @@ const ShardFailed = "failed"
 type Coordinator struct {
 	// Store is the shared store of the topology.
 	Store Store
-	// ShardCells is the target cells per shard; 0 means 16. Grids large
-	// enough to exceed 256 shards get proportionally bigger shards.
-	ShardCells int
 	// Poll is the shard-watch interval; 0 means 100ms.
 	Poll time.Duration
-}
-
-func (c *Coordinator) shardCells(cells int) int {
-	per := c.ShardCells
-	if per < 1 {
-		per = defaultShardCells
-	}
-	if min := (cells + maxShards - 1) / maxShards; per < min {
-		per = min
-	}
-	return per
 }
 
 func (c *Coordinator) poll() time.Duration {
@@ -74,26 +60,30 @@ func (c *Coordinator) poll() time.Duration {
 	return defaultPoll
 }
 
-// planShards splits [0, cells) into contiguous ranges of per cells (the
-// last one possibly shorter).
-func planShards(cells, per int) [][2]int {
+// planShards splits [0, cells) into contiguous shards of whole
+// (candidate, parameter) columns, each column being folds consecutive
+// cells: one column per shard, or as few more per shard as keep the job
+// within maxShards. Every fold of a column clusters the same input —
+// for FOSC-OPTICSDend one OPTICS ordering, since the supervision only
+// enters at extraction — so a column split across two shards would have
+// two workers build it.
+func planShards(cells, folds int) [][2]int {
+	columns := cells / folds
+	per := (columns + maxShards - 1) / maxShards * folds
 	var out [][2]int
 	for lo := 0; lo < cells; lo += per {
-		hi := lo + per
-		if hi > cells {
-			hi = cells
-		}
-		out = append(out, [2]int{lo, hi})
+		out = append(out, [2]int{lo, min(lo+per, cells)})
 	}
 	return out
 }
 
-// RunJob distributes one job: it publishes the grid and its pending
-// shards, waits for workers to compute every shard, and returns the
-// assembled per-cell score vector — in cell order, ready for
-// cvcp.CellPlan.Finalize. onShard, when non-nil, observes shard
-// transitions (from the coordinator's poll cadence, so transient states
-// between polls may be skipped).
+// RunJob distributes the job jobID, whose cells plan lays out: it
+// publishes the job's pending shards, waits for workers to compute every
+// shard, and returns the assembled per-cell score vector — in cell
+// order, ready for plan.Finalize. Workers plan from the job's own record
+// in the store, which the caller must have written under jobID. onShard,
+// when non-nil, observes shard transitions (from the coordinator's poll
+// cadence, so transient states between polls may be skipped).
 //
 // RunJob starts by deleting any records a previous incarnation of the
 // job left behind — the coordinator-restart path: the re-queued job
@@ -103,28 +93,22 @@ func planShards(cells, per int) [][2]int {
 // deletion through their heartbeat and abort. When several shards fail,
 // the error of the lowest-indexed one is returned, mirroring the
 // engine's deterministic error selection.
-func (c *Coordinator) RunJob(ctx context.Context, job GridJob, dataset json.RawMessage, onShard func(ShardEvent)) ([]float64, error) {
-	if job.ID == "" {
-		return nil, fmt.Errorf("dist: grid job without ID")
+func (c *Coordinator) RunJob(ctx context.Context, jobID string, plan *cvcp.CellPlan, onShard func(ShardEvent)) ([]float64, error) {
+	if jobID == "" {
+		return nil, fmt.Errorf("dist: job without ID")
 	}
-	if job.Cells < 1 {
-		return nil, fmt.Errorf("dist: grid job %s has %d cells", job.ID, job.Cells)
+	cells := plan.NumCells()
+	if cells < 1 {
+		return nil, fmt.Errorf("dist: job %s has %d cells", jobID, cells)
 	}
-	ranges := planShards(job.Cells, c.shardCells(job.Cells))
-	if err := c.cleanup(job.ID); err != nil {
+	ranges := planShards(cells, plan.NumFolds())
+	if err := c.cleanup(jobID); err != nil {
 		return nil, err
 	}
-	defer c.cleanup(job.ID)
+	defer c.cleanup(jobID)
 
-	grid, err := gridRecord(job, dataset)
-	if err != nil {
-		return nil, err
-	}
-	if err := c.Store.Put(grid); err != nil {
-		return nil, fmt.Errorf("dist: publishing grid record: %w", err)
-	}
 	for i, r := range ranges {
-		rec, err := shardRecord(ShardState{Job: job.ID, Index: i, Lo: r[0], Hi: r[1]}, ShardPending)
+		rec, err := shardRecord(ShardState{Job: jobID, Index: i, Lo: r[0], Hi: r[1], Cells: cells}, ShardPending)
 		if err != nil {
 			return nil, err
 		}
@@ -132,12 +116,12 @@ func (c *Coordinator) RunJob(ctx context.Context, job GridJob, dataset json.RawM
 			return nil, fmt.Errorf("dist: publishing shard %d: %w", i, err)
 		}
 	}
-	return c.watch(ctx, job, ranges, onShard)
+	return c.watch(ctx, jobID, cells, ranges, onShard)
 }
 
 // watch polls the shard records until every shard is done and its
 // partial collected, reporting transitions along the way.
-func (c *Coordinator) watch(ctx context.Context, job GridJob, ranges [][2]int, onShard func(ShardEvent)) ([]float64, error) {
+func (c *Coordinator) watch(ctx context.Context, jobID string, cells int, ranges [][2]int, onShard func(ShardEvent)) ([]float64, error) {
 	type seen struct {
 		status string
 		owner  string
@@ -154,19 +138,19 @@ func (c *Coordinator) watch(ctx context.Context, job GridJob, ranges [][2]int, o
 			if parts[i] != nil {
 				continue
 			}
-			rec, ok, err := c.Store.Get(ShardID(job.ID, i))
+			rec, ok, err := c.Store.Get(ShardID(jobID, i))
 			if err != nil {
 				return nil, fmt.Errorf("dist: reading shard %d: %w", i, err)
 			}
 			if !ok {
-				return nil, fmt.Errorf("dist: shard record %d of job %s vanished", i, job.ID)
+				return nil, fmt.Errorf("dist: shard record %d of job %s vanished", i, jobID)
 			}
 			st, err := decodeShardState(rec)
 			if err != nil {
 				return nil, err
 			}
 			if rec.Status == ShardDone {
-				prec, ok, err := c.Store.Get(PartID(job.ID, i))
+				prec, ok, err := c.Store.Get(PartID(jobID, i))
 				if err != nil {
 					return nil, fmt.Errorf("dist: reading partial %d: %w", i, err)
 				}
@@ -179,7 +163,7 @@ func (c *Coordinator) watch(ctx context.Context, job GridJob, ranges [][2]int, o
 				}
 				if p.Error == "" && len(p.ScoreBits) != ranges[i][1]-ranges[i][0] {
 					return nil, fmt.Errorf("dist: partial %d of job %s has %d scores for range [%d, %d)",
-						i, job.ID, len(p.ScoreBits), ranges[i][0], ranges[i][1])
+						i, jobID, len(p.ScoreBits), ranges[i][0], ranges[i][1])
 				}
 				parts[i] = &p
 				collected++
@@ -218,55 +202,21 @@ func (c *Coordinator) watch(ctx context.Context, job GridJob, ranges [][2]int, o
 				p.Index, p.Lo, p.Hi, p.Worker, p.Error)
 		}
 	}
-	scores := make([]float64, 0, job.Cells)
+	scores := make([]float64, 0, cells)
 	for _, p := range parts {
 		scores = append(scores, decodeScores(p.ScoreBits)...)
 	}
 	return scores, nil
 }
 
-// cleanup deletes the job's grid, shard and partial records. The grid
-// record goes first, so a worker scanning mid-cleanup cannot acquire a
-// shard whose job is already being torn down and still resolve its grid.
+// cleanup deletes the job's shard and partial records. A previous
+// incarnation may have used a different shard count; sweep by prefix
+// rather than by the current plan.
 func (c *Coordinator) cleanup(jobID string) error {
-	if err := c.Store.Delete(GridID(jobID)); err != nil {
-		return fmt.Errorf("dist: deleting grid record: %w", err)
-	}
-	// A previous incarnation may have used a different shard count;
-	// sweep by prefix rather than by the current plan.
-	for _, prefix := range []string{"shard-" + jobID + "-", "part-" + jobID + "-"} {
-		ids, err := idsWithPrefix(c.Store, prefix)
-		if err != nil {
-			return err
-		}
-		for _, id := range ids {
-			if err := c.Store.Delete(id); err != nil {
-				return fmt.Errorf("dist: deleting %s: %w", id, err)
-			}
+	for _, prefix := range []string{shardPrefix + jobID + "-", "part-" + jobID + "-"} {
+		if _, err := store.DeletePrefix(c.Store, prefix); err != nil {
+			return fmt.Errorf("dist: deleting %s records: %w", prefix, err)
 		}
 	}
 	return nil
-}
-
-// idsWithPrefix pages through the store and returns the IDs sharing the
-// prefix, exploiting the store's ascending-ID listing order.
-func idsWithPrefix(s Store, prefix string) ([]string, error) {
-	var out []string
-	cursor := prefix // IDs with the prefix sort strictly after it
-	for {
-		recs, next, err := s.List(cursor, 64)
-		if err != nil {
-			return nil, fmt.Errorf("dist: listing %s records: %w", prefix, err)
-		}
-		for _, rec := range recs {
-			if len(rec.ID) < len(prefix) || rec.ID[:len(prefix)] != prefix {
-				return out, nil
-			}
-			out = append(out, rec.ID)
-		}
-		if next == "" {
-			return out, nil
-		}
-		cursor = next
-	}
 }

@@ -12,21 +12,24 @@
 // Roles, over one shared store (store.OpenShared in production, any
 // Store+Updater in tests):
 //
-//   - The Coordinator plans the grid into contiguous cell-range shards,
-//     publishes one grid record (spec + dataset payload) and one pending
-//     shard record per range, then polls: it reports lease transitions,
-//     collects the partial-score records of finished shards, and when all
-//     shards are done returns the assembled per-cell score vector — which
-//     the caller merges with cvcp.CellPlan.Finalize, the same reduction
-//     the single-node path runs.
+//   - The Coordinator cuts the grid into shards of whole (candidate,
+//     parameter) columns and publishes one pending shard record per
+//     shard, then polls: it reports lease transitions, collects the
+//     partial-score records of finished shards, and when all shards are
+//     done returns the assembled per-cell score vector — which the
+//     caller merges with cvcp.CellPlan.Finalize, the same reduction the
+//     single-node path runs.
 //   - Workers scan for shard records that are pending — or leased but
 //     expired, the crash-recovery path — and acquire them by
 //     compare-and-swap: set themselves as owner, bump the lease epoch,
-//     stamp an expiry. A heartbeat renews the lease at a third of its
-//     TTL; a worker that loses its lease (expired and reclaimed, or the
-//     job was cancelled and its records deleted) aborts the computation
-//     and writes nothing. On success the worker writes a partial record
-//     with the shard's scores and marks the shard done.
+//     stamp an expiry. A worker plans from the record of the job its
+//     shard names: the job store's own record, which carries the spec
+//     and the dataset payload while the job runs. A heartbeat renews the
+//     lease at a third of its TTL; a worker that loses its lease (expired
+//     and reclaimed, or the job was cancelled and its records deleted)
+//     aborts the computation and writes nothing. On success the worker
+//     writes a partial record with the shard's scores and marks the
+//     shard done.
 //
 // Crash recovery is recomputation: a kill -9'd worker simply stops
 // renewing, its shards' leases expire, and any worker re-acquires them
@@ -70,21 +73,6 @@ const (
 	ShardDone    = "done"    // partial record written; terminal
 )
 
-// GridJob is the payload of a grid record — everything a worker needs to
-// reconstruct the job's cell plan, minus the dataset, which rides in the
-// record's Dataset field.
-type GridJob struct {
-	// ID is the owning job's ID (the manager's "job-..." identifier).
-	ID string `json:"id"`
-	// Spec is the serialized selection spec, opaque to this package; the
-	// worker's resolver decodes it (the server uses its job-spec JSON).
-	Spec json.RawMessage `json:"spec"`
-	// Cells is the total cell count of the grid — the worker
-	// cross-checks it against the plan it resolves, so a spec/plan
-	// mismatch fails loudly instead of computing garbage.
-	Cells int `json:"cells"`
-}
-
 // ShardState is the payload of a shard record: one contiguous cell range
 // plus its lease.
 type ShardState struct {
@@ -95,6 +83,10 @@ type ShardState struct {
 	// Lo and Hi bound the shard's cell range [Lo, Hi).
 	Lo int `json:"lo"`
 	Hi int `json:"hi"`
+	// Cells is the total cell count of the grid — the worker
+	// cross-checks it against the plan it resolves, so a spec/plan
+	// mismatch fails loudly instead of computing garbage.
+	Cells int `json:"cells"`
 	// Owner is the worker holding the lease; empty while pending.
 	Owner string `json:"owner,omitempty"`
 	// Epoch counts lease acquisitions. A worker's right to transition
@@ -135,13 +127,10 @@ type Partial struct {
 	Error string `json:"error,omitempty"`
 }
 
-// Record ID construction. Grid, shard and partial records share the
-// job store with the manager's "job-..." records; the manager ignores
+// Record ID construction. Shard and partial records share the job
+// store with the manager's "job-..." records; the manager ignores
 // foreign prefixes when restoring, and the coordinator deletes a job's
 // distribution records as the job leaves the running state.
-
-// GridID returns the ID of the job's grid record.
-func GridID(jobID string) string { return "grid-" + jobID }
 
 // ShardID returns the ID of the job's i'th shard record. The index is
 // zero-padded so lexicographic store order equals shard order.
@@ -151,26 +140,6 @@ func ShardID(jobID string, i int) string { return fmt.Sprintf("shard-%s-%05d", j
 func PartID(jobID string, i int) string { return fmt.Sprintf("part-%s-%05d", jobID, i) }
 
 const shardPrefix = "shard-"
-
-// gridRecord wraps a GridJob and its dataset payload into a store record.
-func gridRecord(job GridJob, dataset json.RawMessage) (store.Record, error) {
-	spec, err := json.Marshal(job)
-	if err != nil {
-		return store.Record{}, fmt.Errorf("dist: encoding grid job: %w", err)
-	}
-	return store.Record{ID: GridID(job.ID), Status: "running", Spec: spec, Dataset: dataset}, nil
-}
-
-// decodeGridJob unwraps a grid record.
-func decodeGridJob(rec store.Record) (GridJob, error) {
-	var job GridJob
-	dec := json.NewDecoder(strings.NewReader(string(rec.Spec)))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&job); err != nil {
-		return GridJob{}, fmt.Errorf("dist: decoding grid record %s: %w", rec.ID, err)
-	}
-	return job, nil
-}
 
 // shardRecord wraps a ShardState into a store record with the given
 // lifecycle status.

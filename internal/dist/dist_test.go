@@ -69,7 +69,7 @@ func testSelectionSpec(ts testJobSpec) cvcp.Spec {
 	}
 }
 
-func testResolve(job GridJob, _ json.RawMessage) (*cvcp.CellPlan, error) {
+func testResolve(job store.Record) (*cvcp.CellPlan, error) {
 	var ts testJobSpec
 	if err := json.Unmarshal(job.Spec, &ts); err != nil {
 		return nil, err
@@ -77,7 +77,10 @@ func testResolve(job GridJob, _ json.RawMessage) (*cvcp.CellPlan, error) {
 	return cvcp.PlanCells(testSelectionSpec(ts))
 }
 
-func testGridJob(t *testing.T, ts testJobSpec) (GridJob, *cvcp.CellPlan) {
+// publishJob writes the job record workers plan from into s, as the
+// server's manager persists a job before distributing it, and returns
+// the job's ID and cell plan.
+func publishJob(t *testing.T, s Store, ts testJobSpec) (string, *cvcp.CellPlan) {
 	t.Helper()
 	plan, err := cvcp.PlanCells(testSelectionSpec(ts))
 	if err != nil {
@@ -87,7 +90,11 @@ func testGridJob(t *testing.T, ts testJobSpec) (GridJob, *cvcp.CellPlan) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return GridJob{ID: "job-000000001", Spec: raw, Cells: plan.NumCells()}, plan
+	const id = "job-000000001"
+	if err := s.Put(store.Record{ID: id, Status: "running", Spec: raw}); err != nil {
+		t.Fatal(err)
+	}
+	return id, plan
 }
 
 func startWorker(ctx context.Context, wg *sync.WaitGroup, s Store, id string) {
@@ -142,10 +149,16 @@ func equalResults(t *testing.T, want, got *cvcp.Result, what string) {
 
 func requireNoDistRecords(t *testing.T, s Store, jobID string) {
 	t.Helper()
+	recs, _, err := s.List("", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, prefix := range []string{"grid-" + jobID, "shard-" + jobID, "part-" + jobID} {
-		ids, err := idsWithPrefix(s, prefix[:len(prefix)])
-		if err != nil {
-			t.Fatal(err)
+		var ids []string
+		for _, rec := range recs {
+			if strings.HasPrefix(rec.ID, prefix) {
+				ids = append(ids, rec.ID)
+			}
 		}
 		if len(ids) > 0 {
 			t.Errorf("%s records left behind: %v", prefix, ids)
@@ -164,8 +177,6 @@ func TestDistributedMatchesSingleNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	job, plan := testGridJob(t, ts)
-
 	stores := []struct {
 		name string
 		open func(t *testing.T) (coord Store, worker func(i int) Store)
@@ -196,6 +207,7 @@ func TestDistributedMatchesSingleNode(t *testing.T) {
 		for _, n := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%s/workers=%d", sc.name, n), func(t *testing.T) {
 				cs, workerStore := sc.open(t)
+				jobID, plan := publishJob(t, cs, ts)
 				ctx, cancel := context.WithCancel(context.Background())
 				defer cancel()
 				var wg sync.WaitGroup
@@ -205,8 +217,8 @@ func TestDistributedMatchesSingleNode(t *testing.T) {
 
 				var mu sync.Mutex
 				var events []ShardEvent
-				coord := &Coordinator{Store: cs, ShardCells: 4, Poll: 3 * time.Millisecond}
-				scores, err := coord.RunJob(ctx, job, nil, func(ev ShardEvent) {
+				coord := &Coordinator{Store: cs, Poll: 3 * time.Millisecond}
+				scores, err := coord.RunJob(ctx, jobID, plan, func(ev ShardEvent) {
 					mu.Lock()
 					events = append(events, ev)
 					mu.Unlock()
@@ -220,7 +232,7 @@ func TestDistributedMatchesSingleNode(t *testing.T) {
 				}
 				equalResults(t, want, got, "distributed vs single-node")
 
-				shards := len(planShards(job.Cells, 4))
+				shards := len(planShards(plan.NumCells(), plan.NumFolds()))
 				done := 0
 				for _, ev := range events {
 					if ev.Shards != shards {
@@ -236,7 +248,7 @@ func TestDistributedMatchesSingleNode(t *testing.T) {
 				if done != shards {
 					t.Errorf("%d done events, want %d", done, shards)
 				}
-				requireNoDistRecords(t, cs, job.ID)
+				requireNoDistRecords(t, cs, jobID)
 				cancel()
 				wg.Wait()
 			})
@@ -255,14 +267,13 @@ func TestLeaseReclaimAfterWorkerDeath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	job, plan := testGridJob(t, ts)
-
 	dir := t.TempDir()
 	cs, err := store.OpenShared(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cs.Close()
+	jobID, plan := publishJob(t, cs, ts)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -274,9 +285,9 @@ func TestLeaseReclaimAfterWorkerDeath(t *testing.T) {
 	resCh := make(chan runResult, 1)
 	var mu sync.Mutex
 	var events []ShardEvent
-	coord := &Coordinator{Store: cs, ShardCells: 4, Poll: 3 * time.Millisecond}
+	coord := &Coordinator{Store: cs, Poll: 3 * time.Millisecond}
 	go func() {
-		scores, err := coord.RunJob(ctx, job, nil, func(ev ShardEvent) {
+		scores, err := coord.RunJob(ctx, jobID, plan, func(ev ShardEvent) {
 			mu.Lock()
 			events = append(events, ev)
 			mu.Unlock()
@@ -294,7 +305,7 @@ func TestLeaseReclaimAfterWorkerDeath(t *testing.T) {
 	dead := &Worker{Store: deadStore, ID: "dead", LeaseTTL: 150 * time.Millisecond}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if _, _, ok := dead.tryAcquire(ShardID(job.ID, 0)); ok {
+		if _, _, ok := dead.tryAcquire(ShardID(jobID, 0)); ok {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -345,22 +356,22 @@ func TestLeaseReclaimAfterWorkerDeath(t *testing.T) {
 // finding work and their heartbeats abort in-flight shards.
 func TestCoordinatorCancelCleansUp(t *testing.T) {
 	ts := testJobSpec{Seed: 63}
-	job, _ := testGridJob(t, ts)
 	m := store.NewMemory()
 	defer m.Close()
+	jobID, plan := publishJob(t, m, ts)
 
 	ctx, cancel := context.WithCancel(context.Background())
-	coord := &Coordinator{Store: m, ShardCells: 4, Poll: 3 * time.Millisecond}
+	coord := &Coordinator{Store: m, Poll: 3 * time.Millisecond}
 	done := make(chan error, 1)
 	go func() {
-		_, err := coord.RunJob(ctx, job, nil, nil)
+		_, err := coord.RunJob(ctx, jobID, plan, nil)
 		done <- err
 	}()
 	// Let the shards get published (no workers exist, so nothing
 	// completes), then cancel.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if _, ok, _ := m.Get(ShardID(job.ID, 0)); ok {
+		if _, ok, _ := m.Get(ShardID(jobID, 0)); ok {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -372,7 +383,7 @@ func TestCoordinatorCancelCleansUp(t *testing.T) {
 	if err := <-done; err != context.Canceled {
 		t.Fatalf("RunJob returned %v, want context.Canceled", err)
 	}
-	requireNoDistRecords(t, m, job.ID)
+	requireNoDistRecords(t, m, jobID)
 }
 
 // TestShardFailurePropagates: a deterministic cell failure must surface
@@ -380,17 +391,17 @@ func TestCoordinatorCancelCleansUp(t *testing.T) {
 // lowest-indexed failing shard must win when several fail.
 func TestShardFailurePropagates(t *testing.T) {
 	ts := testJobSpec{Seed: 64, Fail: true}
-	job, _ := testGridJob(t, ts)
 	m := store.NewMemory()
 	defer m.Close()
+	jobID, plan := publishJob(t, m, ts)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var wg sync.WaitGroup
 	startWorker(ctx, &wg, m, "w0")
 
-	coord := &Coordinator{Store: m, ShardCells: 4, Poll: 3 * time.Millisecond}
-	_, err := coord.RunJob(ctx, job, nil, nil)
+	coord := &Coordinator{Store: m, Poll: 3 * time.Millisecond}
+	_, err := coord.RunJob(ctx, jobID, plan, nil)
 	if err == nil {
 		t.Fatal("RunJob succeeded despite failing cells")
 	}
@@ -400,9 +411,38 @@ func TestShardFailurePropagates(t *testing.T) {
 	if !strings.Contains(err.Error(), "shard") {
 		t.Errorf("err = %v, want shard identity in the message", err)
 	}
-	requireNoDistRecords(t, m, job.ID)
+	requireNoDistRecords(t, m, jobID)
 	cancel()
 	wg.Wait()
+}
+
+// TestPlanShards: every shard holds whole (candidate, parameter)
+// columns — one each, until that would exceed maxShards — and the
+// shards are contiguous, cover [0, cells) and number at most maxShards.
+func TestPlanShards(t *testing.T) {
+	for _, tc := range []struct{ columns, folds, shards int }{
+		{1, 10, 1},
+		{8, 10, 8},
+		{256, 5, 256},
+		{257, 10, 129},
+		{512, 2, 256},
+	} {
+		cells := tc.columns * tc.folds
+		ranges := planShards(cells, tc.folds)
+		if len(ranges) != tc.shards || len(ranges) > maxShards {
+			t.Errorf("%d columns of %d folds: %d shards, want %d", tc.columns, tc.folds, len(ranges), tc.shards)
+		}
+		lo := 0
+		for i, r := range ranges {
+			if r[0] != lo || r[1] <= r[0] || r[0]%tc.folds != 0 || r[1]%tc.folds != 0 {
+				t.Errorf("%d columns of %d folds: shard %d is [%d, %d) after %d", tc.columns, tc.folds, i, r[0], r[1], lo)
+			}
+			lo = r[1]
+		}
+		if lo != cells {
+			t.Errorf("%d columns of %d folds: shards end at %d, want %d", tc.columns, tc.folds, lo, cells)
+		}
+	}
 }
 
 // TestScoreBitsRoundTrip: the IEEE-754 transport must preserve every

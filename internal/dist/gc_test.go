@@ -31,11 +31,11 @@ func TestGCProbesStoreInSortedOrder(t *testing.T) {
 	for i := 17; i >= 0; i-- {
 		id := fmt.Sprintf("job-%02d", i)
 		w.plans[id] = &cvcp.CellPlan{}
-		want = append(want, GridID(id))
+		want = append(want, ShardID(id, 0))
 	}
 	sort.Strings(want)
 
-	// No grid records exist, so every plan is stale: gc must probe all
+	// No shard records exist, so every plan is stale: gc must probe all
 	// of them (and drop all of them) in sorted ID order.
 	w.gc()
 

@@ -2,7 +2,6 @@ package dist
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
@@ -17,6 +16,11 @@ import (
 
 const defaultLeaseTTL = 10 * time.Second
 
+// errJobRead marks a failed store read of a shard's job record. It says
+// nothing about the shard's cells, so unlike a plan error it must not
+// become the shard's deterministic failure.
+var errJobRead = errors.New("dist: reading job record")
+
 // Worker leases shards from the shared store and computes them. Run
 // loops until its context is done; a topology runs one Worker per
 // worker process (cvcpd -role=worker).
@@ -26,13 +30,14 @@ type Worker struct {
 	// ID names this worker in leases and partials. It must be unique in
 	// the topology (cvcpd derives it from hostname and PID).
 	ID string
-	// Resolve reconstructs a job's cell plan from its grid record — the
-	// seam that keeps this package ignorant of the spec format. It must
-	// be deterministic: every worker resolving the same grid record must
+	// Resolve reconstructs a job's cell plan from the job's record — the
+	// record stored under the job ID a shard names — and is the seam
+	// that keeps this package ignorant of the spec format. It must be
+	// deterministic: every worker resolving the same job record must
 	// produce plans that score every cell bit-identically (the server's
 	// resolver decodes its job-spec JSON and dataset CSV, both of which
 	// round-trip exactly).
-	Resolve func(job GridJob, dataset json.RawMessage) (*cvcp.CellPlan, error)
+	Resolve func(job store.Record) (*cvcp.CellPlan, error)
 	// Workers bounds this worker's own engine parallelism per shard;
 	// 0 means GOMAXPROCS. Purely local: it never affects scores.
 	Workers int
@@ -174,7 +179,12 @@ func (w *Worker) tryAcquire(id string) (ShardState, int, bool) {
 // done-transition is epoch-guarded, so a stale worker can never clobber
 // a reclaimer's result.
 func (w *Worker) process(ctx context.Context, st ShardState, epoch int) {
-	plan, err := w.plan(st.Job)
+	plan, err := w.plan(st)
+	if errors.Is(err, errJobRead) {
+		// Write nothing: the lease expires and whoever reclaims the
+		// shard reads the job record again.
+		return
+	}
 	if err != nil {
 		w.finish(st, epoch, nil, 0, err)
 		return
@@ -200,11 +210,13 @@ func (w *Worker) process(ctx context.Context, st ShardState, epoch int) {
 	w.finish(st, epoch, scores, counts.Reused, err)
 }
 
-// plan returns the job's resolved cell plan, resolving and caching it on
-// first use. Plans are cached per job so a worker computing many shards
-// of one job materializes folds once; the cache is invalidated when the
-// job's grid record disappears (see gc).
-func (w *Worker) plan(jobID string) (*cvcp.CellPlan, error) {
+// plan returns the cell plan of the shard's job, resolving it from the
+// job record and caching it on first use. Plans are cached per job so a
+// worker computing many shards of one job materializes folds once; the
+// cache is invalidated when the job's shard records disappear (see gc).
+// A failed read of the job record is reported as errJobRead.
+func (w *Worker) plan(st ShardState) (*cvcp.CellPlan, error) {
+	jobID := st.Job
 	w.mu.Lock()
 	if p, ok := w.plans[jobID]; ok {
 		w.mu.Unlock()
@@ -212,26 +224,22 @@ func (w *Worker) plan(jobID string) (*cvcp.CellPlan, error) {
 	}
 	w.mu.Unlock()
 
-	rec, ok, err := w.Store.Get(GridID(jobID))
+	rec, ok, err := w.Store.Get(jobID)
 	if err != nil {
-		return nil, fmt.Errorf("dist: reading grid record of %s: %w", jobID, err)
+		return nil, fmt.Errorf("%w %s: %w", errJobRead, jobID, err)
 	}
 	if !ok {
-		return nil, fmt.Errorf("dist: job %s has no grid record", jobID)
-	}
-	job, err := decodeGridJob(rec)
-	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("dist: no record of job %s", jobID)
 	}
 	if w.Resolve == nil {
 		return nil, fmt.Errorf("dist: worker %s has no resolver", w.ID)
 	}
-	p, err := w.Resolve(job, rec.Dataset)
+	p, err := w.Resolve(rec)
 	if err != nil {
 		return nil, fmt.Errorf("dist: resolving job %s: %w", jobID, err)
 	}
-	if p.NumCells() != job.Cells {
-		return nil, fmt.Errorf("dist: job %s plans %d cells, grid record says %d", jobID, p.NumCells(), job.Cells)
+	if p.NumCells() != st.Cells {
+		return nil, fmt.Errorf("dist: job %s plans %d cells, shard record says %d", jobID, p.NumCells(), st.Cells)
 	}
 	w.mu.Lock()
 	if w.plans == nil {
@@ -246,9 +254,9 @@ func (w *Worker) plan(jobID string) (*cvcp.CellPlan, error) {
 	return p, nil
 }
 
-// gc drops cached plans whose grid record is gone (finished or
-// cancelled jobs). Plans hold the full dataset, so the cache is kept
-// small.
+// gc drops cached plans whose job has no shard 0 any more: the
+// coordinator deletes every shard record as the job finishes or is
+// cancelled. Plans hold the full dataset, so the cache is kept small.
 func (w *Worker) gc() {
 	w.mu.Lock()
 	ids := make([]string, 0, len(w.plans))
@@ -261,7 +269,7 @@ func (w *Worker) gc() {
 	// sequence regardless of Go's map iteration order.
 	sort.Strings(ids)
 	for _, id := range ids {
-		if _, ok, err := w.Store.Get(GridID(id)); err == nil && !ok {
+		if _, ok, err := w.Store.Get(ShardID(id, 0)); err == nil && !ok {
 			w.mu.Lock()
 			delete(w.plans, id)
 			w.mu.Unlock()

@@ -258,36 +258,14 @@ func (m *Manager) DeleteDataset(id string) error {
 	if err := m.store.Delete(id); err != nil {
 		return fmt.Errorf("server: deleting dataset %s: %w", id, err)
 	}
-	m.deleteByPrefix(datasetBatchPrefix + strings.TrimPrefix(id, datasetPrefix) + "-")
-	if n, err := store.SweepCells(m.store, id); err == nil && n > 0 {
+	// Both sweeps are best effort: a failed one leaves orphans, as a
+	// crash mid-delete does.
+	_, _ = store.DeletePrefix(m.store, datasetBatchPrefix+strings.TrimPrefix(id, datasetPrefix)+"-")
+	// A cell ID with an empty key is the owner's cell-ID prefix.
+	if n, err := store.DeletePrefix(m.store, store.CellID(id, "")); err == nil && n > 0 {
 		mDatasetCellsSwept.Add(uint64(n))
 	}
 	return nil
-}
-
-// deleteByPrefix best-effort deletes every record whose ID has the given
-// prefix, exploiting the store's ascending listing order.
-func (m *Manager) deleteByPrefix(prefix string) {
-	cursor := prefix // IDs with the prefix sort strictly after it
-	for {
-		recs, next, err := m.store.List(cursor, 64)
-		if err != nil {
-			return
-		}
-		for _, rec := range recs {
-			if !strings.HasPrefix(rec.ID, prefix) {
-				if rec.ID > prefix {
-					return
-				}
-				continue
-			}
-			_ = m.store.Delete(rec.ID)
-		}
-		if next == "" {
-			return
-		}
-		cursor = next
-	}
 }
 
 // restoreDatasetMeta rebuilds one dataset registry entry during startup

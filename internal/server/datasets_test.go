@@ -189,7 +189,7 @@ func TestDatasetIncrementalReselectBitIdenticalDistributed(t *testing.T) {
 	defer cs.Close()
 	m := NewManager(Config{
 		MaxRunningJobs: 1, WorkerBudget: 2, Store: cs,
-		Role: RoleCoordinator, ShardCells: 2, Poll: 3 * time.Millisecond,
+		Role: RoleCoordinator, Poll: 3 * time.Millisecond,
 		LeaseTTL: 10 * time.Second,
 	})
 	defer m.Shutdown(context.Background())

@@ -16,17 +16,6 @@ import (
 	"cvcp/internal/store"
 )
 
-// distSpec is the grid-record Spec payload a coordinator publishes for a
-// distributed job: the persisted job spec plus the dataset identity.
-// Together with the record's dataset payload (the same datasetRecord the
-// job store persists) it is everything a worker needs to rebuild the
-// job's cell plan bit-identically — both sides decode it through
-// buildSelectionSpec.
-type distSpec struct {
-	Spec        Spec   `json:"spec"`
-	DatasetName string `json:"dataset_name"`
-}
-
 // distPlan reports whether the job can be distributed and returns its
 // cell plan. Only partition-based scorers shard (validity indices score
 // whole-dataset clusterings, not folds); a non-shardable job on a
@@ -43,20 +32,14 @@ func distPlan(spec Spec, ds *dataset.Dataset, cache *runner.ScoreCache) (*corecv
 }
 
 // executeDistributed runs one claimed job through the dist coordinator:
-// the grid is sharded into the shared store, workers compute the cells,
-// and the merged per-cell scores finalize through the exact single-node
-// reduction (CellPlan.Finalize), so the result — selection, fold scores
-// and final labels — is bit-identical to Job.execute. Shard transitions
-// publish as "shard" events and feed the job's regular progress counter
-// at shard granularity.
+// the grid is sharded into the shared store, workers compute the cells
+// from the job's own record (which the executor persists as running
+// before it calls runJob), and the merged per-cell scores finalize
+// through the exact single-node reduction (CellPlan.Finalize), so the
+// result — selection, fold scores and final labels — is bit-identical
+// to Job.execute. Shard transitions publish as "shard" events and feed
+// the job's regular progress counter at shard granularity.
 func (m *Manager) executeDistributed(j *Job, ds dist.Store, plan *corecvcp.CellPlan) {
-	blob, err := json.Marshal(distSpec{Spec: j.spec, DatasetName: j.dsName})
-	if err != nil {
-		j.finish(nil, err)
-		return
-	}
-	job := dist.GridJob{ID: j.id, Spec: blob, Cells: plan.NumCells()}
-
 	cellsDone := 0
 	onShard := func(ev dist.ShardEvent) {
 		j.onShard(ev.Shard, ev.Shards, ev.Status, ev.Worker)
@@ -72,8 +55,8 @@ func (m *Manager) executeDistributed(j *Job, ds dist.Store, plan *corecvcp.CellP
 			j.cellStats.Add(int64(ev.Hi-ev.Lo-ev.Reused), int64(ev.Reused))
 		}
 	}
-	coord := &dist.Coordinator{Store: ds, ShardCells: m.cfg.ShardCells, Poll: m.cfg.Poll}
-	scores, err := coord.RunJob(j.ctx, job, j.dsBlob, onShard)
+	coord := &dist.Coordinator{Store: ds, Poll: m.cfg.Poll}
+	scores, err := coord.RunJob(j.ctx, j.id, plan, onShard)
 	if err != nil {
 		j.finish(nil, err)
 		return
@@ -132,9 +115,9 @@ type WorkerConfig struct {
 // RunWorker runs the worker role: it leases grid shards from the shared
 // store, computes their cells and writes partial scores back, until ctx
 // is done (which is the only way it returns). The worker rebuilds each
-// job's selection spec from the coordinator's grid record through the
-// same buildSelectionSpec the coordinator used, so both sides plan
-// identical grids over bit-identical datasets.
+// job's selection spec from the job's record through the same
+// buildSelectionSpec the coordinator used, so both sides plan identical
+// grids over bit-identical datasets.
 func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 	ds, ok := cfg.Store.(dist.Store)
 	if !ok {
@@ -160,37 +143,38 @@ func workerBudget(workers int) int {
 }
 
 // resolvePlan returns the worker's dist.Worker.Resolve hook, bound to
-// the worker's shared store: it decodes the coordinator's grid record —
-// job spec and dataset payload — and builds the cell plan. Both decodes
-// are strict: a field mismatch means the coordinator runs a different
-// version of this code, and silently ignoring the difference could split
-// scores across versions. Dataset-referencing jobs get a store-backed
-// cell cache (the plan is cached per job by the worker, so the cache
-// lives for all the worker's shards of that job): cells another process
-// already scored are served from the shared store instead of recomputed,
-// and the worker reports the split in its partials.
-func resolvePlan(s store.Store) func(dist.GridJob, json.RawMessage) (*corecvcp.CellPlan, error) {
-	return func(job dist.GridJob, datasetBlob json.RawMessage) (*corecvcp.CellPlan, error) {
-		var sp distSpec
-		if err := strictUnmarshal(job.Spec, &sp); err != nil {
-			return nil, fmt.Errorf("server: decoding grid spec of %s: %w", job.ID, err)
+// the worker's shared store: it decodes the job record the coordinator's
+// manager persisted — job spec and dataset payload — and builds the cell
+// plan. Both decodes are strict: a field mismatch means the coordinator
+// runs a different version of this code, and silently ignoring the
+// difference could split scores across versions. Dataset-referencing
+// jobs get a store-backed cell cache (the plan is cached per job by the
+// worker, so the cache lives for all the worker's shards of that job):
+// cells another process already scored are served from the shared store
+// instead of recomputed, and the worker reports the split in its
+// partials.
+func resolvePlan(s store.Store) func(store.Record) (*corecvcp.CellPlan, error) {
+	return func(rec store.Record) (*corecvcp.CellPlan, error) {
+		var sr specRecord
+		if err := strictUnmarshal(rec.Spec, &sr); err != nil {
+			return nil, fmt.Errorf("server: decoding spec of %s: %w", rec.ID, err)
 		}
 		var dr datasetRecord
-		if err := strictUnmarshal(datasetBlob, &dr); err != nil {
-			return nil, fmt.Errorf("server: decoding dataset of %s: %w", job.ID, err)
+		if err := strictUnmarshal(rec.Dataset, &dr); err != nil {
+			return nil, fmt.Errorf("server: decoding dataset of %s: %w", rec.ID, err)
 		}
 		// ReadCSV of WriteCSV output is bit-identical (full float64
 		// precision), so the worker scores the exact dataset the
 		// coordinator plans over.
-		ds, err := dataset.ReadCSV(sp.DatasetName, strings.NewReader(dr.CSV), dr.HasLabel)
+		ds, err := dataset.ReadCSV(sr.DatasetName, strings.NewReader(dr.CSV), dr.HasLabel)
 		if err != nil {
-			return nil, fmt.Errorf("server: rebuilding dataset of %s: %w", job.ID, err)
+			return nil, fmt.Errorf("server: rebuilding dataset of %s: %w", rec.ID, err)
 		}
 		var cache *runner.ScoreCache
-		if sp.Spec.DatasetID != "" {
-			cache = runner.NewScoreCache(store.NewCellCache(s, sp.Spec.DatasetID), cellCacheEntries)
+		if sr.Spec.DatasetID != "" {
+			cache = runner.NewScoreCache(store.NewCellCache(s, sr.Spec.DatasetID), cellCacheEntries)
 		}
-		return distPlan(sp.Spec, ds, cache)
+		return distPlan(sr.Spec, ds, cache)
 	}
 }
 

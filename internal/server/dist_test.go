@@ -131,7 +131,7 @@ func TestDistributedManagerMatchesSingleNode(t *testing.T) {
 			defer cs.Close()
 			m := NewManager(Config{
 				MaxRunningJobs: 1, WorkerBudget: 2, Store: cs,
-				Role: RoleCoordinator, ShardCells: 2, Poll: 3 * time.Millisecond,
+				Role: RoleCoordinator, Poll: 3 * time.Millisecond,
 			})
 			defer m.Shutdown(context.Background())
 			for i := 0; i < workers; i++ {
@@ -197,7 +197,7 @@ func TestCoordinatorRestartRedistributesInterruptedJob(t *testing.T) {
 	s1 := openSharedStore(t, dir)
 	m1 := NewManager(Config{
 		MaxRunningJobs: 1, WorkerBudget: 2, Store: s1,
-		Role: RoleCoordinator, ShardCells: 2, Poll: 3 * time.Millisecond,
+		Role: RoleCoordinator, Poll: 3 * time.Millisecond,
 	})
 	interrupted, err := m1.Submit(spec, ds)
 	if err != nil {
@@ -235,7 +235,7 @@ func TestCoordinatorRestartRedistributesInterruptedJob(t *testing.T) {
 	defer s2.Close()
 	m2 := NewManager(Config{
 		MaxRunningJobs: 1, WorkerBudget: 2, Store: s2,
-		Role: RoleCoordinator, ShardCells: 2, Poll: 3 * time.Millisecond,
+		Role: RoleCoordinator, Poll: 3 * time.Millisecond,
 	})
 	defer m2.Shutdown(context.Background())
 	defer startServerWorker(t, dir, "restart-worker")()

@@ -37,7 +37,7 @@ func TestDistributedPinned(t *testing.T) {
 	defer cs.Close()
 	m := NewManager(Config{
 		MaxRunningJobs: 1, WorkerBudget: 2, Store: cs,
-		Role: RoleCoordinator, ShardCells: 2, Poll: 3 * time.Millisecond,
+		Role: RoleCoordinator, Poll: 3 * time.Millisecond,
 	})
 	defer m.Shutdown(context.Background())
 

@@ -125,9 +125,6 @@ type Config struct {
 	// scorer cannot be sharded (validity indices) fall back to local
 	// execution even on a coordinator.
 	Role Role
-	// ShardCells is the coordinator's target grid cells per shard;
-	// 0 means 16.
-	ShardCells int
 	// LeaseTTL is how long a worker's shard lease lives without a
 	// heartbeat renewal before another worker may reclaim it; 0 means
 	// 10s. Coordinator and workers should agree, but correctness never

@@ -26,7 +26,7 @@ func TestShardEventOrderingUnderConcurrentWorkers(t *testing.T) {
 	defer cs.Close()
 	m := NewManager(Config{
 		MaxRunningJobs: 1, WorkerBudget: 2, Store: cs,
-		Role: RoleCoordinator, ShardCells: 2, Poll: 3 * time.Millisecond,
+		Role: RoleCoordinator, Poll: 3 * time.Millisecond,
 	})
 	defer m.Shutdown(context.Background())
 

@@ -90,35 +90,3 @@ func (c *CellCache) PutCell(key string, bits uint64) error {
 	}
 	return c.store.Put(Record{ID: CellID(c.owner, key), Status: CellStatus, Result: result})
 }
-
-// SweepCells deletes every cell record of the given owner — the eviction
-// path when a dataset is deleted. It returns how many records were
-// removed.
-func SweepCells(s Store, owner string) (int, error) {
-	prefix := cellPrefix + owner + "-"
-	removed := 0
-	cursor := prefix[:len(prefix)-1] // IDs strictly greater than this
-	for {
-		recs, next, err := s.List(cursor, 64)
-		if err != nil {
-			return removed, err
-		}
-		for _, rec := range recs {
-			if !strings.HasPrefix(rec.ID, prefix) {
-				if rec.ID > prefix {
-					// Past the contiguous prefix range: done.
-					return removed, nil
-				}
-				continue
-			}
-			if err := s.Delete(rec.ID); err != nil {
-				return removed, err
-			}
-			removed++
-		}
-		if next == "" {
-			return removed, nil
-		}
-		cursor = next
-	}
-}

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -41,27 +42,41 @@ func TestParseCellOwner(t *testing.T) {
 	}
 }
 
-func TestSweepCells(t *testing.T) {
+// TestDeletePrefix sweeps an owner's cell records, as dataset deletion
+// does: more of them than one List page holds, beside an owner whose ID
+// extends the first one's (ds-1 and ds-10) and records of other kinds.
+func TestDeletePrefix(t *testing.T) {
 	s := NewMemory()
-	a := NewCellCache(s, "ds-000000001")
-	b := NewCellCache(s, "ds-000000002")
-	for _, k := range []string{"aa", "bb", "cc"} {
-		if err := a.PutCell(k, 1); err != nil {
+	owners := []*CellCache{NewCellCache(s, "ds-1"), NewCellCache(s, "ds-10")}
+	const cells = 150
+	for _, c := range owners {
+		for i := 0; i < cells; i++ {
+			if err := c.PutCell(fmt.Sprintf("%04x", i), 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, id := range []string{"ds-1", "ds-10", "job-000000001"} {
+		if err := s.Put(Record{ID: id, Status: "x"}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := b.PutCell("dd", 2); err != nil {
-		t.Fatal(err)
+	for i, c := range owners {
+		n, err := DeletePrefix(s, CellID(c.Owner(), ""))
+		if err != nil || n != cells {
+			t.Fatalf("sweeping %s: removed %d err=%v, want %d", c.Owner(), n, err, cells)
+		}
+		if _, ok, _ := c.GetCell("0000"); ok {
+			t.Fatalf("swept owner %s still has cells", c.Owner())
+		}
+		if got, _ := s.Len(); got != 3+(len(owners)-1-i)*cells {
+			t.Fatalf("after sweeping %s: %d records left, want %d", c.Owner(), got, 3+(len(owners)-1-i)*cells)
+		}
 	}
-	n, err := SweepCells(s, "ds-000000001")
-	if err != nil || n != 3 {
-		t.Fatalf("swept %d err=%v, want 3", n, err)
-	}
-	if _, ok, _ := a.GetCell("aa"); ok {
-		t.Fatal("swept owner still has cells")
-	}
-	if _, ok, _ := b.GetCell("dd"); !ok {
-		t.Fatal("sweep removed another owner's cell")
+	for _, id := range []string{"ds-1", "ds-10", "job-000000001"} {
+		if _, ok, _ := s.Get(id); !ok {
+			t.Fatalf("sweep removed record %s", id)
+		}
 	}
 }
 

@@ -166,7 +166,8 @@ func Open(dir string) (*File, error) {
 	}
 	// Sweep cell-cache records whose owning dataset record is gone: a
 	// crash between a dataset eviction's record delete and its cell sweep
-	// (see SweepCells) leaves them behind, and — like orphan event logs —
+	// (a DeletePrefix over the owner's cell IDs) leaves them behind, and —
+	// like orphan event logs —
 	// nothing else would ever delete them. Durable for the same reason:
 	// an in-memory-only sweep would resurrect the orphans from the WAL on
 	// the next Open.

@@ -36,6 +36,7 @@ package store
 import (
 	"encoding/json"
 	"errors"
+	"strings"
 	"time"
 )
 
@@ -179,4 +180,34 @@ type Store interface {
 	// Close releases the store's resources; for durable stores it also
 	// compacts. Every later operation fails with ErrClosed.
 	Close() error
+}
+
+// DeletePrefix deletes every record whose ID extends prefix and returns
+// how many it removed. It pages through List from the prefix itself and
+// stops at the first ID that lacks it: IDs sort ascending, so every
+// later ID sorts after the whole prefix range. Dataset deletion sweeps
+// a dataset's row batches and cell records with it, and the coordinator
+// a job's shard and partial records.
+func DeletePrefix(s Store, prefix string) (int, error) {
+	removed := 0
+	cursor := prefix
+	for {
+		recs, next, err := s.List(cursor, 64)
+		if err != nil {
+			return removed, err
+		}
+		for _, rec := range recs {
+			if !strings.HasPrefix(rec.ID, prefix) {
+				return removed, nil
+			}
+			if err := s.Delete(rec.ID); err != nil {
+				return removed, err
+			}
+			removed++
+		}
+		if next == "" {
+			return removed, nil
+		}
+		cursor = next
+	}
 }
