@@ -209,7 +209,7 @@ func TestCoordinatorRestartRedistributesInterruptedJob(t *testing.T) {
 	// "running" job record was persisted first), then "kill" the
 	// coordinator by closing its store handle out from under it — its
 	// writes stop mid-job exactly as a killed process's would, leaving
-	// the stale grid and shard records behind.
+	// the stale shard records behind.
 	probe := openSharedStore(t, dir)
 	defer probe.Close()
 	deadline := time.Now().Add(30 * time.Second)
