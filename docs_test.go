@@ -1,10 +1,10 @@
 package cvcp
 
 // Documentation reference check: README.md and docs/*.md must not name a
-// file, directory or command-line flag that does not exist. CI runs this
-// as its docs-link gate (and it runs with every `go test ./...`), so docs
-// rot — a renamed flag, a moved file, a dead relative link — fails the
-// build instead of misleading readers.
+// file, directory, command-line flag or test that does not exist. CI runs
+// this as its docs-link gate (and it runs with every `go test ./...`), so
+// docs rot — a renamed flag or test, a moved file, a dead relative link —
+// fails the build instead of misleading readers.
 
 import (
 	"os"
@@ -26,6 +26,10 @@ var (
 	pathTokenRE = regexp.MustCompile(`^(cmd|internal|docs|examples)(/[A-Za-z0-9_.*-]+)*/?$`)
 	// flag declarations in cmd/*/main.go.
 	flagDeclRE = regexp.MustCompile(`flag\.(?:String|Bool|Int|Int64|Uint|Float64|Duration)\("([a-z0-9-]+)"`)
+	// A test, fuzz target or benchmark name inside an inline code span.
+	testTokenRE = regexp.MustCompile(`^(?:Test|Fuzz|Benchmark)[A-Z0-9_][A-Za-z0-9_]*$`)
+	// test, fuzz target and benchmark declarations in _test.go files.
+	testDeclRE = regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Benchmark)[A-Za-z0-9_]*)\(`)
 )
 
 // goToolFlags are flags of the go tool itself that the docs may mention
@@ -53,6 +57,39 @@ func declaredFlags(t *testing.T) map[string]bool {
 		}
 	}
 	return flags
+}
+
+// declaredTests collects the name of every test, fuzz target and
+// benchmark that a _test.go file in the repository declares.
+func declaredTests(t *testing.T) map[string]bool {
+	t.Helper()
+	tests := map[string]bool{}
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, m := range testDeclRE.FindAllStringSubmatch(string(src), -1) {
+			tests[m[1]] = true
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tests
 }
 
 // stripFences removes ``` fenced code blocks: shell transcripts and
@@ -143,6 +180,7 @@ var requiredAPIDocs = map[string][]string{
 
 func TestDocsReferences(t *testing.T) {
 	flags := declaredFlags(t)
+	tests := declaredTests(t)
 	for file, names := range requiredAPIDocs {
 		raw, err := os.ReadFile(file)
 		if err != nil {
@@ -176,7 +214,8 @@ func TestDocsReferences(t *testing.T) {
 		}
 
 		// Inline code spans: flag tokens must be declared by some command
-		// (or belong to the go tool), path tokens must exist on disk.
+		// (or belong to the go tool), test names by some _test.go file,
+		// and path tokens must exist on disk.
 		for _, m := range inlineCodeRE.FindAllStringSubmatch(text, -1) {
 			for _, tok := range strings.Fields(m[1]) {
 				tok = strings.Trim(tok, "[](),;:")
@@ -185,6 +224,10 @@ func TestDocsReferences(t *testing.T) {
 					name := strings.TrimPrefix(tok, "-")
 					if !flags[name] && !goToolFlags[name] {
 						t.Errorf("%s mentions flag %q, declared by no command in cmd/", file, tok)
+					}
+				case testTokenRE.MatchString(tok):
+					if !tests[tok] {
+						t.Errorf("%s mentions %s, which no _test.go file declares", file, tok)
 					}
 				case pathTokenRE.MatchString(tok):
 					probe := strings.TrimSuffix(tok, "/")

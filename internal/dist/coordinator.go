@@ -18,9 +18,8 @@ const (
 
 // ShardEvent is one observed shard transition, reported by the
 // coordinator's poll loop in the order observed. Transitions for a shard
-// are monotone (leased may repeat across reclaims; done and failed are
-// terminal), and Done lets a listener render shard-level progress
-// without tracking state itself.
+// are monotone: leased may repeat across reclaims; done and failed are
+// terminal.
 type ShardEvent struct {
 	// Shard is the shard index; Shards the job's total.
 	Shard  int
@@ -32,19 +31,17 @@ type ShardEvent struct {
 	Status string
 	// Worker is the owner at the transition.
 	Worker string
-	// Done counts the job's finished shards as of this event.
-	Done int
 	// Reused, on done events, counts the shard's cells served from the
-	// shared cell cache (the partial's Reused field).
+	// shared cell cache (the shard record's Reused field).
 	Reused int
 }
 
-// ShardFailed is the ShardEvent status of a shard whose partial carries
+// ShardFailed is the ShardEvent status of a shard whose record carries
 // an error.
 const ShardFailed = "failed"
 
-// Coordinator plans grids into shards and merges the partials workers
-// write back. One coordinator serves one topology; the manager calls
+// Coordinator plans grids into shards and merges the scores workers
+// write into them. One coordinator serves one topology; the manager calls
 // RunJob once per distributed job.
 type Coordinator struct {
 	// Store is the shared store of the topology.
@@ -119,23 +116,18 @@ func (c *Coordinator) RunJob(ctx context.Context, jobID string, plan *cvcp.CellP
 	return c.watch(ctx, jobID, cells, ranges, onShard)
 }
 
-// watch polls the shard records until every shard is done and its
-// partial collected, reporting transitions along the way.
+// watch polls the shard records until every shard is done, reporting
+// transitions along the way and keeping each finished shard's state.
 func (c *Coordinator) watch(ctx context.Context, jobID string, cells int, ranges [][2]int, onShard func(ShardEvent)) ([]float64, error) {
-	type seen struct {
-		status string
-		owner  string
-		epoch  int
-	}
-	last := make([]seen, len(ranges))
-	parts := make([]*Partial, len(ranges))
+	leasedAt := make([]int, len(ranges)) // epoch of the last leased event
+	done := make([]*ShardState, len(ranges))
 	collected := 0
 
 	ticker := time.NewTicker(c.poll())
 	defer ticker.Stop()
 	for {
-		for i := range ranges {
-			if parts[i] != nil {
+		for i, r := range ranges {
+			if done[i] != nil {
 				continue
 			}
 			rec, ok, err := c.Store.Get(ShardID(jobID, i))
@@ -149,41 +141,28 @@ func (c *Coordinator) watch(ctx context.Context, jobID string, cells int, ranges
 			if err != nil {
 				return nil, err
 			}
-			if rec.Status == ShardDone {
-				prec, ok, err := c.Store.Get(PartID(jobID, i))
-				if err != nil {
-					return nil, fmt.Errorf("dist: reading partial %d: %w", i, err)
+			ev := ShardEvent{Shard: i, Shards: len(ranges), Lo: r[0], Hi: r[1], Status: rec.Status, Worker: st.Owner}
+			switch {
+			case rec.Status == ShardDone:
+				if st.Error == "" && len(st.ScoreBits) != r[1]-r[0] {
+					return nil, fmt.Errorf("dist: shard %d of job %s has %d scores for range [%d, %d)",
+						i, jobID, len(st.ScoreBits), r[0], r[1])
 				}
-				if !ok {
-					continue // done raced ahead of our view of the partial; next poll
-				}
-				p, err := decodePartial(prec)
-				if err != nil {
-					return nil, err
-				}
-				if p.Error == "" && len(p.ScoreBits) != ranges[i][1]-ranges[i][0] {
-					return nil, fmt.Errorf("dist: partial %d of job %s has %d scores for range [%d, %d)",
-						i, jobID, len(p.ScoreBits), ranges[i][0], ranges[i][1])
-				}
-				parts[i] = &p
+				done[i] = &st
 				collected++
-				if onShard != nil {
-					status := ShardDone
-					if p.Error != "" {
-						status = ShardFailed
-					}
-					onShard(ShardEvent{Shard: i, Shards: len(ranges), Lo: ranges[i][0], Hi: ranges[i][1],
-						Status: status, Worker: p.Worker, Done: collected, Reused: p.Reused})
+				if st.Error != "" {
+					ev.Status = ShardFailed
 				}
+				ev.Reused = st.Reused
+			case rec.Status == ShardLeased && st.Epoch != leasedAt[i]:
+				// Every acquisition bumps the epoch, so a new epoch is a
+				// new lease: first acquisition or reclaim.
+				leasedAt[i] = st.Epoch
+			default:
 				continue
 			}
-			now := seen{status: rec.Status, owner: st.Owner, epoch: st.Epoch}
-			if now != last[i] {
-				last[i] = now
-				if rec.Status == ShardLeased && onShard != nil {
-					onShard(ShardEvent{Shard: i, Shards: len(ranges), Lo: ranges[i][0], Hi: ranges[i][1],
-						Status: ShardLeased, Worker: st.Owner, Done: collected})
-				}
+			if onShard != nil {
+				onShard(ev)
 			}
 		}
 		if collected == len(ranges) {
@@ -196,27 +175,26 @@ func (c *Coordinator) watch(ctx context.Context, jobID string, cells int, ranges
 		}
 	}
 
-	for _, p := range parts {
-		if p.Error != "" {
+	for _, st := range done {
+		if st.Error != "" {
 			return nil, fmt.Errorf("dist: shard %d (cells [%d, %d)) failed on %s: %s",
-				p.Index, p.Lo, p.Hi, p.Worker, p.Error)
+				st.Index, st.Lo, st.Hi, st.Owner, st.Error)
 		}
 	}
 	scores := make([]float64, 0, cells)
-	for _, p := range parts {
-		scores = append(scores, decodeScores(p.ScoreBits)...)
+	for _, st := range done {
+		scores = append(scores, decodeScores(st.ScoreBits)...)
 	}
 	return scores, nil
 }
 
-// cleanup deletes the job's shard and partial records. A previous
-// incarnation may have used a different shard count; sweep by prefix
-// rather than by the current plan.
+// cleanup deletes the job's shard records. A previous incarnation may
+// have used a different shard count; sweep by prefix rather than by the
+// current plan.
 func (c *Coordinator) cleanup(jobID string) error {
-	for _, prefix := range []string{shardPrefix + jobID + "-", "part-" + jobID + "-"} {
-		if _, err := store.DeletePrefix(c.Store, prefix); err != nil {
-			return fmt.Errorf("dist: deleting %s records: %w", prefix, err)
-		}
+	prefix := shardPrefix + jobID + "-"
+	if _, err := store.DeletePrefix(c.Store, prefix); err != nil {
+		return fmt.Errorf("dist: deleting %s records: %w", prefix, err)
 	}
 	return nil
 }

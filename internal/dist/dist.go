@@ -14,11 +14,11 @@
 //
 //   - The Coordinator cuts the grid into shards of whole (candidate,
 //     parameter) columns and publishes one pending shard record per
-//     shard, then polls: it reports lease transitions, collects the
-//     partial-score records of finished shards, and when all shards are
-//     done returns the assembled per-cell score vector — which the
-//     caller merges with cvcp.CellPlan.Finalize, the same reduction the
-//     single-node path runs.
+//     shard, then polls those records: it reports lease transitions,
+//     reads each finished shard's scores from its record, and when all
+//     shards are done returns the assembled per-cell score vector —
+//     which the caller merges with cvcp.CellPlan.Finalize, the same
+//     reduction the single-node path runs.
 //   - Workers scan for shard records that are pending — or leased but
 //     expired, the crash-recovery path — and acquire them by
 //     compare-and-swap: set themselves as owner, bump the lease epoch,
@@ -28,19 +28,19 @@
 //     lease at a third of its TTL; a worker that loses its lease (expired
 //     and reclaimed, or the job was cancelled and its records deleted)
 //     aborts the computation and writes nothing. On success the worker
-//     writes a partial record with the shard's scores and marks the
-//     shard done.
+//     finishes the shard with one more compare-and-swap that writes the
+//     scores into the shard record and marks it done.
 //
-// Crash recovery is recomputation: a kill -9'd worker simply stops
-// renewing, its shards' leases expire, and any worker re-acquires them
-// with a higher epoch and produces the same bits. A restarted
-// coordinator deletes the job's stale records and replans from the spec
-// — every shard recomputes deterministically, so the selection is
-// unchanged. The one benign race — a worker with a stale lease finishing
-// after its shard was reclaimed — can at worst overwrite a partial
-// record with identical bytes, because partial contents are a pure
-// function of the spec and the cell range; the stale worker's
-// done-transition is rejected by the epoch check.
+// A shard record is the shard's only record, and every transition a
+// worker makes to it — heartbeat or done — is guarded by the owner and
+// lease epoch it acquired with. Crash recovery is recomputation: a
+// kill -9'd worker simply stops renewing, its shards' leases expire, and
+// any worker re-acquires them with a higher epoch and produces the same
+// bits. A worker whose lease was reclaimed writes nothing when it
+// finishes: the epoch check rejects its done transition, so the
+// reclaimer's record is never touched. A restarted coordinator deletes
+// the job's stale records and replans from the spec — every shard
+// recomputes deterministically, so the selection is unchanged.
 //
 // Scores travel as IEEE-754 bit patterns ([]uint64), not JSON floats:
 // the coordinator reassembles exactly the bits the worker computed, NaN
@@ -70,11 +70,11 @@ type Store interface {
 const (
 	ShardPending = "pending" // unleased: any worker may acquire
 	ShardLeased  = "leased"  // owned; reclaimable once the lease expires
-	ShardDone    = "done"    // partial record written; terminal
+	ShardDone    = "done"    // scores or error written; terminal
 )
 
-// ShardState is the payload of a shard record: one contiguous cell range
-// plus its lease.
+// ShardState is the payload of a shard record: one contiguous cell range,
+// its lease and, once done, its result.
 type ShardState struct {
 	// Job is the owning job's ID.
 	Job string `json:"job"`
@@ -98,23 +98,9 @@ type ShardState struct {
 	// so processes on one machine (the supported topology: shared store
 	// directory) agree on expiry.
 	ExpiresUnixMilli int64 `json:"expires,omitempty"`
-}
-
-// Partial is the payload of a partial record: one shard's computed
-// scores, or its deterministic failure.
-type Partial struct {
-	// Job is the owning job's ID.
-	Job string `json:"job"`
-	// Index is the shard's position in the job's shard sequence.
-	Index int `json:"index"`
-	// Lo and Hi echo the shard's cell range.
-	Lo int `json:"lo"`
-	Hi int `json:"hi"`
-	// Worker is the worker that computed the shard.
-	Worker string `json:"worker"`
 	// ScoreBits holds math.Float64bits of each cell score in [Lo, Hi),
 	// in cell order — the bit-exact transport that makes the merged
-	// result identical to a single-node run.
+	// result identical to a single-node run. Set by the done transition.
 	ScoreBits []uint64 `json:"score_bits,omitempty"`
 	// Reused counts the cells of [Lo, Hi) the worker served from the
 	// shared cell cache instead of computing — observability for
@@ -127,17 +113,14 @@ type Partial struct {
 	Error string `json:"error,omitempty"`
 }
 
-// Record ID construction. Shard and partial records share the job
-// store with the manager's "job-..." records; the manager ignores
-// foreign prefixes when restoring, and the coordinator deletes a job's
-// distribution records as the job leaves the running state.
+// Record ID construction. Shard records share the job store with the
+// manager's "job-..." records; the manager ignores foreign prefixes when
+// restoring, and the coordinator deletes a job's shard records as the
+// job leaves the running state.
 
 // ShardID returns the ID of the job's i'th shard record. The index is
 // zero-padded so lexicographic store order equals shard order.
 func ShardID(jobID string, i int) string { return fmt.Sprintf("shard-%s-%05d", jobID, i) }
-
-// PartID returns the ID of the job's i'th partial record.
-func PartID(jobID string, i int) string { return fmt.Sprintf("part-%s-%05d", jobID, i) }
 
 const shardPrefix = "shard-"
 
@@ -160,26 +143,6 @@ func decodeShardState(rec store.Record) (ShardState, error) {
 		return ShardState{}, fmt.Errorf("dist: decoding shard record %s: %w", rec.ID, err)
 	}
 	return st, nil
-}
-
-// partRecord wraps a Partial into a store record.
-func partRecord(p Partial) (store.Record, error) {
-	res, err := json.Marshal(p)
-	if err != nil {
-		return store.Record{}, fmt.Errorf("dist: encoding partial: %w", err)
-	}
-	return store.Record{ID: PartID(p.Job, p.Index), Status: ShardDone, Result: res}, nil
-}
-
-// decodePartial unwraps a partial record.
-func decodePartial(rec store.Record) (Partial, error) {
-	var p Partial
-	dec := json.NewDecoder(strings.NewReader(string(rec.Result)))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&p); err != nil {
-		return Partial{}, fmt.Errorf("dist: decoding partial record %s: %w", rec.ID, err)
-	}
-	return p, nil
 }
 
 // encodeScores converts scores to their IEEE-754 bit patterns.

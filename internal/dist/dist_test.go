@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -16,6 +17,7 @@ import (
 	"cvcp/internal/dataset"
 	"cvcp/internal/stats"
 	"cvcp/internal/store"
+	"cvcp/internal/store/storetest"
 )
 
 // The test topology's job spec is a tiny JSON document ({"seed": N,
@@ -41,14 +43,14 @@ func testBlobs(seed int64) *dataset.Dataset {
 	return dataset.MustNew("blobs", x, y)
 }
 
-// failAlg fails deterministically for one parameter and otherwise
-// delegates to MPCKMeans.
-type failAlg struct{ bad int }
+// failAlg fails deterministically for every parameter from from on and
+// otherwise delegates to MPCKMeans.
+type failAlg struct{ from int }
 
 func (f failAlg) Name() string { return "failing" }
 
 func (f failAlg) Cluster(ds *dataset.Dataset, train *constraints.Set, param int, seed int64) ([]int, error) {
-	if param == f.bad {
+	if param >= f.from {
 		return nil, fmt.Errorf("synthetic failure for param %d", param)
 	}
 	return cvcp.MPCKMeans{}.Cluster(ds, train, param, seed)
@@ -59,7 +61,7 @@ func testSelectionSpec(ts testJobSpec) cvcp.Spec {
 	labeled := ds.SampleLabels(stats.NewRand(ts.Seed+1), 0.4)
 	var alg cvcp.Algorithm = cvcp.MPCKMeans{}
 	if ts.Fail {
-		alg = failAlg{bad: 3}
+		alg = failAlg{from: 3} // parameters 3 and 4: shards 1 and 2 fail
 	}
 	return cvcp.Spec{
 		Dataset:     ds,
@@ -95,6 +97,22 @@ func publishJob(t *testing.T, s Store, ts testJobSpec) (string, *cvcp.CellPlan) 
 		t.Fatal(err)
 	}
 	return id, plan
+}
+
+// waitPublished waits until the coordinator has published the shard
+// record id.
+func waitPublished(t *testing.T, s Store, id string) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		if _, ok, err := s.Get(id); err == nil && ok {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%s never published", id)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
 }
 
 func startWorker(ctx context.Context, wg *sync.WaitGroup, s Store, id string) {
@@ -240,9 +258,6 @@ func TestDistributedMatchesSingleNode(t *testing.T) {
 					}
 					if ev.Status == ShardDone {
 						done++
-						if ev.Done < 1 || ev.Done > shards {
-							t.Errorf("done event with Done=%d", ev.Done)
-						}
 					}
 				}
 				if done != shards {
@@ -351,6 +366,114 @@ func TestLeaseReclaimAfterWorkerDeath(t *testing.T) {
 	wg.Wait()
 }
 
+// TestStaleWorkerWritesNothing: a worker whose lease expired and was
+// reclaimed, and which then finishes — here with scores that differ from
+// the reclaimer's — must write nothing. The reclaimer's done record stays
+// as it was, and the job's result is the reclaimer's, bit-identical to
+// single-node Select. The coordinator's reads wait until the stale
+// worker has finished, so it sees only what that finish left.
+func TestStaleWorkerWritesNothing(t *testing.T) {
+	ts := testJobSpec{Seed: 66}
+	want, err := cvcp.Select(context.Background(), testSelectionSpec(ts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem := store.NewMemory()
+	defer mem.Close()
+	jobID, plan := publishJob(t, mem, ts)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	gate := make(chan struct{})
+	gated := storetest.Wrap(mem)
+	gated.Hook(storetest.OpGet, func(int, string) error {
+		select {
+		case <-gate:
+		case <-ctx.Done():
+		}
+		return nil
+	})
+	type runResult struct {
+		scores []float64
+		err    error
+	}
+	resCh := make(chan runResult, 1)
+	var mu sync.Mutex
+	var events []ShardEvent
+	coord := &Coordinator{Store: gated, Poll: 3 * time.Millisecond}
+	go func() {
+		scores, err := coord.RunJob(ctx, jobID, plan, func(ev ShardEvent) {
+			mu.Lock()
+			events = append(events, ev)
+			mu.Unlock()
+		})
+		resCh <- runResult{scores, err}
+	}()
+
+	id := ShardID(jobID, 0)
+	waitPublished(t, mem, id)
+	stale := &Worker{Store: mem, ID: "stale", LeaseTTL: time.Millisecond}
+	staleSt, staleEpoch, ok := stale.tryAcquire(id)
+	if !ok {
+		t.Fatal("stale worker could not acquire shard 0")
+	}
+	time.Sleep(5 * time.Millisecond) // the stale lease expires
+	reclaimer := &Worker{Store: mem, ID: "reclaimer", Resolve: testResolve, Workers: 2}
+	st, epoch, ok := reclaimer.tryAcquire(id)
+	if !ok || epoch != staleEpoch+1 {
+		t.Fatalf("reclaim: acquired %v at epoch %d, want epoch %d", ok, epoch, staleEpoch+1)
+	}
+	reclaimer.process(ctx, st, epoch)
+
+	before, _, err := mem.List("", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scores := make([]float64, staleSt.Hi-staleSt.Lo)
+	for i := range scores {
+		scores[i] = -1 // a constraint F-measure is never negative
+	}
+	stale.finish(staleSt, staleEpoch, scores, 0, nil)
+	after, _, err := mem.List("", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(before, after) {
+		t.Errorf("the stale worker's finish changed the store:\nbefore:%s\nafter:%s", describe(before), describe(after))
+	}
+
+	close(gate)
+	var wg sync.WaitGroup
+	startWorker(ctx, &wg, mem, "w1") // the remaining shards
+	res := <-resCh
+	if res.err != nil {
+		t.Fatal(res.err)
+	}
+	got, err := plan.Finalize(context.Background(), res.scores, 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	equalResults(t, want, got, "after a stale finish vs single-node")
+	mu.Lock()
+	for _, ev := range events {
+		if ev.Shard == 0 && ev.Status == ShardDone && ev.Worker != "reclaimer" {
+			t.Errorf("shard 0 reported done by %q, want the reclaimer", ev.Worker)
+		}
+	}
+	mu.Unlock()
+	cancel()
+	wg.Wait()
+}
+
+// describe renders store records for a failure message.
+func describe(recs []store.Record) string {
+	var b strings.Builder
+	for _, r := range recs {
+		fmt.Fprintf(&b, "\n  %s %s spec=%s result=%s", r.ID, r.Status, r.Spec, r.Result)
+	}
+	return b.String()
+}
+
 // TestCoordinatorCancelCleansUp: cancelling the job's context must abort
 // RunJob and leave no distribution records behind, so workers stop
 // finding work and their heartbeats abort in-flight shards.
@@ -388,7 +511,8 @@ func TestCoordinatorCancelCleansUp(t *testing.T) {
 
 // TestShardFailurePropagates: a deterministic cell failure must surface
 // as the job's error, carrying the failing shard's identity, and the
-// lowest-indexed failing shard must win when several fail.
+// lowest-indexed failing shard must win when several fail — here shards
+// 1 and 2, whose columns are the failing parameters 3 and 4.
 func TestShardFailurePropagates(t *testing.T) {
 	ts := testJobSpec{Seed: 64, Fail: true}
 	m := store.NewMemory()
@@ -400,20 +524,95 @@ func TestShardFailurePropagates(t *testing.T) {
 	var wg sync.WaitGroup
 	startWorker(ctx, &wg, m, "w0")
 
+	var failed []int
 	coord := &Coordinator{Store: m, Poll: 3 * time.Millisecond}
-	_, err := coord.RunJob(ctx, jobID, plan, nil)
+	_, err := coord.RunJob(ctx, jobID, plan, func(ev ShardEvent) {
+		if ev.Status == ShardFailed {
+			failed = append(failed, ev.Shard)
+		}
+	})
 	if err == nil {
 		t.Fatal("RunJob succeeded despite failing cells")
 	}
-	if !strings.Contains(err.Error(), "synthetic failure") {
-		t.Errorf("err = %v, want the synthetic cell failure", err)
+	sort.Ints(failed)
+	if fmt.Sprint(failed) != "[1 2]" {
+		t.Errorf("failed shards %v, want [1 2]", failed)
 	}
-	if !strings.Contains(err.Error(), "shard") {
-		t.Errorf("err = %v, want shard identity in the message", err)
+	if !strings.Contains(err.Error(), "synthetic failure for param 3") {
+		t.Errorf("err = %v, want the synthetic cell failure of param 3", err)
+	}
+	if !strings.Contains(err.Error(), "shard 1 (cells [5, 10))") {
+		t.Errorf("err = %v, want shard 1's identity in the message", err)
 	}
 	requireNoDistRecords(t, m, jobID)
 	cancel()
 	wg.Wait()
+}
+
+// TestShardsFinishOutOfOrder: one worker finishes the shards in
+// descending index order, each only after the coordinator reported the
+// previous one done. The done events arrive in that order, and the
+// coordinator still assembles the scores in cell order, so Finalize is
+// bit-identical to single-node Select.
+func TestShardsFinishOutOfOrder(t *testing.T) {
+	ts := testJobSpec{Seed: 65}
+	want, err := cvcp.Select(context.Background(), testSelectionSpec(ts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := store.NewMemory()
+	defer m.Close()
+	jobID, plan := publishJob(t, m, ts)
+	shards := len(planShards(plan.NumCells(), plan.NumFolds()))
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	events := make(chan ShardEvent, 2*shards) // one leased and one done per shard
+	type runResult struct {
+		scores []float64
+		err    error
+	}
+	resCh := make(chan runResult, 1)
+	coord := &Coordinator{Store: m, Poll: 3 * time.Millisecond}
+	go func() {
+		scores, err := coord.RunJob(ctx, jobID, plan, func(ev ShardEvent) { events <- ev })
+		resCh <- runResult{scores, err}
+	}()
+
+	waitPublished(t, m, ShardID(jobID, shards-1))
+	w := &Worker{Store: m, ID: "w0", Resolve: testResolve, Workers: 2}
+	var order, wantOrder []int
+	for i := shards - 1; i >= 0; i-- {
+		st, epoch, ok := w.tryAcquire(ShardID(jobID, i))
+		if !ok {
+			t.Fatalf("shard %d was not acquirable", i)
+		}
+		w.process(ctx, st, epoch)
+		wantOrder = append(wantOrder, i)
+		for reported := false; !reported; {
+			select {
+			case ev := <-events:
+				if ev.Status == ShardDone {
+					order, reported = append(order, ev.Shard), true
+				}
+			case res := <-resCh:
+				t.Fatalf("RunJob returned (err %v) before shard %d was reported done", res.err, i)
+			}
+		}
+	}
+	if fmt.Sprint(order) != fmt.Sprint(wantOrder) {
+		t.Errorf("done events for shards %v, want %v", order, wantOrder)
+	}
+	res := <-resCh
+	if res.err != nil {
+		t.Fatal(res.err)
+	}
+	got, err := plan.Finalize(context.Background(), res.scores, 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	equalResults(t, want, got, "out-of-order merge vs single-node")
+	requireNoDistRecords(t, m, jobID)
 }
 
 // TestPlanShards: every shard holds whole (candidate, parameter)

@@ -65,13 +65,58 @@ func TestCoordinatorShardReadFailure(t *testing.T) {
 	wg.Wait()
 }
 
-// TestWorkerPartialPutFailureReclaimed: a worker that computes a shard
-// but cannot write its partial must not mark the shard done; the lease
-// expires, the shard is re-leased at a higher epoch and recomputed, and
-// the job still finishes bit-identical to single-node. This is the
-// crash-equivalence claim for the write path: losing a result write is
-// indistinguishable from losing the worker.
-func TestWorkerPartialPutFailureReclaimed(t *testing.T) {
+// writeLog is a worker's Store that records every record written
+// through it, in order. With refuseDone set it refuses the first done
+// transition, which it recognizes by the record the transition would
+// write, with errInjected; a heartbeat of the same shard passes.
+type writeLog struct {
+	Store
+	refuseDone bool
+
+	mu      sync.Mutex
+	writes  []store.Record
+	refused *store.Record // the refused done transition's record
+}
+
+func (l *writeLog) Put(rec store.Record) error {
+	if err := l.Store.Put(rec); err != nil {
+		return err
+	}
+	l.mu.Lock()
+	l.writes = append(l.writes, rec)
+	l.mu.Unlock()
+	return nil
+}
+
+func (l *writeLog) Update(id string, fn func(store.Record, bool) (store.Record, bool, error)) (store.Record, error) {
+	injected := false
+	rec, err := l.Store.Update(id, func(cur store.Record, ok bool) (store.Record, bool, error) {
+		next, write, err := fn(cur, ok)
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		if err != nil || !write {
+			return next, write, err
+		}
+		if l.refuseDone && l.refused == nil && next.Status == ShardDone {
+			l.refused, injected = &next, true
+			return cur, false, nil
+		}
+		l.writes = append(l.writes, next)
+		return next, true, nil
+	})
+	if injected {
+		return store.Record{}, errInjected
+	}
+	return rec, err
+}
+
+// TestWorkerDoneTransitionFailureReclaimed: a worker that computes a
+// shard but cannot write its done transition leaves the shard leased;
+// the lease expires, the shard is re-leased at a higher epoch and
+// recomputed, and the job still finishes bit-identical to single-node.
+// This is the crash-equivalence claim for the write path: losing a
+// result write is indistinguishable from losing the worker.
+func TestWorkerDoneTransitionFailureReclaimed(t *testing.T) {
 	ts := testJobSpec{Seed: 73}
 	want, err := cvcp.Select(context.Background(), testSelectionSpec(ts))
 	if err != nil {
@@ -80,16 +125,13 @@ func TestWorkerPartialPutFailureReclaimed(t *testing.T) {
 	mem := store.NewMemory()
 	defer mem.Close()
 	jobID, plan := publishJob(t, mem, ts)
-	faulty := storetest.Wrap(mem)
-	// A worker's only Puts are partials: losing the first one simulates
-	// the write failing after the compute succeeded.
-	faulty.FailCalls(storetest.OpPut, errInjected, 1)
+	wlog := &writeLog{Store: mem, refuseDone: true}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var wg sync.WaitGroup
 	reclaimsBefore := mShardReclaims.Value()
-	startWorker(ctx, &wg, faulty, "w0")
+	startWorker(ctx, &wg, wlog, "w0")
 
 	coord := &Coordinator{Store: mem, Poll: 3 * time.Millisecond}
 	scores, err := coord.RunJob(ctx, jobID, plan, nil)
@@ -100,24 +142,39 @@ func TestWorkerPartialPutFailureReclaimed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	equalResults(t, want, got, "post-put-failure vs single-node")
+	equalResults(t, want, got, "post-done-failure vs single-node")
 
-	if n := faulty.Calls(storetest.OpPut); n < 2 {
-		t.Fatalf("worker issued %d partial Put(s); the injected failure was never retried", n)
-	}
-	// The lost shard had to be leased again at a higher epoch before its
-	// recompute — visible as a reclaim in the worker's own accounting.
-	if d := mShardReclaims.Value() - reclaimsBefore; d < 1 {
-		t.Errorf("no shard lease was reclaimed after the lost partial (reclaim delta %d)", d)
-	}
-	requireNoDistRecords(t, mem, jobID)
 	cancel()
 	wg.Wait()
+	refused := wlog.refused
+	if refused == nil {
+		t.Fatal("no done transition was refused")
+	}
+	lost, err := decodeShardState(*refused)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The refused shard was done later, by a lease of a higher epoch —
+	// visible as a reclaim in the worker's own accounting.
+	redone := false
+	for _, rec := range wlog.writes {
+		st, err := decodeShardState(rec)
+		if err == nil && rec.ID == refused.ID && rec.Status == ShardDone && st.Epoch > lost.Epoch {
+			redone = true
+		}
+	}
+	if !redone {
+		t.Errorf("shard %s was not done at an epoch above %d after its refused done transition", refused.ID, lost.Epoch)
+	}
+	if d := mShardReclaims.Value() - reclaimsBefore; d < 1 {
+		t.Errorf("no shard lease was reclaimed after the refused done transition (reclaim delta %d)", d)
+	}
+	requireNoDistRecords(t, mem, jobID)
 }
 
 // TestWorkerJobReadFailureReclaimed: a worker whose read of the job
 // record fails has learned nothing about the shard's cells, so it must
-// not fail the shard, whose partial errors are deterministic; it writes
+// not fail the shard, whose recorded errors are deterministic; it writes
 // nothing, the lease expires, the shard is re-leased at a higher epoch,
 // and the job finishes bit-identical to single-node.
 func TestWorkerJobReadFailureReclaimed(t *testing.T) {
@@ -130,14 +187,16 @@ func TestWorkerJobReadFailureReclaimed(t *testing.T) {
 	defer mem.Close()
 	jobID, plan := publishJob(t, mem, ts)
 	faulty := storetest.Wrap(mem)
-	// A worker's first Get is its read of the job record.
+	// A worker's first Get is its read of the job record, while it
+	// processes the first shard it acquired: shard 0.
 	faulty.FailCalls(storetest.OpGet, errInjected, 1)
+	wlog := &writeLog{Store: faulty}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var wg sync.WaitGroup
 	reclaimsBefore := mShardReclaims.Value()
-	startWorker(ctx, &wg, faulty, "w0")
+	startWorker(ctx, &wg, wlog, "w0")
 
 	coord := &Coordinator{Store: mem, Poll: 3 * time.Millisecond}
 	scores, err := coord.RunJob(ctx, jobID, plan, nil)
@@ -150,16 +209,28 @@ func TestWorkerJobReadFailureReclaimed(t *testing.T) {
 	}
 	equalResults(t, want, got, "post-read-failure vs single-node")
 
-	// One partial Put per shard: the failed read wrote none.
-	if n, shards := faulty.Calls(storetest.OpPut), len(planShards(plan.NumCells(), plan.NumFolds())); n != shards {
-		t.Errorf("worker issued %d partial Put(s) for %d shards", n, shards)
+	cancel()
+	wg.Wait()
+	// The failed read wrote nothing: shard 0's only write at epoch 1 is
+	// the acquire, and the worker wrote no record but shard records.
+	atFirstLease := 0
+	for _, rec := range wlog.writes {
+		st, err := decodeShardState(rec)
+		if err != nil || !strings.HasPrefix(rec.ID, shardPrefix) {
+			t.Errorf("worker wrote %s (status %q), not a shard record", rec.ID, rec.Status)
+			continue
+		}
+		if rec.ID == ShardID(jobID, 0) && st.Epoch == 1 {
+			atFirstLease++
+		}
+	}
+	if atFirstLease != 1 {
+		t.Errorf("worker wrote shard 0 %d times at epoch 1, want only its acquire", atFirstLease)
 	}
 	if d := mShardReclaims.Value() - reclaimsBefore; d < 1 {
 		t.Errorf("no shard lease was reclaimed after the failed read (reclaim delta %d)", d)
 	}
 	requireNoDistRecords(t, mem, jobID)
-	cancel()
-	wg.Wait()
 }
 
 // TestWorkerUnplannableJobFailsShard: a job the worker cannot plan — no

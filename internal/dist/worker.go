@@ -27,8 +27,8 @@ var errJobRead = errors.New("dist: reading job record")
 type Worker struct {
 	// Store is the shared store of the topology.
 	Store Store
-	// ID names this worker in leases and partials. It must be unique in
-	// the topology (cvcpd derives it from hostname and PID).
+	// ID names this worker in shard leases. It must be unique in the
+	// topology (cvcpd derives it from hostname and PID).
 	ID string
 	// Resolve reconstructs a job's cell plan from the job's record — the
 	// record stored under the job ID a shard names — and is the seam
@@ -73,7 +73,7 @@ func (w *Worker) pollEvery() time.Duration {
 // Run scans for acquirable shards and computes them until ctx is done,
 // which is the only way it returns (with ctx's error). Transient store
 // and compute failures never stop the loop — failed shards are reported
-// through their partial records, and a closed store only surfaces if it
+// through their shard records, and a closed store only surfaces if it
 // stays closed.
 func (w *Worker) Run(ctx context.Context) error {
 	for {
@@ -173,11 +173,11 @@ func (w *Worker) tryAcquire(id string) (ShardState, int, bool) {
 }
 
 // process computes one acquired shard: resolve the plan, heartbeat the
-// lease, score the cell range, write the partial and mark the shard
-// done. A lost lease (reclaimed, or the job's records deleted by
-// cancellation) aborts the computation without writing anything; the
-// done-transition is epoch-guarded, so a stale worker can never clobber
-// a reclaimer's result.
+// lease, score the cell range, and write the scores into the shard
+// record as it is marked done. A lost lease (reclaimed, or the job's
+// records deleted by cancellation) aborts the computation without
+// writing anything; the done transition is epoch-guarded, so a stale
+// worker can never clobber a reclaimer's result.
 func (w *Worker) process(ctx context.Context, st ShardState, epoch int) {
 	plan, err := w.plan(st)
 	if errors.Is(err, errJobRead) {
@@ -283,33 +283,17 @@ func (w *Worker) gc() {
 func (w *Worker) heartbeat(ctx context.Context, cancel context.CancelFunc, st ShardState, epoch int) {
 	ticker := time.NewTicker(w.leaseTTL() / 3)
 	defer ticker.Stop()
-	id := ShardID(st.Job, st.Index)
 	for {
 		select {
 		case <-ctx.Done():
 			return
 		case <-ticker.C:
 		}
-		lost := false
-		_, err := w.Store.Update(id, func(cur store.Record, ok bool) (store.Record, bool, error) {
-			if !ok {
-				lost = true
-				return cur, false, nil
-			}
-			s, err := decodeShardState(cur)
-			if err != nil || s.Owner != w.ID || s.Epoch != epoch || cur.Status != ShardLeased {
-				lost = true
-				return cur, false, nil
-			}
+		held, err := w.transition(st, epoch, ShardLeased, func(s *ShardState) {
 			//cvcplint:ignore nondeterm lease renewal stamp: wall-clock drives the lease protocol only, never a score or seed
 			s.ExpiresUnixMilli = time.Now().Add(w.leaseTTL()).UnixMilli()
-			rec, err := shardRecord(s, ShardLeased)
-			if err != nil {
-				return cur, false, err
-			}
-			return rec, true, nil
 		})
-		if lost {
+		if !held {
 			cancel()
 			return
 		}
@@ -320,26 +304,32 @@ func (w *Worker) heartbeat(ctx context.Context, cancel context.CancelFunc, st Sh
 	}
 }
 
-// finish writes the shard's partial (scores or deterministic error) and
-// marks the shard done, both guarded by still holding the lease at the
-// epoch the shard was acquired with.
+// finish writes the shard's scores (or its deterministic error) into
+// the shard record and marks it done, in one transition guarded like a
+// heartbeat. A failed write leaves the shard leased: the lease expires
+// and a reclaimer recomputes it.
 func (w *Worker) finish(st ShardState, epoch int, scores []float64, reused int, cerr error) {
-	p := Partial{Job: st.Job, Index: st.Index, Lo: st.Lo, Hi: st.Hi, Worker: w.ID}
-	if cerr != nil {
-		p.Error = cerr.Error()
-	} else {
-		p.ScoreBits = encodeScores(scores)
-		p.Reused = reused
-	}
-	prec, err := partRecord(p)
-	if err != nil {
-		return
-	}
-	if err := w.Store.Put(prec); err != nil {
-		return // lease will expire; a reclaimer recomputes
-	}
-	id := ShardID(st.Job, st.Index)
-	_, _ = w.Store.Update(id, func(cur store.Record, ok bool) (store.Record, bool, error) {
+	_, _ = w.transition(st, epoch, ShardDone, func(s *ShardState) {
+		s.ExpiresUnixMilli = 0
+		if cerr != nil {
+			s.Error = cerr.Error()
+			return
+		}
+		s.ScoreBits = encodeScores(scores)
+		s.Reused = reused
+	})
+}
+
+// transition is the compare-and-swap behind every write a worker makes
+// to a shard it acquired: while the record is still leased to this
+// worker at epoch, it applies change and writes the record with status.
+// held is false only when the lease is gone (the record vanished or
+// another acquisition replaced it); a store error leaves held true, as
+// it says nothing about the lease.
+func (w *Worker) transition(st ShardState, epoch int, status string, change func(*ShardState)) (held bool, err error) {
+	held = true
+	_, err = w.Store.Update(ShardID(st.Job, st.Index), func(cur store.Record, ok bool) (store.Record, bool, error) {
+		held = false
 		if !ok || cur.Status != ShardLeased {
 			return cur, false, nil
 		}
@@ -347,11 +337,13 @@ func (w *Worker) finish(st ShardState, epoch int, scores []float64, reused int, 
 		if err != nil || s.Owner != w.ID || s.Epoch != epoch {
 			return cur, false, nil
 		}
-		s.ExpiresUnixMilli = 0
-		rec, err := shardRecord(s, ShardDone)
+		held = true
+		change(&s)
+		rec, err := shardRecord(s, status)
 		if err != nil {
 			return cur, false, err
 		}
 		return rec, true, nil
 	})
+	return held, err
 }

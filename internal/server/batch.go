@@ -1,7 +1,6 @@
 package server
 
 import (
-	"errors"
 	"net/http"
 	"strconv"
 	"strings"
@@ -109,18 +108,8 @@ func (a *api) submitBatch(w http.ResponseWriter, r *http.Request) {
 		items[i].Spec.Tenant = requestTenant(r)
 	}
 	view, err := a.m.SubmitBatch(items)
-	switch {
-	case errors.Is(err, ErrQueueFull):
-		writeError(w, &apiError{status: http.StatusTooManyRequests, Code: "queue_full", Message: err.Error()})
-		return
-	case errors.Is(err, ErrTenantQuota):
-		writeError(w, &apiError{status: http.StatusTooManyRequests, Code: "quota_exceeded", Message: err.Error()})
-		return
-	case errors.Is(err, ErrDraining):
-		writeError(w, &apiError{status: http.StatusServiceUnavailable, Code: "draining", Message: err.Error()})
-		return
-	case err != nil:
-		writeError(w, &apiError{status: http.StatusInternalServerError, Code: "internal", Message: err.Error()})
+	if err != nil {
+		writeManagerError(w, err)
 		return
 	}
 	w.Header().Set("Location", "/v1/batches/"+view.ID)

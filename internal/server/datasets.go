@@ -30,8 +30,21 @@ const (
 	datasetRowsStatus  = "dataset-rows"
 )
 
-// ErrDatasetNotFound marks an unknown (or deleted) dataset ID.
-var ErrDatasetNotFound = errors.New("server: no such dataset")
+var (
+	// ErrDatasetNotFound marks an unknown (or deleted) dataset ID.
+	ErrDatasetNotFound = errors.New("server: no such dataset")
+	// ErrRowsRejected marks a row batch the dataset refuses: an empty
+	// batch, a label or column layout that differs from the dataset's,
+	// or a non-finite value.
+	ErrRowsRejected = errors.New("server: row batch rejected")
+)
+
+// rowsRejected wraps a row batch's validation error so that it matches
+// ErrRowsRejected while its message stays the validator's own.
+type rowsRejected struct{ error }
+
+func (r rowsRejected) Is(target error) bool { return target == ErrRowsRejected }
+func (r rowsRejected) Unwrap() error        { return r.error }
 
 // datasetMetaRecord is the Spec payload of a dataset meta record.
 type datasetMetaRecord struct {
@@ -195,7 +208,7 @@ func (m *Manager) AppendRows(id string, b dataset.RowBatch) (DatasetView, error)
 	err := md.v.CanAppend(b)
 	m.dsMu.Unlock()
 	if err != nil {
-		return DatasetView{}, err
+		return DatasetView{}, rowsRejected{err}
 	}
 	rec, err := encodeBatchRecord(id, version, b, time.Now())
 	if err != nil {

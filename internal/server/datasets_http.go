@@ -2,7 +2,6 @@ package server
 
 import (
 	"bufio"
-	"errors"
 	"io"
 	"net/http"
 	"strings"
@@ -39,7 +38,7 @@ func (a *api) createDataset(w http.ResponseWriter, r *http.Request) {
 	}
 	v, err := a.m.CreateDataset(req.Name, req.HasLabel, initial)
 	if err != nil {
-		writeDatasetError(w, err)
+		writeManagerError(w, err)
 		return
 	}
 	w.Header().Set("Location", "/v1/datasets/"+v.ID)
@@ -60,7 +59,7 @@ func (a *api) listDatasets(w http.ResponseWriter, r *http.Request) {
 func (a *api) getDataset(w http.ResponseWriter, r *http.Request) {
 	v, err := a.m.GetDataset(r.PathValue("id"))
 	if err != nil {
-		writeDatasetError(w, err)
+		writeManagerError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, v)
@@ -71,7 +70,7 @@ func (a *api) getDataset(w http.ResponseWriter, r *http.Request) {
 func (a *api) deleteDataset(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if err := a.m.DeleteDataset(id); err != nil {
-		writeDatasetError(w, err)
+		writeManagerError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"id": id, "deleted": true})
@@ -85,7 +84,7 @@ func (a *api) appendRows(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	cur, err := a.m.GetDataset(id)
 	if err != nil {
-		writeDatasetError(w, err)
+		writeManagerError(w, err)
 		return
 	}
 	maxBody := a.m.Config().MaxBodyBytes
@@ -97,7 +96,7 @@ func (a *api) appendRows(w http.ResponseWriter, r *http.Request) {
 	}
 	v, err := a.m.AppendRows(id, b)
 	if err != nil {
-		writeDatasetError(w, err)
+		writeManagerError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, v)
@@ -127,20 +126,4 @@ func readRowBatch(r io.Reader, hasLabel bool, maxBody int64) (dataset.RowBatch, 
 		return dataset.RowBatch{}, apiErr
 	}
 	return dataset.RowBatch{Rows: ds.X, Labels: ds.Y}, nil
-}
-
-// writeDatasetError maps dataset registry errors to API responses:
-// unknown IDs are 404s, rejected batches (validation) are 400s, drains
-// and store failures keep their job-submission semantics.
-func writeDatasetError(w http.ResponseWriter, err error) {
-	switch {
-	case errors.Is(err, ErrDatasetNotFound):
-		writeError(w, &apiError{status: http.StatusNotFound, Code: "not_found", Message: err.Error()})
-	case errors.Is(err, ErrDraining):
-		writeError(w, &apiError{status: http.StatusServiceUnavailable, Code: "draining", Message: err.Error()})
-	case strings.Contains(err.Error(), "persisting"):
-		writeError(w, &apiError{status: http.StatusInternalServerError, Code: "internal", Message: err.Error()})
-	default:
-		writeError(w, badRequest("invalid_request", "%v", err))
-	}
 }

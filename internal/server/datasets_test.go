@@ -267,6 +267,47 @@ func TestDatasetCellCachePutFailureDegrades(t *testing.T) {
 	sameResultView(t, got, want)
 }
 
+// Dataset errors map to API errors by the sentinel the manager wraps,
+// never by their text: a row batch refused by a dataset named
+// "persisting" is the client's 400, and a store failure while deleting a
+// dataset is the server's 500. Both keep the manager's message.
+func TestDatasetErrorsMapByIdentity(t *testing.T) {
+	faulty := storetest.Wrap(store.NewMemory())
+	ts, _ := newTestServer(t, Config{MaxRunningJobs: 1, WorkerBudget: 1, Store: faulty})
+	id := createDatasetHTTP(t, ts.URL, "persisting", growthCSV(t, 0, 4))
+
+	wide, err := dataset.New("rows", [][]float64{{1, 2, 3}}, []int{0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var csv strings.Builder
+	if err := wide.WriteCSV(&csv); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/v1/datasets/"+id+"/rows", "text/csv", strings.NewReader(csv.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := `dataset "persisting": batch row 0 has 3 attributes, want 2`
+	if e := decodeAPIError(t, resp); resp.StatusCode != http.StatusBadRequest || e.Code != "invalid_request" || e.Message != want {
+		t.Errorf("3-attribute append: status %d, error (%q, %q), want 400 (invalid_request, %q)", resp.StatusCode, e.Code, e.Message, want)
+	}
+
+	faulty.FailCalls(storetest.OpDelete, errInjected, 1)
+	req, err := http.NewRequest(http.MethodDelete, ts.URL+"/v1/datasets/"+id, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err = http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want = "server: deleting dataset " + id + ": " + errInjected.Error()
+	if e := decodeAPIError(t, resp); resp.StatusCode != http.StatusInternalServerError || e.Code != "internal" || e.Message != want {
+		t.Errorf("failed delete: status %d, error (%q, %q), want 500 (internal, %q)", resp.StatusCode, e.Code, e.Message, want)
+	}
+}
+
 // Restarting a manager over its file store must resurrect every dataset
 // at its exact version and keep the cell cache warm: the first selection
 // after the restart reuses the whole grid. Deleting the dataset then

@@ -113,11 +113,11 @@ type WorkerConfig struct {
 }
 
 // RunWorker runs the worker role: it leases grid shards from the shared
-// store, computes their cells and writes partial scores back, until ctx
-// is done (which is the only way it returns). The worker rebuilds each
-// job's selection spec from the job's record through the same
-// buildSelectionSpec the coordinator used, so both sides plan identical
-// grids over bit-identical datasets.
+// store, computes their cells and writes the scores into the shard
+// records, until ctx is done (which is the only way it returns). The
+// worker rebuilds each job's selection spec from the job's record
+// through the same buildSelectionSpec the coordinator used, so both
+// sides plan identical grids over bit-identical datasets.
 func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 	ds, ok := cfg.Store.(dist.Store)
 	if !ok {
@@ -152,7 +152,7 @@ func workerBudget(workers int) int {
 // worker, so the cache lives for all the worker's shards of that job):
 // cells another process already scored are served from the shared store
 // instead of recomputed, and the worker reports the split in its
-// partials.
+// shard records.
 func resolvePlan(s store.Store) func(store.Record) (*corecvcp.CellPlan, error) {
 	return func(rec store.Record) (*corecvcp.CellPlan, error) {
 		var sr specRecord

@@ -54,6 +54,26 @@ func writeError(w http.ResponseWriter, e *apiError) {
 	writeJSON(w, e.status, map[string]*apiError{"error": e})
 }
 
+// writeManagerError maps a Manager error to its API response by the
+// sentinel it wraps. An error that wraps none of them is the server's
+// own failure (a store write, say), so it answers 500.
+func writeManagerError(w http.ResponseWriter, err error) {
+	status, code := http.StatusInternalServerError, "internal"
+	switch {
+	case errors.Is(err, ErrDatasetNotFound):
+		status, code = http.StatusNotFound, "not_found"
+	case errors.Is(err, ErrRowsRejected):
+		status, code = http.StatusBadRequest, "invalid_request"
+	case errors.Is(err, ErrQueueFull):
+		status, code = http.StatusTooManyRequests, "queue_full"
+	case errors.Is(err, ErrTenantQuota):
+		status, code = http.StatusTooManyRequests, "quota_exceeded"
+	case errors.Is(err, ErrDraining):
+		status, code = http.StatusServiceUnavailable, "draining"
+	}
+	writeError(w, &apiError{status: status, Code: code, Message: err.Error()})
+}
+
 func (a *api) submit(w http.ResponseWriter, r *http.Request) {
 	maxBody := a.m.Config().MaxBodyBytes
 	r.Body = http.MaxBytesReader(w, r.Body, maxBody)
@@ -74,18 +94,8 @@ func (a *api) submit(w http.ResponseWriter, r *http.Request) {
 	}
 	spec.Tenant = requestTenant(r)
 	j, err := a.m.Submit(spec, ds)
-	switch {
-	case errors.Is(err, ErrQueueFull):
-		writeError(w, &apiError{status: http.StatusTooManyRequests, Code: "queue_full", Message: err.Error()})
-		return
-	case errors.Is(err, ErrTenantQuota):
-		writeError(w, &apiError{status: http.StatusTooManyRequests, Code: "quota_exceeded", Message: err.Error()})
-		return
-	case errors.Is(err, ErrDraining):
-		writeError(w, &apiError{status: http.StatusServiceUnavailable, Code: "draining", Message: err.Error()})
-		return
-	case err != nil:
-		writeError(w, &apiError{status: http.StatusInternalServerError, Code: "internal", Message: err.Error()})
+	if err != nil {
+		writeManagerError(w, err)
 		return
 	}
 	w.Header().Set("Location", "/v1/jobs/"+j.ID())

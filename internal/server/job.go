@@ -126,8 +126,8 @@ func (s Spec) methods() []string {
 // the grid, so a replayed stream may carry two runs' progress). Shard
 // events exist only on distributed jobs (coordinator role) and report
 // shard lifecycle transitions: ShardStatus "leased" when a worker
-// acquires (or reclaims) a shard, "done"/"failed" when its partial
-// result lands.
+// acquires (or reclaims) a shard, "done"/"failed" when its result
+// lands in the shard record.
 type Event struct {
 	Seq    int    `json:"seq"`
 	Type   string `json:"type"` // "status", "progress" or "shard"

@@ -97,11 +97,10 @@ type snapshot struct {
 //
 // Only what a second process makes unsafe stays single-process: a
 // shared store neither compacts nor sweeps orphans at open. It is built
-// for the bounded coordination state of a running topology (job,
-// shard-lease and partial-score records, which the coordinator deletes
-// as jobs finish), not for long-lived archives. Deleted state stops
-// occupying memory but its log lines remain until the directory is
-// recycled.
+// for the bounded coordination state of a running topology (job and
+// shard records, which the coordinator deletes as jobs finish), not for
+// long-lived archives. Deleted state stops occupying memory but its log
+// lines remain until the directory is recycled.
 type File struct {
 	dir string
 

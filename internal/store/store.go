@@ -187,7 +187,7 @@ type Store interface {
 // stops at the first ID that lacks it: IDs sort ascending, so every
 // later ID sorts after the whole prefix range. Dataset deletion sweeps
 // a dataset's row batches and cell records with it, and the coordinator
-// a job's shard and partial records.
+// a job's shard records.
 func DeletePrefix(s Store, prefix string) (int, error) {
 	removed := 0
 	cursor := prefix
