@@ -14,7 +14,6 @@ import (
 	"math/rand"
 	"sort"
 
-	"cvcp/internal/cluster/kmeans"
 	"cvcp/internal/constraints"
 	"cvcp/internal/linalg"
 )
@@ -38,6 +37,46 @@ type Result struct {
 // exists for some object (e.g. more mutually cannot-linked must-link
 // components than clusters).
 var ErrInfeasible = fmt.Errorf("copkmeans: constraints unsatisfiable")
+
+// seedPlusPlus selects k initial centers with the k-means++ D² weighting.
+func seedPlusPlus(r *rand.Rand, x [][]float64, k int) [][]float64 {
+	n := len(x)
+	centers := make([][]float64, 0, k)
+	centers = append(centers, linalg.Clone(x[r.Intn(n)]))
+	d2 := make([]float64, n)
+	for i := range d2 {
+		d2[i] = linalg.SqDist(x[i], centers[0])
+	}
+	for len(centers) < k {
+		var total float64
+		for _, d := range d2 {
+			total += d
+		}
+		var next int
+		if total <= 0 {
+			next = r.Intn(n) // all points coincide with some center
+		} else {
+			target := r.Float64() * total
+			cum := 0.0
+			next = n - 1
+			for i, d := range d2 {
+				cum += d
+				if cum >= target {
+					next = i
+					break
+				}
+			}
+		}
+		c := linalg.Clone(x[next])
+		centers = append(centers, c)
+		for i := range d2 {
+			if d := linalg.SqDist(x[i], c); d < d2[i] {
+				d2[i] = d
+			}
+		}
+	}
+	return centers
+}
 
 // Run clusters x into cfg.K clusters without violating any constraint in
 // cons. Must-link components are assigned atomically; a cannot-link blocks a
@@ -102,7 +141,7 @@ func Run(x [][]float64, cons *constraints.Set, cfg Config) (*Result, error) {
 	}
 
 	r := rand.New(rand.NewSource(cfg.Seed))
-	centers := kmeans.SeedPlusPlus(r, x, cfg.K)
+	centers := seedPlusPlus(r, x, cfg.K)
 	dim := len(x[0])
 	labels := make([]int, n)
 	compLabel := make([]int, len(comps))

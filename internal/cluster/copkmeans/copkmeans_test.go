@@ -127,3 +127,19 @@ func TestDeterministic(t *testing.T) {
 		}
 	}
 }
+
+func TestSeedPlusPlusCount(t *testing.T) {
+	x, _ := blobs(5, 10)
+	r := stats.NewRand(1)
+	centers := seedPlusPlus(r, x, 3)
+	if len(centers) != 3 {
+		t.Fatalf("got %d centers", len(centers))
+	}
+	// Centers are copies, not aliases into x.
+	centers[0][0] = 1e9
+	for _, p := range x {
+		if p[0] == 1e9 {
+			t.Fatal("seedPlusPlus aliases input data")
+		}
+	}
+}

@@ -17,6 +17,23 @@ func line(points ...float64) [][]float64 {
 	return x
 }
 
+// members returns the object indices under node id.
+func members(d *hierarchy.Dendrogram, id int) []int {
+	var out []int
+	stack := []int{id}
+	for len(stack) > 0 {
+		v := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		nd := d.Nodes[v]
+		if nd.Point >= 0 {
+			out = append(out, nd.Point)
+			continue
+		}
+		stack = append(stack, nd.Left, nd.Right)
+	}
+	return out
+}
+
 func mustDendrogram(t *testing.T, x [][]float64) *hierarchy.Dendrogram {
 	t.Helper()
 	d, err := hierarchy.SingleLinkage(x)
@@ -132,7 +149,7 @@ func bruteForce(d *hierarchy.Dendrogram, cons *constraints.Set, cfg Config) floa
 		var opts []labeling
 		if nd.Size < minSize {
 			all := labeling{}
-			for _, o := range d.Members(id) {
+			for _, o := range members(d, id) {
 				all[o] = -1
 			}
 			return []labeling{all}
@@ -154,7 +171,7 @@ func bruteForce(d *hierarchy.Dendrogram, cons *constraints.Set, cfg Config) floa
 		if selectable {
 			nextID++
 			all := labeling{}
-			for _, o := range d.Members(id) {
+			for _, o := range members(d, id) {
 				all[o] = nextID
 			}
 			opts = append(opts, all)

@@ -173,24 +173,6 @@ func (d *Dendrogram) merge(a, b int, h float64) int {
 	return id
 }
 
-// Members returns the sorted object indices under node id.
-func (d *Dendrogram) Members(id int) []int {
-	var out []int
-	stack := []int{id}
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		nd := d.Nodes[v]
-		if nd.Point >= 0 {
-			out = append(out, nd.Point)
-			continue
-		}
-		stack = append(stack, nd.Left, nd.Right)
-	}
-	sort.Ints(out)
-	return out
-}
-
 // PostOrder returns the node ids in post-order (children before parents),
 // which is the evaluation order FOSC's dynamic program needs.
 func (d *Dendrogram) PostOrder() []int {
@@ -212,38 +194,4 @@ func (d *Dendrogram) PostOrder() []int {
 		stack = append(stack, frame{id: d.Nodes[f.id].Left})
 	}
 	return out
-}
-
-// CutAt returns the flat clustering obtained by cutting the dendrogram at
-// the given height: objects connected by merges with Height <= h share a
-// cluster. Labels are renumbered 0..k-1 in order of first appearance.
-func (d *Dendrogram) CutAt(h float64) []int {
-	labels := make([]int, d.N)
-	for i := range labels {
-		labels[i] = -1
-	}
-	next := 0
-	var assign func(id, lab int)
-	assign = func(id, lab int) {
-		nd := d.Nodes[id]
-		if nd.Point >= 0 {
-			labels[nd.Point] = lab
-			return
-		}
-		assign(nd.Left, lab)
-		assign(nd.Right, lab)
-	}
-	var walk func(id int)
-	walk = func(id int) {
-		nd := d.Nodes[id]
-		if nd.Point >= 0 || nd.Height <= h {
-			assign(id, next)
-			next++
-			return
-		}
-		walk(nd.Left)
-		walk(nd.Right)
-	}
-	walk(d.Root)
-	return labels
 }

@@ -81,12 +81,3 @@ func (l *LCA) Query(a, b int) int {
 	lev := bits.Len(uint(j-i)) - 1
 	return int(l.node[min(l.sparse[lev][i], l.sparse[lev][j-1<<lev])])
 }
-
-// MergeHeight returns the dendrogram height at which objects a and b first
-// share a cluster (0 when a == b).
-func (l *LCA) MergeHeight(a, b int) float64 {
-	if a == b {
-		return 0
-	}
-	return l.d.Nodes[l.Query(a, b)].Height
-}

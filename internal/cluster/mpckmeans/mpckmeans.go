@@ -26,7 +26,6 @@ import (
 	"slices"
 	"sort"
 
-	"cvcp/internal/cluster/kmeans"
 	"cvcp/internal/constraints"
 	"cvcp/internal/linalg"
 )
@@ -523,15 +522,4 @@ func (m *model) objective() float64 {
 		}
 	}
 	return J
-}
-
-// Baseline exposes plain k-means through the same result type, for tests and
-// for the Silhouette model-selection baseline which clusters without
-// supervision.
-func Baseline(x [][]float64, k int, seed int64) (*Result, error) {
-	res, err := kmeans.Run(x, kmeans.Config{K: k, Seed: seed})
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Labels: res.Labels, Centers: res.Centers, Objective: res.Objective, Iters: res.Iters}, nil
 }

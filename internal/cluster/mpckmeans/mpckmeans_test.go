@@ -198,17 +198,3 @@ func TestNeighborhoodSeeding(t *testing.T) {
 		t.Error("the two must-link neighborhoods collapsed into one cluster")
 	}
 }
-
-func TestBaseline(t *testing.T) {
-	x, y := twoBlobs(10, 12)
-	res, err := Baseline(x, 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if of := eval.OverallF(res.Labels, y, nil); of < 0.99 {
-		t.Errorf("baseline OverallF = %v", of)
-	}
-	if _, err := Baseline(x, 0, 1); err == nil {
-		t.Error("expected error for K=0")
-	}
-}

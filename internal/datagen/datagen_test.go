@@ -35,9 +35,13 @@ func TestALOIShapes(t *testing.T) {
 		if ds.N() != 125 || ds.Dims() != 144 || ds.NumClasses() != 5 {
 			t.Errorf("%s: %d×%d, %d classes", ds.Name, ds.N(), ds.Dims(), ds.NumClasses())
 		}
-		for c, idx := range ds.ClassIndices() {
-			if len(idx) != 25 {
-				t.Errorf("%s class %d has %d objects, want 25", ds.Name, c, len(idx))
+		counts := make([]int, ds.NumClasses())
+		for _, y := range ds.Y {
+			counts[y]++
+		}
+		for c, n := range counts {
+			if n != 25 {
+				t.Errorf("%s class %d has %d objects, want 25", ds.Name, c, n)
 			}
 		}
 	}

@@ -1,7 +1,6 @@
 // Package dataset defines the in-memory dataset representation shared by the
 // clustering algorithms, the CVCP framework and the experiment harness, along
-// with CSV import/export and common preprocessing (z-score standardization,
-// stratified sampling).
+// with CSV import/export and label sampling.
 package dataset
 
 import (
@@ -93,18 +92,6 @@ func (d *Dataset) Classes() []int {
 // NumClasses returns the number of distinct non-negative labels.
 func (d *Dataset) NumClasses() int { return len(d.Classes()) }
 
-// ClassIndices returns, for each class label in Classes() order, the indices
-// of the objects carrying that label.
-func (d *Dataset) ClassIndices() map[int][]int {
-	out := map[int][]int{}
-	for i, y := range d.Y {
-		if y >= 0 {
-			out[y] = append(out[y], i)
-		}
-	}
-	return out
-}
-
 // Clone returns a deep copy of the dataset.
 func (d *Dataset) Clone() *Dataset {
 	c := &Dataset{Name: d.Name, X: linalg.CloneMatrix(d.X)}
@@ -112,33 +99,6 @@ func (d *Dataset) Clone() *Dataset {
 		c.Y = append([]int(nil), d.Y...)
 	}
 	return c
-}
-
-// Standardize z-scores every attribute in place: (x - mean) / std, with
-// constant attributes left centered at zero. It returns the receiver for
-// chaining.
-func (d *Dataset) Standardize() *Dataset {
-	n, dim := d.N(), d.Dims()
-	for j := 0; j < dim; j++ {
-		var mean float64
-		for i := 0; i < n; i++ {
-			mean += d.X[i][j]
-		}
-		mean /= float64(n)
-		var varsum float64
-		for i := 0; i < n; i++ {
-			v := d.X[i][j] - mean
-			varsum += v * v
-		}
-		std := math.Sqrt(varsum / float64(n))
-		if std == 0 {
-			std = 1
-		}
-		for i := 0; i < n; i++ {
-			d.X[i][j] = (d.X[i][j] - mean) / std
-		}
-	}
-	return d
 }
 
 // SampleLabels returns the indices of a uniform random sample containing
@@ -159,32 +119,4 @@ func (d *Dataset) SampleLabels(r *rand.Rand, frac float64) []int {
 	idx := append([]int(nil), p[:k]...)
 	sort.Ints(idx)
 	return idx
-}
-
-// StratifiedSample returns frac of the objects of each class (at least one
-// per class), mirroring the paper's constraint-pool construction that draws
-// 10% of the objects from each class.
-func (d *Dataset) StratifiedSample(r *rand.Rand, frac float64) []int {
-	if d.Y == nil {
-		panic("dataset: StratifiedSample requires labels")
-	}
-	var out []int
-	byClass := d.ClassIndices()
-	classes := d.Classes()
-	for _, c := range classes {
-		members := byClass[c]
-		k := int(math.Round(frac * float64(len(members))))
-		if k < 1 {
-			k = 1
-		}
-		if k > len(members) {
-			k = len(members)
-		}
-		p := r.Perm(len(members))
-		for _, j := range p[:k] {
-			out = append(out, members[j])
-		}
-	}
-	sort.Ints(out)
-	return out
 }

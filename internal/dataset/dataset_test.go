@@ -44,23 +44,6 @@ func TestClassQueries(t *testing.T) {
 	if ds.NumClasses() != 2 {
 		t.Errorf("NumClasses = %d", ds.NumClasses())
 	}
-	byClass := ds.ClassIndices()
-	if len(byClass[2]) != 2 || byClass[2][0] != 0 || byClass[2][1] != 2 {
-		t.Errorf("ClassIndices = %v", byClass)
-	}
-}
-
-func TestStandardize(t *testing.T) {
-	ds := MustNew("t", [][]float64{{1, 5}, {3, 5}}, nil)
-	ds.Standardize()
-	// First attribute: mean 2, population std 1 -> values ±1.
-	if ds.X[0][0] != -1 || ds.X[1][0] != 1 {
-		t.Errorf("standardized = %v", ds.X)
-	}
-	// Constant attribute: centered, not divided by zero.
-	if ds.X[0][1] != 0 || ds.X[1][1] != 0 {
-		t.Errorf("constant attribute = %v %v", ds.X[0][1], ds.X[1][1])
-	}
 }
 
 func TestCloneIndependence(t *testing.T) {
@@ -94,26 +77,6 @@ func TestSampleLabels(t *testing.T) {
 	// Tiny fractions still return at least two objects.
 	if got := ds.SampleLabels(r, 0.001); len(got) != 2 {
 		t.Errorf("minimum sample = %d, want 2", len(got))
-	}
-}
-
-func TestStratifiedSample(t *testing.T) {
-	x := make([][]float64, 30)
-	y := make([]int, 30)
-	for i := range x {
-		x[i] = []float64{float64(i)}
-		y[i] = i / 10 // 3 classes of 10
-	}
-	ds := MustNew("t", x, y)
-	idx := ds.StratifiedSample(stats.NewRand(2), 0.2)
-	counts := map[int]int{}
-	for _, i := range idx {
-		counts[y[i]]++
-	}
-	for c := 0; c < 3; c++ {
-		if counts[c] != 2 {
-			t.Errorf("class %d sampled %d times, want 2", c, counts[c])
-		}
 	}
 }
 

@@ -179,15 +179,3 @@ func HashRows(x [][]float64, y []int, idx []int) string {
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }
-
-// HashFold is HashRows over the rows StableFold assigns to fold f among the
-// first n rows of the dataset.
-func (d *Dataset) HashFold(f, nFolds int) string {
-	idx := make([]int, 0, d.N()/nFolds+1)
-	for i := 0; i < d.N(); i++ {
-		if StableFold(i, nFolds) == f {
-			idx = append(idx, i)
-		}
-	}
-	return HashRows(d.X, d.Y, idx)
-}

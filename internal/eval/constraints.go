@@ -2,7 +2,7 @@
 // constraint-classification F-measure CVCP scores candidate models with
 // (§3.2), the external Overall F-Measure used as clustering ground-truth
 // agreement (§4.1), the Silhouette coefficient baseline for selecting k, and
-// additional pair-counting indices (Rand, adjusted Rand) for diagnostics.
+// the relative validity indices the validity scorer selects with.
 package eval
 
 import (

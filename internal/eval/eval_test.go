@@ -175,48 +175,6 @@ func TestOverallFRange(t *testing.T) {
 	}
 }
 
-func TestRandIndex(t *testing.T) {
-	labels := []int{0, 0, 1, 1}
-	truth := []int{0, 0, 1, 1}
-	if got := RandIndex(labels, truth, nil); got != 1 {
-		t.Errorf("Rand = %v", got)
-	}
-	// One object moved: pairs (0,1) same/same, (2,3): labels diff... check range.
-	labels2 := []int{0, 0, 0, 1}
-	got := RandIndex(labels2, truth, nil)
-	if got <= 0 || got >= 1 {
-		t.Errorf("Rand = %v, want in (0,1)", got)
-	}
-}
-
-func TestAdjustedRandIndex(t *testing.T) {
-	truth := []int{0, 0, 1, 1, 2, 2}
-	if got := AdjustedRandIndex(truth, truth, nil); math.Abs(got-1) > 1e-12 {
-		t.Errorf("ARI of identical = %v", got)
-	}
-	// Single cluster vs 3 classes: ARI = 0 (expected agreement only).
-	ones := []int{0, 0, 0, 0, 0, 0}
-	if got := AdjustedRandIndex(ones, truth, nil); math.Abs(got) > 1e-12 {
-		t.Errorf("ARI of trivial clustering = %v, want 0", got)
-	}
-}
-
-// Property: ARI <= 1 always, with equality for identical partitions.
-func TestARIBound(t *testing.T) {
-	f := func(labels, truth [9]uint8) bool {
-		lab := make([]int, 9)
-		tr := make([]int, 9)
-		for i := range labels {
-			lab[i] = int(labels[i] % 4)
-			tr[i] = int(truth[i] % 3)
-		}
-		return AdjustedRandIndex(lab, tr, nil) <= 1+1e-12
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestSilhouetteTwoTightClusters(t *testing.T) {
 	x := [][]float64{{0, 0}, {0.1, 0}, {10, 0}, {10.1, 0}}
 	labels := []int{0, 0, 1, 1}

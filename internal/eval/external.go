@@ -70,70 +70,3 @@ func OverallF(labels, truth []int, eval []int) float64 {
 	}
 	return total
 }
-
-// pairCounts tallies the pair-counting contingency (a: same/same, b:
-// same/diff, c: diff/same, d: diff/diff) between two labelings over the
-// evaluation objects. Noise objects count as singleton clusters.
-func pairCounts(labels, truth []int, idx []int) (a, b, c, d float64) {
-	for i := 0; i < len(idx); i++ {
-		for j := i + 1; j < len(idx); j++ {
-			oi, oj := idx[i], idx[j]
-			sameL := SameCluster(labels, oi, oj)
-			sameT := truth[oi] == truth[oj]
-			switch {
-			case sameL && sameT:
-				a++
-			case sameL && !sameT:
-				b++
-			case !sameL && sameT:
-				c++
-			default:
-				d++
-			}
-		}
-	}
-	return
-}
-
-// RandIndex computes the Rand index between the clustering and the ground
-// truth over the evaluation objects (all when eval is nil).
-func RandIndex(labels, truth []int, eval []int) float64 {
-	idx := allIdx(labels, eval)
-	a, b, c, d := pairCounts(labels, truth, idx)
-	total := a + b + c + d
-	if total == 0 {
-		return 0
-	}
-	return (a + d) / total
-}
-
-// AdjustedRandIndex computes the Hubert–Arabie adjusted Rand index between
-// the clustering and the ground truth over the evaluation objects.
-func AdjustedRandIndex(labels, truth []int, eval []int) float64 {
-	idx := allIdx(labels, eval)
-	a, b, c, _ := pairCounts(labels, truth, idx)
-	n := float64(len(idx))
-	if n < 2 {
-		return 0
-	}
-	pairs := n * (n - 1) / 2
-	sumL := a + b // same-cluster pairs
-	sumT := a + c // same-class pairs
-	expected := sumL * sumT / pairs
-	maxIdx := (sumL + sumT) / 2
-	if maxIdx == expected {
-		return 0
-	}
-	return (a - expected) / (maxIdx - expected)
-}
-
-func allIdx(labels []int, eval []int) []int {
-	if eval != nil {
-		return eval
-	}
-	idx := make([]int, len(labels))
-	for i := range idx {
-		idx[i] = i
-	}
-	return idx
-}

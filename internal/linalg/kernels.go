@@ -8,10 +8,10 @@ import "math"
 // pairwise distance is an inherently serial chain of adds — unrolling one
 // pair 4-wide would change the summation order (and therefore the bits) to
 // buy instruction-level parallelism. These kernels unroll ACROSS pairs
-// instead: one call computes a's distance (or dot product) against four
-// rows simultaneously, giving the CPU four independent accumulation chains
+// instead: one call computes a's distance against four rows
+// simultaneously, giving the CPU four independent accumulation chains
 // while each chain keeps the exact element order of the scalar reference
-// (Dot, SqDist, Dist). Every lane of the result is therefore bit-identical
+// (SqDist, Dist). Every lane of the result is therefore bit-identical
 // to the corresponding scalar call — the property the DistMatrix golden
 // tests and the selection engine's bit-identical-results bar rely on.
 //
@@ -25,8 +25,8 @@ import "math"
 
 // Pack4 packs rows b0..b3 into panel in element-interleaved order:
 // panel[4*i+k] = b_k[i]. The rows must share one length and panel must
-// hold at least 4·len(b0) entries. The packed panel is what Dot4, SqDist4
-// and Dist4 consume.
+// hold at least 4·len(b0) entries. The packed panel is what SqDist4 and
+// Dist4 consume.
 func Pack4(panel, b0, b1, b2, b3 []float64) {
 	checkLen(b0, b1)
 	checkLen(b0, b2)
@@ -40,15 +40,6 @@ func Pack4(panel, b0, b1, b2, b3 []float64) {
 		panel[4*i+2] = b2[i]
 		panel[4*i+3] = b3[i]
 	}
-}
-
-// Dot4 computes the four dot products of a with the rows packed in panel:
-// dst[k] = Dot(a, b_k). Each result is bit-identical to the scalar Dot.
-func Dot4(dst *[4]float64, a, panel []float64) {
-	if len(panel) < 4*len(a) {
-		panic("linalg: Dot4 panel too short")
-	}
-	dot4(dst, a, panel)
 }
 
 // SqDist4 computes the four squared Euclidean distances from a to the rows
@@ -69,19 +60,6 @@ func Dist4(dst *[4]float64, a, panel []float64) {
 		panic("linalg: Dist4 panel too short")
 	}
 	dist4(dst, a, panel)
-}
-
-// dot4Generic is the portable reference implementation of Dot4: four
-// independent accumulators, each following the scalar element order.
-func dot4Generic(dst *[4]float64, a, panel []float64) {
-	var s0, s1, s2, s3 float64
-	for i, v := range a {
-		s0 += v * panel[4*i]
-		s1 += v * panel[4*i+1]
-		s2 += v * panel[4*i+2]
-		s3 += v * panel[4*i+3]
-	}
-	dst[0], dst[1], dst[2], dst[3] = s0, s1, s2, s3
 }
 
 // sqDist4Generic is the portable reference implementation of SqDist4.

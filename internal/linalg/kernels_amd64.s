@@ -1,9 +1,9 @@
 // SSE2 quad kernels. Layout contract (see Pack4): panel[4*i+k] = b_k[i],
 // len(panel) >= 4*len(a). Each XMM register holds one element position of
 // two lanes (pairs), so lane accumulation order matches the scalar loops
-// exactly — results are bit-identical to Dot/SqDist/Dist per lane.
+// exactly — results are bit-identical to SqDist/Dist per lane.
 //
-// Register plan (shared by all three kernels):
+// Register plan (shared by both kernels):
 //   DI  = dst, SI = a base, CX = len(a), DX = panel base
 //   AX  = element index i, BX = len(a) rounded down to even (2x unroll)
 //   X4  = accumulators for lanes 0,1    X5 = accumulators for lanes 2,3
@@ -150,63 +150,6 @@ d_tail:
 d_done:
 	SQRTPD X4, X4
 	SQRTPD X5, X5
-	MOVUPD X4, (DI)
-	MOVUPD X5, 16(DI)
-	RET
-
-// func dot4(dst *[4]float64, a, panel []float64)
-TEXT ·dot4(SB), NOSPLIT, $0-56
-	MOVQ dst+0(FP), DI
-	MOVQ a_base+8(FP), SI
-	MOVQ a_len+16(FP), CX
-	MOVQ panel_base+32(FP), DX
-	XORPS X4, X4
-	XORPS X5, X5
-	XORQ  AX, AX
-	MOVQ  CX, BX
-	ANDQ  $-2, BX
-
-dot_loop2:
-	CMPQ AX, BX
-	JGE  dot_tail
-	MOVSD (SI)(AX*8), X0
-	UNPCKLPD X0, X0
-	MOVSD 8(SI)(AX*8), X6
-	UNPCKLPD X6, X6
-	MOVQ AX, R8
-	SHLQ $5, R8
-	MOVUPD (DX)(R8*1), X1
-	MOVUPD 16(DX)(R8*1), X2
-	MOVUPD 32(DX)(R8*1), X7
-	MOVUPD 48(DX)(R8*1), X8
-	MULPD  X0, X1
-	ADDPD  X1, X4
-	MULPD  X0, X2
-	ADDPD  X2, X5
-	MULPD  X6, X7
-	ADDPD  X7, X4
-	MULPD  X6, X8
-	ADDPD  X8, X5
-	ADDQ $2, AX
-	JMP  dot_loop2
-
-dot_tail:
-	CMPQ AX, CX
-	JGE  dot_done
-	MOVSD (SI)(AX*8), X0
-	UNPCKLPD X0, X0
-	MOVQ AX, R8
-	SHLQ $5, R8
-	MOVUPD (DX)(R8*1), X1
-	MOVUPD 16(DX)(R8*1), X2
-	MULPD  X0, X1
-	ADDPD  X1, X4
-	MULPD  X0, X2
-	ADDPD  X2, X5
-	INCQ AX
-	JMP  dot_tail
-
-dot_done:
 	MOVUPD X4, (DI)
 	MOVUPD X5, 16(DI)
 	RET

@@ -2,6 +2,5 @@
 
 package linalg
 
-func dot4(dst *[4]float64, a, panel []float64)    { dot4Generic(dst, a, panel) }
 func sqDist4(dst *[4]float64, a, panel []float64) { sqDist4Generic(dst, a, panel) }
 func dist4(dst *[4]float64, a, panel []float64)   { dist4Generic(dst, a, panel) }

@@ -15,7 +15,7 @@ func quadWant(a, b0, b1, b2, b3 []float64, f func(x, y []float64) float64) [4]fl
 // The kernels' contract is stronger than the "within 1 ULP" floor the
 // benchmark harness documents: because every lane accumulates in the exact
 // element order of the scalar loop, results must be BIT-identical to
-// Dot/SqDist/Dist. This is what lets the blocked DistMatrix builders (and
+// SqDist/Dist. This is what lets the blocked DistMatrix builders (and
 // through them, whole selections) stay bit-identical to the naive path.
 func TestKernelsBitIdenticalToScalar(t *testing.T) {
 	r := rand.New(rand.NewSource(41))
@@ -52,14 +52,6 @@ func TestKernelsBitIdenticalToScalar(t *testing.T) {
 			if want := quadWant(a, b0, b1, b2, b3, Dist); got != want {
 				t.Fatalf("dist4Generic d=%d: got %v want %v", d, got, want)
 			}
-			Dot4(&got, a, panel)
-			if want := quadWant(a, b0, b1, b2, b3, Dot); got != want {
-				t.Fatalf("Dot4 d=%d: got %v want %v", d, got, want)
-			}
-			dot4Generic(&got, a, panel)
-			if want := quadWant(a, b0, b1, b2, b3, Dot); got != want {
-				t.Fatalf("dot4Generic d=%d: got %v want %v", d, got, want)
-			}
 		}
 	}
 }
@@ -94,7 +86,6 @@ func TestKernelPanics(t *testing.T) {
 	short := []float64{1, 2, 3} // < 4*len(a)
 	expectPanic("SqDist4", func() { SqDist4(&dst, a, short) })
 	expectPanic("Dist4", func() { Dist4(&dst, a, short) })
-	expectPanic("Dot4", func() { Dot4(&dst, a, short) })
 	expectPanic("Pack4 short panel", func() { Pack4(short, a, a, a, a) })
 	expectPanic("Pack4 mismatched rows", func() {
 		Pack4(make([]float64, 8), a, a, a, []float64{1})
@@ -162,10 +153,6 @@ func FuzzKernelsMatchScalar(f *testing.F) {
 		Dist4(&got, a, panel)
 		if want := quadWant(a, b0, b1, b2, b3, Dist); got != want {
 			t.Fatalf("Dist4 d=%d: got %v want %v", len(a), got, want)
-		}
-		Dot4(&got, a, panel)
-		if want := quadWant(a, b0, b1, b2, b3, Dot); got != want {
-			t.Fatalf("Dot4 d=%d: got %v want %v", len(a), got, want)
 		}
 	})
 }

@@ -10,21 +10,6 @@ import (
 	"math"
 )
 
-// Dot returns the inner product of a and b. It panics if the lengths differ.
-func Dot(a, b []float64) float64 {
-	checkLen(a, b)
-	var s float64
-	for i, v := range a {
-		s += v * b[i]
-	}
-	return s
-}
-
-// Norm returns the Euclidean norm of a.
-func Norm(a []float64) float64 {
-	return math.Sqrt(Dot(a, a))
-}
-
 // SqDist returns the squared Euclidean distance between a and b.
 func SqDist(a, b []float64) float64 {
 	checkLen(a, b)
@@ -55,26 +40,6 @@ func WeightedSqDist(a, b, w []float64) float64 {
 	return s
 }
 
-// Add stores a+b in dst and returns dst. dst may alias a or b.
-func Add(dst, a, b []float64) []float64 {
-	checkLen(a, b)
-	dst = ensure(dst, len(a))
-	for i := range a {
-		dst[i] = a[i] + b[i]
-	}
-	return dst
-}
-
-// Sub stores a-b in dst and returns dst. dst may alias a or b.
-func Sub(dst, a, b []float64) []float64 {
-	checkLen(a, b)
-	dst = ensure(dst, len(a))
-	for i := range a {
-		dst[i] = a[i] - b[i]
-	}
-	return dst
-}
-
 // Scale stores s*a in dst and returns dst. dst may alias a.
 func Scale(dst []float64, s float64, a []float64) []float64 {
 	dst = ensure(dst, len(a))
@@ -90,20 +55,6 @@ func AXPY(dst []float64, s float64, a []float64) {
 	for i := range a {
 		dst[i] += s * a[i]
 	}
-}
-
-// Mean returns the component-wise mean of the rows of x. It panics if x is
-// empty. Rows must share a common length.
-func Mean(x [][]float64) []float64 {
-	if len(x) == 0 {
-		panic("linalg: Mean of empty set")
-	}
-	m := make([]float64, len(x[0]))
-	for _, row := range x {
-		AXPY(m, 1, row)
-	}
-	Scale(m, 1/float64(len(x)), m)
-	return m
 }
 
 // MeanInto computes the mean of the rows of x indexed by idx into dst.

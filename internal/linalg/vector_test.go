@@ -21,24 +21,6 @@ func clamp(vs []float64) []float64 {
 	return vs
 }
 
-func TestDot(t *testing.T) {
-	if got := Dot([]float64{1, 2, 3}, []float64{4, 5, 6}); got != 32 {
-		t.Errorf("Dot = %v, want 32", got)
-	}
-	if got := Dot(nil, nil); got != 0 {
-		t.Errorf("Dot(nil,nil) = %v, want 0", got)
-	}
-}
-
-func TestDotPanicsOnMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic on length mismatch")
-		}
-	}()
-	Dot([]float64{1}, []float64{1, 2})
-}
-
 func TestDistances(t *testing.T) {
 	a := []float64{0, 0}
 	b := []float64{3, 4}
@@ -48,9 +30,12 @@ func TestDistances(t *testing.T) {
 	if got := Dist(a, b); got != 5 {
 		t.Errorf("Dist = %v, want 5", got)
 	}
-	if got := Norm(b); got != 5 {
-		t.Errorf("Norm = %v, want 5", got)
-	}
+	defer func() {
+		if recover() == nil {
+			t.Error("expected panic on length mismatch")
+		}
+	}()
+	SqDist([]float64{1}, []float64{1, 2})
 }
 
 func TestWeightedSqDist(t *testing.T) {
@@ -67,15 +52,8 @@ func TestWeightedSqDist(t *testing.T) {
 	}
 }
 
-func TestAddSubScaleAXPY(t *testing.T) {
+func TestScaleAXPY(t *testing.T) {
 	a := []float64{1, 2}
-	b := []float64{3, 4}
-	if got := Add(nil, a, b); got[0] != 4 || got[1] != 6 {
-		t.Errorf("Add = %v", got)
-	}
-	if got := Sub(nil, b, a); got[0] != 2 || got[1] != 2 {
-		t.Errorf("Sub = %v", got)
-	}
 	if got := Scale(nil, 2, a); got[0] != 2 || got[1] != 4 {
 		t.Errorf("Scale = %v", got)
 	}
@@ -83,22 +61,6 @@ func TestAddSubScaleAXPY(t *testing.T) {
 	AXPY(dst, 3, a)
 	if dst[0] != 4 || dst[1] != 7 {
 		t.Errorf("AXPY = %v", dst)
-	}
-}
-
-func TestAddAliasing(t *testing.T) {
-	a := []float64{1, 2}
-	got := Add(a, a, a) // dst aliases both operands
-	if got[0] != 2 || got[1] != 4 {
-		t.Errorf("aliased Add = %v", got)
-	}
-}
-
-func TestMean(t *testing.T) {
-	x := [][]float64{{0, 0}, {2, 4}}
-	m := Mean(x)
-	if m[0] != 1 || m[1] != 2 {
-		t.Errorf("Mean = %v", m)
 	}
 }
 
@@ -113,10 +75,10 @@ func TestMeanInto(t *testing.T) {
 func TestMeanEmptyPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Error("expected panic on empty Mean")
+			t.Error("expected panic on empty MeanInto")
 		}
 	}()
-	Mean(nil)
+	MeanInto(nil, [][]float64{{1}}, nil)
 }
 
 func TestCloneIndependence(t *testing.T) {

@@ -18,20 +18,3 @@ func SplitSeed(seed int64, i int) int64 {
 	z ^= z >> 31
 	return int64(z & 0x7fffffffffffffff)
 }
-
-// Perm returns a deterministic pseudo-random permutation of n elements.
-func Perm(r *rand.Rand, n int) []int {
-	return r.Perm(n)
-}
-
-// SampleWithoutReplacement returns k distinct indices drawn uniformly from
-// [0, n). It panics if k > n.
-func SampleWithoutReplacement(r *rand.Rand, n, k int) []int {
-	if k > n {
-		panic("stats: sample size exceeds population")
-	}
-	p := r.Perm(n)
-	out := make([]int, k)
-	copy(out, p[:k])
-	return out
-}

@@ -1,8 +1,8 @@
 // Package stats implements the statistical machinery used by the CVCP
 // experiments: descriptive statistics, Pearson correlation, a paired
-// Student's t-test (with a hand-written t-distribution CDF via the
-// regularized incomplete beta function), and five-number summaries used to
-// reproduce the paper's boxplot figures.
+// Student's t-test (with a hand-written t-distribution tail probability via
+// the regularized incomplete beta function), and five-number summaries used
+// to reproduce the paper's boxplot figures.
 package stats
 
 import (
@@ -43,24 +43,6 @@ func StdDev(xs []float64) float64 {
 	return math.Sqrt(Variance(xs))
 }
 
-// Median returns the median of xs, or 0 for an empty slice.
-func Median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := sortedCopy(xs)
-	return quantileSorted(s, 0.5)
-}
-
-// Quantile returns the q-quantile (0 ≤ q ≤ 1) of xs using linear
-// interpolation between order statistics (type-7, the R/NumPy default).
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	return quantileSorted(sortedCopy(xs), q)
-}
-
 func sortedCopy(xs []float64) []float64 {
 	s := make([]float64, len(xs))
 	copy(s, xs)
@@ -68,6 +50,9 @@ func sortedCopy(xs []float64) []float64 {
 	return s
 }
 
+// quantileSorted returns the q-quantile (0 ≤ q ≤ 1) of the sorted slice s
+// using linear interpolation between order statistics (type-7, the
+// R/NumPy default).
 func quantileSorted(s []float64, q float64) float64 {
 	if q <= 0 {
 		return s[0]

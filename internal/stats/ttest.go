@@ -66,12 +66,6 @@ func StudentTSurvival(t, df float64) float64 {
 	return 0.5 * RegIncBeta(df/2, 0.5, x)
 }
 
-// StudentTCDF returns P(T <= t) for a Student's t distribution with df
-// degrees of freedom.
-func StudentTCDF(t, df float64) float64 {
-	return 1 - StudentTSurvival(t, df)
-}
-
 // RegIncBeta computes the regularized incomplete beta function I_x(a, b)
 // using the continued-fraction expansion from Numerical Recipes (betacf).
 func RegIncBeta(a, b, x float64) float64 {

@@ -23,9 +23,9 @@ func TestStudentTCDFKnownQuantiles(t *testing.T) {
 		{100, 1.984, 0.975},
 	}
 	for _, c := range cases {
-		got := StudentTCDF(c.q, c.df)
+		got := 1 - StudentTSurvival(c.q, c.df)
 		if math.Abs(got-c.p) > 2e-3 {
-			t.Errorf("StudentTCDF(%v, df=%v) = %v, want %v", c.q, c.df, got, c.p)
+			t.Errorf("P(T <= %v, df=%v) = %v, want %v", c.q, c.df, got, c.p)
 		}
 	}
 }
@@ -33,14 +33,14 @@ func TestStudentTCDFKnownQuantiles(t *testing.T) {
 func TestStudentTSymmetry(t *testing.T) {
 	for _, df := range []float64{1, 3, 10, 50} {
 		for _, q := range []float64{0.1, 0.7, 1.5, 3} {
-			left := StudentTCDF(-q, df)
-			right := 1 - StudentTCDF(q, df)
+			left := 1 - StudentTSurvival(-q, df)
+			right := StudentTSurvival(q, df)
 			if math.Abs(left-right) > 1e-9 {
 				t.Errorf("symmetry violated at q=%v df=%v: %v vs %v", q, df, left, right)
 			}
 		}
 	}
-	if got := StudentTCDF(0, 7); math.Abs(got-0.5) > 1e-12 {
+	if got := 1 - StudentTSurvival(0, 7); math.Abs(got-0.5) > 1e-12 {
 		t.Errorf("CDF(0) = %v, want 0.5", got)
 	}
 }
