@@ -1,8 +1,7 @@
 // Benchmarks regenerating every table and figure of the paper's evaluation
 // (one benchmark per table/figure, reduced scale per iteration — the same
 // code paths cmd/experiments runs at full scale), plus micro-benchmarks of
-// the core components and ablation benches for the design choices DESIGN.md
-// calls out.
+// the core components and ablation benches for the main design choices.
 //
 //	go test -bench=. -benchmem
 package cvcp_test
@@ -223,7 +222,7 @@ func BenchmarkBootstrapSelect(b *testing.B) {
 	}
 }
 
-// --- ablation benches for DESIGN.md §6 ---
+// --- ablation benches for the design choices ---
 
 // BenchmarkAblationFoldCount compares CVCP cost across fold counts
 // (n ∈ {2,5,10}): fold count multiplies the clustering work per candidate.

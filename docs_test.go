@@ -1,10 +1,10 @@
 package cvcp
 
-// Documentation reference check: README.md and docs/*.md must not name a
-// file, directory, command-line flag or test that does not exist. CI runs
-// this as its docs-link gate (and it runs with every `go test ./...`), so
-// docs rot — a renamed flag or test, a moved file, a dead relative link —
-// fails the build instead of misleading readers.
+// Documentation reference check: README.md, EXPERIMENTS.md and docs/*.md
+// must not name a file, directory, command-line flag or test that does not
+// exist. CI runs this as its docs-link gate (and it runs with every
+// `go test ./...`), so docs rot — a renamed flag or test, a moved file, a
+// dead relative link — fails the build instead of misleading readers.
 
 import (
 	"os"
@@ -112,7 +112,7 @@ func stripFences(text string) string {
 
 func docFiles(t *testing.T) []string {
 	t.Helper()
-	files := []string{"README.md"}
+	files := []string{"README.md", "EXPERIMENTS.md"}
 	docs, err := filepath.Glob("docs/*.md")
 	if err != nil {
 		t.Fatal(err)

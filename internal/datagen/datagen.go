@@ -5,7 +5,7 @@
 // reproduces the *shape* that matters for the experiments: number of objects,
 // dimensionality, number of classes, class-size skew, and the geometric
 // character that determines which clustering paradigm can succeed
-// (compact-vs-elongated classes, overlap, noise). DESIGN.md §3 documents each
+// (compact-vs-elongated classes, overlap, noise). EXPERIMENTS.md lists each
 // substitution.
 //
 // Every generator takes an explicit seed and is fully deterministic.
