@@ -5,7 +5,8 @@
 // clustering methods; COP-KMeans is the natural third method: unlike
 // MPCK-Means it never violates a constraint — a point is assigned to the
 // nearest centroid whose cluster breaks no must-link or cannot-link, and the
-// run fails if no consistent assignment exists.
+// run fails if no consistent assignment exists. The centroids are seeded
+// with k-means++ (Arthur & Vassilvitskii, SODA 2007).
 package copkmeans
 
 import (

@@ -62,7 +62,8 @@ func Dist4(dst *[4]float64, a, panel []float64) {
 	dist4(dst, a, panel)
 }
 
-// sqDist4Generic is the portable reference implementation of SqDist4.
+// sqDist4Generic is the portable reference implementation of SqDist4:
+// four independent accumulators, each following the scalar element order.
 func sqDist4Generic(dst *[4]float64, a, panel []float64) {
 	var s0, s1, s2, s3 float64
 	for i, v := range a {
