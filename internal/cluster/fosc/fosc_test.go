@@ -19,19 +19,10 @@ func line(points ...float64) [][]float64 {
 
 // members returns the object indices under node id.
 func members(d *hierarchy.Dendrogram, id int) []int {
-	var out []int
-	stack := []int{id}
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		nd := d.Nodes[v]
-		if nd.Point >= 0 {
-			out = append(out, nd.Point)
-			continue
-		}
-		stack = append(stack, nd.Left, nd.Right)
+	if nd := d.Nodes[id]; nd.Point < 0 {
+		return append(members(d, nd.Left), members(d, nd.Right)...)
 	}
-	return out
+	return []int{d.Nodes[id].Point}
 }
 
 func mustDendrogram(t *testing.T, x [][]float64) *hierarchy.Dendrogram {

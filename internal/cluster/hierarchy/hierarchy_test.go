@@ -157,7 +157,8 @@ func TestMembersAndPostOrder(t *testing.T) {
 			members = append(members, p)
 		}
 	}
-	if slices.Sort(members); !slices.Equal(members, []int{0, 1, 2, 3}) {
+	slices.Sort(members)
+	if !slices.Equal(members, []int{0, 1, 2, 3}) {
 		t.Errorf("root members = %v", members)
 	}
 	pos := make(map[int]int)
