@@ -30,6 +30,9 @@ func TestDistances(t *testing.T) {
 	if got := Dist(a, b); got != 5 {
 		t.Errorf("Dist = %v, want 5", got)
 	}
+}
+
+func TestSqDistPanicsOnMismatch(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Error("expected panic on length mismatch")
