@@ -16,18 +16,19 @@ import (
 // components. Closure returns an error when the input is inconsistent, i.e.
 // some cannot-link connects two objects of the same must-link component.
 func Closure(s *Set) (*Set, error) {
+	x := s.pairs()
 	uf := NewUnionFind()
-	for p := range s.ml {
+	for p := range x.ml {
 		uf.Union(p.A, p.B)
 	}
-	for p := range s.cl {
+	for p := range x.cl {
 		uf.Find(p.A)
 		uf.Find(p.B)
 	}
 
 	// Conflicts and component-level cannot-link pairs.
 	compCL := map[Pair]struct{}{}
-	for p := range s.cl {
+	for p := range x.cl {
 		ra, rb := uf.Find(p.A), uf.Find(p.B)
 		if ra == rb {
 			return nil, fmt.Errorf("constraints: inconsistent input: cannot-link(%d,%d) joins one must-link component", p.A, p.B)
@@ -41,17 +42,18 @@ func Closure(s *Set) (*Set, error) {
 	}
 
 	out := NewSet()
+	ox := out.pairs()
 	for _, members := range comps {
 		for i := 0; i < len(members); i++ {
 			for j := i + 1; j < len(members); j++ {
-				out.ml[Pair{members[i], members[j]}] = struct{}{}
+				ox.ml[Pair{members[i], members[j]}] = struct{}{}
 			}
 		}
 	}
 	for cp := range compCL {
 		for _, a := range comps[cp.A] {
 			for _, b := range comps[cp.B] {
-				out.cl[MakePair(a, b)] = struct{}{}
+				ox.cl[MakePair(a, b)] = struct{}{}
 			}
 		}
 	}
@@ -62,11 +64,12 @@ func Closure(s *Set) (*Set, error) {
 // sorted member slices, in deterministic order (by smallest member). Objects
 // appearing only in cannot-links are included as singletons.
 func MustLinkComponents(s *Set) [][]int {
+	x := s.pairs()
 	uf := NewUnionFind()
-	for p := range s.ml {
+	for p := range x.ml {
 		uf.Union(p.A, p.B)
 	}
-	for p := range s.cl {
+	for p := range x.cl {
 		uf.Find(p.A)
 		uf.Find(p.B)
 	}

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"sync"
 	"sync/atomic"
 )
 
@@ -41,18 +42,52 @@ type Constraint struct {
 // usable; call NewSet. Any number of goroutines may read a Set at once;
 // a change must not overlap any other use.
 type Set struct {
-	ml map[Pair]struct{}
-	cl map[Pair]struct{}
+	// index holds the pairs as maps for membership tests and changes. A
+	// set FromLabels built starts without it and derives it from its
+	// sorted views, under indexMu, when a caller first needs it.
+	index   atomic.Pointer[pairIndex]
+	indexMu sync.Mutex
 	// sorted caches the views MustLinks and CannotLinks return: built by
-	// the first read after a change, dropped by every change.
+	// the first read after a change, dropped by every change. At least
+	// one of index and sorted is always present.
 	sorted atomic.Pointer[sortedViews]
 }
+
+type pairIndex struct{ ml, cl map[Pair]struct{} }
 
 type sortedViews struct{ ml, cl []Pair }
 
 // NewSet returns an empty constraint set.
 func NewSet() *Set {
-	return &Set{ml: map[Pair]struct{}{}, cl: map[Pair]struct{}{}}
+	s := &Set{}
+	s.index.Store(&pairIndex{ml: map[Pair]struct{}{}, cl: map[Pair]struct{}{}})
+	return s
+}
+
+// pairs returns the set's maps, deriving them from the sorted views the
+// first time a set FromLabels built needs them. Concurrent first readers
+// wait for one derivation.
+func (s *Set) pairs() *pairIndex {
+	if x := s.index.Load(); x != nil {
+		return x
+	}
+	s.indexMu.Lock()
+	defer s.indexMu.Unlock()
+	if x := s.index.Load(); x != nil {
+		return x
+	}
+	v := s.sorted.Load()
+	x := &pairIndex{ml: pairSet(v.ml), cl: pairSet(v.cl)}
+	s.index.Store(x)
+	return x
+}
+
+func pairSet(ps []Pair) map[Pair]struct{} {
+	m := make(map[Pair]struct{}, len(ps))
+	for _, p := range ps {
+		m[p] = struct{}{}
+	}
+	return m
 }
 
 // Add inserts the constraint between a and b. Adding the same pair with the
@@ -60,10 +95,11 @@ func NewSet() *Set {
 // report; the later Add does not silently overwrite the earlier one.
 func (s *Set) Add(a, b int, mustLink bool) {
 	p := MakePair(a, b)
+	x := s.pairs()
 	if mustLink {
-		s.ml[p] = struct{}{}
+		x.ml[p] = struct{}{}
 	} else {
-		s.cl[p] = struct{}{}
+		x.cl[p] = struct{}{}
 	}
 	if s.sorted.Load() != nil {
 		s.sorted.Store(nil)
@@ -74,23 +110,42 @@ func (s *Set) Add(a, b int, mustLink bool) {
 func (s *Set) AddConstraint(c Constraint) { s.Add(c.A, c.B, c.MustLink) }
 
 // Len returns the total number of constraints.
-func (s *Set) Len() int { return len(s.ml) + len(s.cl) }
+func (s *Set) Len() int {
+	ml, cl := s.counts()
+	return ml + cl
+}
 
 // NumMustLink returns the number of must-link constraints.
-func (s *Set) NumMustLink() int { return len(s.ml) }
+func (s *Set) NumMustLink() int {
+	ml, _ := s.counts()
+	return ml
+}
 
 // NumCannotLink returns the number of cannot-link constraints.
-func (s *Set) NumCannotLink() int { return len(s.cl) }
+func (s *Set) NumCannotLink() int {
+	_, cl := s.counts()
+	return cl
+}
+
+// counts reads the must-link and cannot-link counts from whichever form
+// the set holds, deriving neither.
+func (s *Set) counts() (ml, cl int) {
+	if x := s.index.Load(); x != nil {
+		return len(x.ml), len(x.cl)
+	}
+	v := s.sorted.Load()
+	return len(v.ml), len(v.cl)
+}
 
 // HasMustLink reports whether the pair (a,b) is a must-link constraint.
 func (s *Set) HasMustLink(a, b int) bool {
-	_, ok := s.ml[MakePair(a, b)]
+	_, ok := s.pairs().ml[MakePair(a, b)]
 	return ok
 }
 
 // HasCannotLink reports whether the pair (a,b) is a cannot-link constraint.
 func (s *Set) HasCannotLink(a, b int) bool {
-	_, ok := s.cl[MakePair(a, b)]
+	_, ok := s.pairs().cl[MakePair(a, b)]
 	return ok
 }
 
@@ -125,7 +180,8 @@ func (s *Set) views() *sortedViews {
 	if v := s.sorted.Load(); v != nil {
 		return v
 	}
-	v := &sortedViews{ml: sortedPairs(s.ml), cl: sortedPairs(s.cl)}
+	x := s.pairs()
+	v := &sortedViews{ml: sortedPairs(x.ml), cl: sortedPairs(x.cl)}
 	s.sorted.Store(v)
 	return v
 }
@@ -133,12 +189,13 @@ func (s *Set) views() *sortedViews {
 // Involved returns the sorted indices of all objects that appear in at least
 // one constraint.
 func (s *Set) Involved() []int {
+	x := s.pairs()
 	seen := map[int]struct{}{}
-	for p := range s.ml {
+	for p := range x.ml {
 		seen[p.A] = struct{}{}
 		seen[p.B] = struct{}{}
 	}
-	for p := range s.cl {
+	for p := range x.cl {
 		seen[p.A] = struct{}{}
 		seen[p.B] = struct{}{}
 	}
@@ -152,12 +209,13 @@ func (s *Set) Involved() []int {
 
 // Clone returns a deep copy of the set.
 func (s *Set) Clone() *Set {
-	c := NewSet()
-	for p := range s.ml {
-		c.ml[p] = struct{}{}
+	x, c := s.pairs(), NewSet()
+	cx := c.pairs()
+	for p := range x.ml {
+		cx.ml[p] = struct{}{}
 	}
-	for p := range s.cl {
-		c.cl[p] = struct{}{}
+	for p := range x.cl {
+		cx.cl[p] = struct{}{}
 	}
 	return c
 }
@@ -183,15 +241,16 @@ func (s *Set) Validate() error {
 // Restrict returns the subset of constraints whose endpoints are both in
 // keep (given as a membership predicate over object indices).
 func (s *Set) Restrict(keep func(int) bool) *Set {
-	out := NewSet()
-	for p := range s.ml {
+	x, out := s.pairs(), NewSet()
+	ox := out.pairs()
+	for p := range x.ml {
 		if keep(p.A) && keep(p.B) {
-			out.ml[p] = struct{}{}
+			ox.ml[p] = struct{}{}
 		}
 	}
-	for p := range s.cl {
+	for p := range x.cl {
 		if keep(p.A) && keep(p.B) {
-			out.cl[p] = struct{}{}
+			ox.cl[p] = struct{}{}
 		}
 	}
 	return out
@@ -212,13 +271,34 @@ func comparePairs(a, b Pair) int { return cmp.Or(cmp.Compare(a.A, b.A), cmp.Comp
 // FromLabels derives the full set of constraints among the given labeled
 // objects: a must-link for every same-label pair and a cannot-link for every
 // different-label pair (paper §3.1.1). y maps object index to class label.
+// It panics when an index repeats, as Add does on a self-pair.
+//
+// Over sorted indices the pairs (idx[i], idx[j]), i < j, come out in (A, B)
+// order, so each list is already its sorted view; the maps wait until a
+// caller needs them.
 func FromLabels(indices []int, y []int) *Set {
-	s := NewSet()
-	for i := 0; i < len(indices); i++ {
-		for j := i + 1; j < len(indices); j++ {
-			a, b := indices[i], indices[j]
-			s.Add(a, b, y[a] == y[b])
+	idx := slices.Clone(indices)
+	slices.Sort(idx)
+	nml := 0
+	for i, a := range idx {
+		for _, b := range idx[i+1:] {
+			if y[a] == y[b] {
+				nml++
+			}
 		}
 	}
+	all := make([]Pair, len(idx)*(len(idx)-1)/2)
+	ml, cl := all[:0:nml], all[nml:nml]
+	for i, a := range idx {
+		for _, b := range idx[i+1:] {
+			if p := MakePair(a, b); y[a] == y[b] {
+				ml = append(ml, p)
+			} else {
+				cl = append(cl, p)
+			}
+		}
+	}
+	s := &Set{}
+	s.sorted.Store(&sortedViews{ml: ml, cl: cl})
 	return s
 }

@@ -2,6 +2,7 @@ package constraints
 
 import (
 	"math/rand"
+	"reflect"
 	"slices"
 	"strings"
 	"sync"
@@ -223,5 +224,150 @@ func TestFromLabelsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// addedLabels builds FromLabels' set the way it was built before it
+// emitted its views directly: every pair added one by one.
+func addedLabels(idx, y []int) *Set {
+	s := NewSet()
+	for i, a := range idx {
+		for _, b := range idx[i+1:] {
+			s.Add(a, b, y[a] == y[b])
+		}
+	}
+	return s
+}
+
+// setReaders reads every observable of a set, each through one entry
+// point, so that each can be the first reader of a fresh set. Each
+// result is flattened to slices of comparable values.
+var setReaders = []struct {
+	name string
+	read func(*Set) any
+}{
+	{"views", func(s *Set) any { return [][]Pair{s.MustLinks(), s.CannotLinks()} }},
+	{"counts", func(s *Set) any { return []int{s.Len(), s.NumMustLink(), s.NumCannotLink()} }},
+	{"Constraints", func(s *Set) any { return s.Constraints() }},
+	{"Validate", func(s *Set) any { return []error{s.Validate()} }},
+	{"Has", func(s *Set) any {
+		var out []bool
+		for a := 0; a < 60; a++ {
+			for b := 0; b < 60; b++ {
+				if a != b {
+					out = append(out, s.HasMustLink(a, b), s.HasCannotLink(a, b))
+				}
+			}
+		}
+		return out
+	}},
+	{"Involved", func(s *Set) any { return s.Involved() }},
+	{"Clone", func(s *Set) any { return s.Clone().Constraints() }},
+	{"Restrict", func(s *Set) any { return s.Restrict(func(i int) bool { return i%3 != 0 }).Constraints() }},
+	{"Closure", func(s *Set) any {
+		c, err := Closure(s)
+		if err != nil {
+			return err.Error()
+		}
+		return c.Constraints()
+	}},
+	{"MustLinkComponents", func(s *Set) any { return MustLinkComponents(s) }},
+	{"Add", func(s *Set) any {
+		s.Add(59, 58, true)
+		if ml := s.MustLinks(); len(ml) > 0 {
+			s.Add(ml[0].B, ml[0].A, false) // a conflict Validate must see
+		}
+		return []any{s.Constraints(), s.Len(), s.Validate()}
+	}},
+}
+
+// FromLabels on unsorted indices must answer every reader as the same
+// pairs added one by one do, whichever reader comes first, before and
+// after an Add.
+func TestFromLabelsMatchesAddedPairs(t *testing.T) {
+	r := rand.New(rand.NewSource(23))
+	for trial := 0; trial < 40; trial++ {
+		idx := r.Perm(58)[:r.Intn(30)]
+		y := make([]int, 60)
+		for i := range y {
+			y[i] = r.Intn(1 + trial%4)
+		}
+		if slices.IsSorted(idx) && len(idx) > 2 {
+			t.Fatalf("trial %d: indices %v already sorted", trial, idx)
+		}
+		for _, rd := range setReaders {
+			got, want := rd.read(FromLabels(idx, y)), rd.read(addedLabels(idx, y))
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d, %d indices, %s: FromLabels gives %v, added pairs %v", trial, len(idx), rd.name, got, want)
+			}
+		}
+		// Once one reader has derived the maps, the others still agree.
+		s, ref := FromLabels(idx, y), addedLabels(idx, y)
+		for _, rd := range setReaders {
+			if got, want := rd.read(s), rd.read(ref); !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d, %s after the readers before it: %v, want %v", trial, rd.name, got, want)
+			}
+		}
+	}
+}
+
+// Reading a FromLabels set's views, counts and constraints, as FOSC and
+// MPCK-Means do, derives no maps.
+func TestFromLabelsReadsWithoutMaps(t *testing.T) {
+	s := FromLabels([]int{5, 2, 9, 1}, []int{0, 1, 0, 1, 0, 1, 0, 1, 0, 1})
+	if s.Len() != 6 || s.NumMustLink() != 3 || len(s.MustLinks()) != 3 || len(s.CannotLinks()) != 3 ||
+		len(s.Constraints()) != 6 || s.Validate() != nil {
+		t.Fatalf("FromLabels set: %v", s.Constraints())
+	}
+	if s.index.Load() != nil {
+		t.Error("a read that needs no maps derived them")
+	}
+}
+
+// A repeated index is a self-pair, which FromLabels refuses as Add does.
+func TestFromLabelsRepeatedIndexPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("FromLabels accepted a repeated index")
+		}
+	}()
+	FromLabels([]int{4, 1, 3, 1}, []int{0, 1, 0, 1, 0})
+}
+
+// Goroutines reading a fresh FromLabels set at once through the readers
+// that need its maps all see the pairs it was built from, whichever of
+// them derives the maps (run under -race).
+func TestFromLabelsConcurrentReaders(t *testing.T) {
+	r := rand.New(rand.NewSource(9))
+	idx := r.Perm(58)[:40]
+	y := make([]int, 60)
+	for i := range y {
+		y[i] = r.Intn(3)
+	}
+	ref := addedLabels(idx, y)
+	readers := setReaders[:len(setReaders)-1] // all but Add, a change
+	want := make([]any, len(readers))
+	for i, rd := range readers {
+		want[i] = rd.read(ref)
+	}
+	for round := 0; round < 5; round++ {
+		s := FromLabels(idx, y)
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				// Each goroutine starts at a different reader, so the
+				// first reads race through different entry points.
+				for k := range readers {
+					i := (g + k) % len(readers)
+					if got := readers[i].read(s); !reflect.DeepEqual(got, want[i]) {
+						t.Errorf("%s from a concurrent reader = %v, want %v", readers[i].name, got, want[i])
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
 	}
 }
