@@ -7,10 +7,8 @@
 package hierarchy
 
 import (
-	"cmp"
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 
 	"cvcp/internal/cluster/optics"
@@ -41,51 +39,110 @@ type Dendrogram struct {
 // Order[p]. Processing the bars in ascending height order yields the density
 // dendrogram equivalent to single linkage on the reachability structure.
 // Infinite bars (separate density-connected components) merge last at +Inf.
+//
+// The bar of rank k in (height, position) order is node n+k. Every cluster
+// is a run of consecutive positions, so the dendrogram is the max-Cartesian
+// tree of the ranks: a bar's children are the subtrees between it and the
+// nearest later-merged bar on each side, or the adjacent leaf. One stack
+// pass builds it.
 func FromReachability(res *optics.Result) (*Dendrogram, error) {
 	n := len(res.Order)
 	if n == 0 {
 		return nil, fmt.Errorf("hierarchy: empty ordering")
 	}
-	type bar struct {
-		pos int
-		h   float64
+	d := &Dendrogram{N: n, Nodes: make([]Node, 2*n-1), Root: 2*n - 2}
+	for p, o := range res.Order {
+		if uint(o) >= uint(n) || d.Nodes[o].Size != 0 {
+			return nil, fmt.Errorf("hierarchy: ordering position %d holds object %d, out of range or already ordered", p, o)
+		}
+		d.Nodes[o] = Node{Left: -1, Right: -1, Parent: -1, Point: o, Size: 1}
 	}
-	bars := make([]bar, 0, n-1)
+	if n == 1 {
+		return d, nil
+	}
+	rank := barRanks(res.Reach[1:n])
+	// Node ids of the bars whose right subtree is still open; each merges
+	// later than the one above it.
+	var open []int
 	for p := 1; p < n; p++ {
-		bars = append(bars, bar{pos: p, h: res.Reach[p]})
-	}
-	// Positions are distinct, so (height, position) orders the bars
-	// totally and the sort need not be stable.
-	slices.SortFunc(bars, func(a, b bar) int {
-		return cmp.Or(cmp.Compare(a.h, b.h), a.pos-b.pos)
-	})
-	d := newLeaves(n)
-	// Union-find over current dendrogram roots.
-	find := make([]int, 0, 2*n-1)
-	for i := 0; i < n; i++ {
-		find = append(find, i)
-	}
-	var root func(int) int
-	root = func(v int) int {
-		if find[v] == v {
-			return v
+		id := n + int(rank[p-1])
+		left := res.Order[p-1]
+		for len(open) > 0 && open[len(open)-1] < id {
+			left = open[len(open)-1]
+			open = open[:len(open)-1]
 		}
-		find[v] = root(find[v])
-		return find[v]
-	}
-	for _, b := range bars {
-		a := root(res.Order[b.pos-1])
-		c := root(res.Order[b.pos])
-		if a == c {
-			return nil, fmt.Errorf("hierarchy: ordering positions %d and %d already merged", b.pos-1, b.pos)
+		if len(open) > 0 {
+			d.Nodes[open[len(open)-1]].Right = id
 		}
-		id := d.merge(a, c, b.h)
-		find = append(find, id)
-		find[a] = id
-		find[c] = id
+		d.Nodes[id] = Node{Left: left, Right: res.Order[p], Parent: -1, Height: res.Reach[p], Point: -1}
+		open = append(open, id)
 	}
-	d.Root = root(res.Order[0])
+	// A child merges before its parent, so it has the smaller id.
+	for id := n; id < len(d.Nodes); id++ {
+		nd := &d.Nodes[id]
+		nd.Size = d.Nodes[nd.Left].Size + d.Nodes[nd.Right].Size
+		d.Nodes[nd.Left].Parent = id
+		d.Nodes[nd.Right].Parent = id
+	}
 	return d, nil
+}
+
+// barRanks returns each bar's rank in the order cmp.Compare gives their
+// heights (NaN first, −0 equal to +0), ties kept in position order. A
+// stable LSD radix sort over heightKey's bytes ranks them in linear time,
+// skipping the bytes every key shares.
+func barRanks(h []float64) []int32 {
+	type bar struct {
+		key uint64
+		pos int32
+	}
+	a, b := make([]bar, len(h)), make([]bar, len(h))
+	var counts [8][256]int32
+	for i, v := range h {
+		k := heightKey(v)
+		a[i] = bar{key: k, pos: int32(i)}
+		for digit := range counts {
+			counts[digit][byte(k>>(8*digit))]++
+		}
+	}
+	for digit := range counts {
+		c := &counts[digit]
+		shift := 8 * digit
+		if int(c[byte(a[0].key>>shift)]) == len(h) {
+			continue
+		}
+		var sum int32
+		for i, k := range c {
+			c[i] = sum
+			sum += k
+		}
+		for _, x := range a {
+			j := byte(x.key >> shift)
+			b[c[j]] = x
+			c[j]++
+		}
+		a, b = b, a
+	}
+	rank := make([]int32, len(h))
+	for r, x := range a {
+		rank[x.pos] = int32(r)
+	}
+	return rank
+}
+
+// heightKey maps a height to bits whose unsigned order is cmp.Compare's:
+// every NaN to 0, −0 to +0's key, negative heights below positive ones.
+func heightKey(h float64) uint64 {
+	b := math.Float64bits(h)
+	switch {
+	case h != h:
+		return 0
+	case h == 0:
+		return 1 << 63
+	case b>>63 == 1:
+		return ^b
+	}
+	return b | 1<<63
 }
 
 // SingleLinkage builds the single-linkage dendrogram of x under the

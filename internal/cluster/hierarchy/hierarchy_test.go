@@ -1,7 +1,10 @@
 package hierarchy
 
 import (
+	"cmp"
+	"fmt"
 	"math"
+	"math/rand"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -243,6 +246,138 @@ func TestLCAAgainstNaive(t *testing.T) {
 	}
 }
 
+// fromReachabilityReference is FromReachability as a comparison sort and
+// a union-find merge: the bars in (height, position) order, each merging
+// the current roots of its two neighbouring objects. The radix-ranked
+// Cartesian build must match it node for node.
+func fromReachabilityReference(res *optics.Result) (*Dendrogram, error) {
+	n := len(res.Order)
+	if n == 0 {
+		return nil, fmt.Errorf("hierarchy: empty ordering")
+	}
+	type bar struct {
+		pos int
+		h   float64
+	}
+	bars := make([]bar, 0, n-1)
+	for p := 1; p < n; p++ {
+		bars = append(bars, bar{pos: p, h: res.Reach[p]})
+	}
+	slices.SortFunc(bars, func(a, b bar) int {
+		return cmp.Or(cmp.Compare(a.h, b.h), a.pos-b.pos)
+	})
+	d := newLeaves(n)
+	find := make([]int, 0, 2*n-1)
+	for i := 0; i < n; i++ {
+		find = append(find, i)
+	}
+	var root func(int) int
+	root = func(v int) int {
+		if find[v] == v {
+			return v
+		}
+		find[v] = root(find[v])
+		return find[v]
+	}
+	for _, b := range bars {
+		a := root(res.Order[b.pos-1])
+		c := root(res.Order[b.pos])
+		if a == c {
+			return nil, fmt.Errorf("hierarchy: ordering positions %d and %d already merged", b.pos-1, b.pos)
+		}
+		id := d.merge(a, c, b.h)
+		find = append(find, id)
+		find[a] = id
+		find[c] = id
+	}
+	d.Root = root(res.Order[0])
+	return d, nil
+}
+
+// fuzzHeight maps a byte to a bar height, most of them from a small set
+// so that bars tie: NaNs of both signs, ±0, ±Inf, negatives, huge and
+// subnormal values, or a draw from r.
+func fuzzHeight(b byte, r *rand.Rand) float64 {
+	palette := []float64{
+		math.NaN(), math.Float64frombits(0xfff8000000000001), math.Copysign(0, -1), 0,
+		math.Inf(1), math.Inf(-1), 1, 2, 0.5, -1, 1e300, 5e-324, math.Nextafter(1, 2),
+	}
+	if int(b) < len(palette) {
+		return palette[b]
+	}
+	if b%2 == 0 {
+		return float64(b % 7)
+	}
+	return r.NormFloat64()
+}
+
+// sameDendrogram reports the first node, or the root, where got and want
+// differ, comparing heights by their bits.
+func sameDendrogram(got, want *Dendrogram) error {
+	if got.N != want.N || got.Root != want.Root || len(got.Nodes) != len(want.Nodes) {
+		return fmt.Errorf("N, root, nodes = %d, %d, %d; want %d, %d, %d",
+			got.N, got.Root, len(got.Nodes), want.N, want.Root, len(want.Nodes))
+	}
+	for id, g := range got.Nodes {
+		w := want.Nodes[id]
+		if g.Left != w.Left || g.Right != w.Right || g.Parent != w.Parent || g.Point != w.Point || g.Size != w.Size ||
+			math.Float64bits(g.Height) != math.Float64bits(w.Height) {
+			return fmt.Errorf("node %d = %+v, want %+v", id, g, w)
+		}
+	}
+	return nil
+}
+
+// FromReachability must build the reference's dendrogram bit for bit on
+// any ordering and any heights, NaN and −0 included, and must reject an
+// ordering that repeats an object, as the reference does.
+func FuzzFromReachabilityMatchesReference(f *testing.F) {
+	f.Add(int64(1), uint8(0), []byte{})
+	f.Add(int64(2), uint8(1), []byte{7})
+	f.Add(int64(3), uint8(9), []byte{6, 6, 6})
+	f.Add(int64(4), uint8(40), []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
+	f.Add(int64(5), uint8(63), []byte{2, 3, 20, 4, 4, 255})
+	f.Add(int64(6), uint8(200), []byte{101, 103, 105, 107})
+	f.Fuzz(func(t *testing.T, seed int64, size uint8, hs []byte) {
+		n := 1 + int(size)
+		r := rand.New(rand.NewSource(seed))
+		res := &optics.Result{Order: r.Perm(n), Reach: make([]float64, n)}
+		for p := range res.Reach {
+			b := byte(r.Intn(256))
+			if len(hs) > 0 {
+				b = hs[p%len(hs)]
+			}
+			res.Reach[p] = fuzzHeight(b, r)
+		}
+		want, err := fromReachabilityReference(res)
+		if err != nil {
+			t.Fatalf("reference: %v", err)
+		}
+		got, err := FromReachability(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sameDendrogram(got, want); err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+
+		if n < 2 {
+			return
+		}
+		i, j := r.Intn(n), r.Intn(n-1)
+		if j >= i {
+			j++
+		}
+		res.Order[j] = res.Order[i]
+		if _, err := fromReachabilityReference(res); err == nil {
+			t.Fatal("reference accepted an ordering that repeats an object")
+		}
+		if d, err := FromReachability(res); err == nil {
+			t.Fatalf("ordering %v repeats object %d, yet FromReachability built %+v", res.Order, res.Order[i], d)
+		}
+	})
+}
+
 func mustReach(t *testing.T, res *optics.Result) *Dendrogram {
 	t.Helper()
 	d, err := FromReachability(res)
@@ -301,6 +436,11 @@ func TestErrors(t *testing.T) {
 	}
 	if _, err := FromReachability(&optics.Result{}); err == nil {
 		t.Error("expected error for empty ordering")
+	}
+	for _, order := range [][]int{{0, 2, 0}, {1, 1}, {0, 3, 1}, {-1, 0}} {
+		if _, err := FromReachability(&optics.Result{Order: order, Reach: make([]float64, len(order))}); err == nil {
+			t.Errorf("FromReachability accepted the ordering %v", order)
+		}
 	}
 }
 
