@@ -12,7 +12,6 @@ import "math/bits"
 // for every constraint (a, b), the dendrogram node at which the two
 // objects first merge.
 type LCA struct {
-	d    *Dendrogram
 	rank []int32 // in-order rank per leaf node id
 	node []int32 // internal node id per pre-order number
 	// sparse[l][i] is the smallest pre-order number among separators
@@ -22,7 +21,7 @@ type LCA struct {
 
 // NewLCA preprocesses d for constant-time LCA queries.
 func NewLCA(d *Dendrogram) *LCA {
-	l := &LCA{d: d, rank: make([]int32, d.N), node: make([]int32, 0, d.N-1)}
+	l := &LCA{rank: make([]int32, d.N), node: make([]int32, 0, d.N-1)}
 	seps := make([]int32, 0, d.N-1)
 	var stack []int32 // pre-order numbers of the internal nodes whose right subtree is pending
 	id := d.Root
