@@ -254,11 +254,13 @@ func (m *Manager) ListDatasets() []DatasetView {
 // every row-batch record and every cell-cache record owned by the
 // dataset. The meta record is deleted first so a crash mid-delete
 // leaves orphans (batches, cells) that the startup sweeps collect, never
-// a half-alive dataset. Running jobs hold materialized snapshots and are
-// unaffected; their remaining cache writes become orphans too.
+// a half-alive dataset. When that delete fails the dataset stays, and
+// the registry entry and version gauge come back. Running jobs hold
+// materialized snapshots and are unaffected; their remaining cache
+// writes become orphans too.
 func (m *Manager) DeleteDataset(id string) error {
 	m.dsMu.Lock()
-	_, ok := m.datasets[id]
+	md, ok := m.datasets[id]
 	delete(m.datasets, id)
 	m.dsMu.Unlock()
 	if !ok {
@@ -269,6 +271,10 @@ func (m *Manager) DeleteDataset(id string) error {
 	// record disappears, so a restart cannot re-issue it.
 	m.applyEviction(nil, true)
 	if err := m.store.Delete(id); err != nil {
+		m.dsMu.Lock()
+		m.datasets[id] = md
+		mDatasetVersion.With(id).Set(int64(md.v.Version()))
+		m.dsMu.Unlock()
 		return fmt.Errorf("server: deleting dataset %s: %w", id, err)
 	}
 	// Both sweeps are best effort: a failed one leaves orphans, as a

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strings"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"cvcp/internal/dataset"
+	"cvcp/internal/metrics"
 	"cvcp/internal/store"
 	"cvcp/internal/store/storetest"
 )
@@ -305,6 +307,61 @@ func TestDatasetErrorsMapByIdentity(t *testing.T) {
 	want = "server: deleting dataset " + id + ": " + errInjected.Error()
 	if e := decodeAPIError(t, resp); resp.StatusCode != http.StatusInternalServerError || e.Code != "internal" || e.Message != want {
 		t.Errorf("failed delete: status %d, error (%q, %q), want 500 (internal, %q)", resp.StatusCode, e.Code, e.Message, want)
+	}
+}
+
+// A store failure while deleting a dataset's meta record leaves the
+// dataset registered: it is still served at its version with its version
+// gauge, and a retried delete succeeds.
+func TestDatasetDeleteFailureKeepsDataset(t *testing.T) {
+	faulty := storetest.Wrap(store.NewMemory())
+	m := NewManager(Config{MaxRunningJobs: 1, WorkerBudget: 1, Store: faulty})
+	defer m.Shutdown(context.Background())
+	dv, err := m.CreateDataset("g", true, batchPtr(growthBatch(0, 8)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dv, err = m.AppendRows(dv.ID, growthBatch(8, 12)); err != nil {
+		t.Fatal(err)
+	}
+	gauge := func() string {
+		t.Helper()
+		var buf strings.Builder
+		if err := metrics.Default().Expose(&buf); err != nil {
+			t.Fatal(err)
+		}
+		prefix := `cvcpd_dataset_version{dataset="` + dv.ID + `"} `
+		for _, line := range strings.Split(buf.String(), "\n") {
+			if v, ok := strings.CutPrefix(line, prefix); ok {
+				return v
+			}
+		}
+		return "absent"
+	}
+
+	faulty.FailCalls(storetest.OpDelete, errInjected, faulty.Calls(storetest.OpDelete)+1)
+	if err := m.DeleteDataset(dv.ID); !errors.Is(err, errInjected) {
+		t.Fatalf("delete with a failing store = %v, want the injected failure", err)
+	}
+	got, err := m.GetDataset(dv.ID)
+	if err != nil {
+		t.Fatalf("dataset gone after a failed delete: %v", err)
+	}
+	if got.Version != 2 || got.Rows != 12 {
+		t.Fatalf("dataset after a failed delete: %+v, want version 2 with 12 rows", got)
+	}
+	if g := gauge(); g != "2" {
+		t.Errorf("version gauge after a failed delete = %s, want 2", g)
+	}
+
+	if err := m.DeleteDataset(dv.ID); err != nil {
+		t.Fatalf("retried delete: %v", err)
+	}
+	if _, err := m.GetDataset(dv.ID); !errors.Is(err, ErrDatasetNotFound) {
+		t.Errorf("dataset after the retried delete: %v, want ErrDatasetNotFound", err)
+	}
+	if g := gauge(); g != "absent" {
+		t.Errorf("version gauge after the retried delete = %s, want no series", g)
 	}
 }
 
