@@ -307,8 +307,10 @@ func Ecoli(seed int64) *dataset.Dataset {
 // phase-shifted sinusoidal expression profile; a gene is its class profile
 // times a random amplitude in [0.6, 2.2] plus noise. Classes are therefore
 // elongated rays, not spherical blobs: density-based clustering can follow
-// them but k-means cannot, reproducing the paper's strongly negative
-// MPCKmeans correlations on Zyeast.
+// them but k-means cannot. The shape was chosen after the paper's strongly
+// negative MPCKmeans correlations on Zyeast, but it does not reproduce
+// them: the stand-in's correlations read positive, 0.34 to 0.87 (a known
+// deviation, see EXPERIMENTS.md).
 func Zyeast(seed int64) *dataset.Dataset {
 	r := stats.NewRand(seed)
 	const (
