@@ -34,7 +34,7 @@ func Run(x [][]float64, minPts int) (*Result, error) {
 		for j := range x {
 			dst[j] = linalg.Dist(xi, x[j])
 		}
-	})
+	}, nil)
 }
 
 // RunWithMatrix is Run with distance evaluations replaced by lookups into a
@@ -43,15 +43,28 @@ func Run(x [][]float64, minPts int) (*Result, error) {
 // distance per MinPts value; dm entries come from linalg.Dist, so the
 // ordering is bit-identical to Run's (for float32 matrices, bit-identical
 // to running on the rounded entries).
+//
+// The runs of a sweep share their core distances too: from the second
+// run on a matrix with 1 < MinPts <= linalg.NearestWidth, each object's
+// core distance is read from the matrix's nearest-distance table, whose
+// row the first run to pop the object fills. The table holds the values
+// the per-row selection returns, so results are the same bits.
 func RunWithMatrix(dm *linalg.DistMatrix, minPts int) (*Result, error) {
-	return run(dm.N(), minPts, func(dst []float64, i int) { dm.RowInto(dst, i) })
+	var near *linalg.Nearest
+	if 1 < minPts && minPts <= min(dm.N(), linalg.NearestWidth) {
+		near = dm.Nearest()
+	}
+	return run(dm.N(), minPts, func(dst []float64, i int) { dm.RowInto(dst, i) }, near)
 }
 
 // run is the dense (ε = ∞) driver. rowInto materializes the distances
 // from object i to every object into a reused buffer; for the condensed
 // matrices that is DistMatrix.RowInto's two-stride walk. Each object's row
-// is materialized once, when it is popped: its core distance is selected
-// from that row, and its expansion reads it.
+// is materialized once, when it is popped, and its expansion reads it.
+// Its core distance is read from near, the matrix's nearest-distance
+// table, which fills the object's entries from that row if no run has;
+// without a table, or while another run fills those entries, it is
+// selected from the row.
 //
 // With ε = ∞ the first core object to expand queues every unprocessed
 // object, and an object leaves the seed list only when it is popped, so
@@ -64,7 +77,7 @@ func RunWithMatrix(dm *linalg.DistMatrix, minPts int) (*Result, error) {
 // the lowest-index unprocessed object is popped next with reachability
 // +Inf: each object starts its own walk, in index order. Distances that
 // overflow to +Inf are keys like any other.
-func run(n, minPts int, rowInto func(dst []float64, i int)) (*Result, error) {
+func run(n, minPts int, rowInto func(dst []float64, i int), near *linalg.Nearest) (*Result, error) {
 	if n == 0 {
 		return nil, fmt.Errorf("optics: empty dataset")
 	}
@@ -99,8 +112,10 @@ func run(n, minPts int, rowInto func(dst []float64, i int)) (*Result, error) {
 
 		rowInto(row, i)
 		core := 0.0 // MinPts 1: the object itself
-		if minPts > 1 {
-			core = kthSmallest(row, minPts-1, kbuf)
+		if nearest := near.Row(i, row); nearest != nil {
+			core = nearest[minPts-1]
+		} else if minPts > 1 {
+			core = linalg.KthSmallest(row, minPts-1, kbuf)
 		}
 		res.Core[i] = core
 
@@ -120,44 +135,6 @@ func run(n, minPts int, rowInto func(dst []float64, i int)) (*Result, error) {
 		}
 	}
 	return res, nil
-}
-
-// kthSmallest returns the k-th smallest value of a (0-indexed), the value
-// sort would put at index k, for 0 <= k < len(a); a is left unchanged.
-// It keeps the k+1 smallest values seen so far in a max-heap held in
-// buf[:k+1] (buf needs that length; its contents are overwritten), so
-// an entry no smaller than the heap's top costs one comparison.
-func kthSmallest(a []float64, k int, buf []float64) float64 {
-	h := buf[:k+1]
-	copy(h, a[:k+1])
-	for i := k / 2; i >= 0; i-- {
-		siftDownMax(h, i)
-	}
-	for _, v := range a[k+1:] {
-		if v < h[0] {
-			h[0] = v
-			siftDownMax(h, 0)
-		}
-	}
-	return h[0]
-}
-
-// siftDownMax restores the max-heap order of h below position i.
-func siftDownMax(h []float64, i int) {
-	for {
-		c := 2*i + 1
-		if c >= len(h) {
-			return
-		}
-		if c+1 < len(h) && h[c+1] > h[c] {
-			c++
-		}
-		if !(h[c] > h[i]) {
-			return
-		}
-		h[i], h[c] = h[c], h[i]
-		i = c
-	}
 }
 
 // heap is an indexed min-heap over object indices keyed by reachability,

@@ -3,7 +3,9 @@ package optics
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"runtime"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -67,7 +69,7 @@ func coreDistances(n, minPts int, rowInto func(dst []float64, i int)) []float64 
 	h := make([]float64, minPts)
 	for i := 0; i < n; i++ {
 		rowInto(d, i)
-		core[i] = kthSmallest(d, minPts-1, h)
+		core[i] = linalg.KthSmallest(d, minPts-1, h)
 	}
 	return core
 }
@@ -131,6 +133,20 @@ func fuzzRows(data []byte) ([][]float64, int) {
 	return x, minPts
 }
 
+// matrices builds x's distance matrix in each layout.
+func matrices(x [][]float64) map[string]*linalg.DistMatrix {
+	return map[string]*linalg.DistMatrix{
+		"square":      linalg.NewDistMatrix(x),
+		"condensed":   linalg.NewDistMatrixCondensed(x),
+		"condensed32": linalg.NewDistMatrixCondensed32(x),
+	}
+}
+
+// matrixReference is referenceRun on dm's own entries.
+func matrixReference(dm *linalg.DistMatrix, minPts int) *Result {
+	return referenceRun(dm.N(), minPts, dm.At, func(dst []float64, i int) { dm.RowInto(dst, i) })
+}
+
 // The flat-scan driver must reproduce the indexed-heap driver bit for bit:
 // Run, and RunWithMatrix on all three layouts, against referenceRun on the
 // same distances. The generated seeds draw coordinate bytes from 0, 4, 8
@@ -165,19 +181,133 @@ func FuzzDenseMatchesReference(f *testing.F) {
 				}
 			})
 		sameResult(t, fmt.Sprintf("Run n=%d MinPts=%d", n, minPts), got, want)
-		for name, dm := range map[string]*linalg.DistMatrix{
-			"square":      linalg.NewDistMatrix(x),
-			"condensed":   linalg.NewDistMatrixCondensed(x),
-			"condensed32": linalg.NewDistMatrixCondensed32(x),
-		} {
+		for name, dm := range matrices(x) {
 			got, err := RunWithMatrix(dm, minPts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := referenceRun(n, minPts, dm.At, func(dst []float64, i int) { dm.RowInto(dst, i) })
-			sameResult(t, fmt.Sprintf("RunWithMatrix/%s n=%d MinPts=%d", name, n, minPts), got, want)
+			sameResult(t, fmt.Sprintf("RunWithMatrix/%s n=%d MinPts=%d", name, n, minPts), got, matrixReference(dm, minPts))
 		}
 	})
+}
+
+// A MinPts sweep on one matrix must reproduce the reference on every run,
+// whether its core distances come from per-row selection (the first run,
+// MinPts past the table's width or past n) or from the matrix's
+// nearest-distance table (later runs, which fill the rows the earlier
+// ones left empty). data's first byte sets the sweep's length, 1–16; each
+// of the next bytes one MinPts, in [1, NearestWidth+8] or, from 0xf0 up,
+// n+1; the rest decodes as in FuzzDenseMatchesReference. Sweeps repeat
+// values and come in any order.
+func FuzzMinPtsSweepMatchesReference(f *testing.F) {
+	r := stats.NewRand(24)
+	alphabet := []byte{0, 4, 8, 12, 0xc1, 254, 255}
+	for k := 0; k < 100; k++ {
+		l := r.Intn(16)
+		seed := []byte{byte(l)}
+		for range l + 1 {
+			seed = append(seed, byte(r.Intn(256)))
+		}
+		seed = append(seed, byte(r.Intn(64)), byte(r.Intn(4)), 0)
+		for range 1 + r.Intn(300) {
+			seed = append(seed, alphabet[r.Intn(len(alphabet))])
+		}
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		l := 1 + int(data[0])%16
+		if len(data) < 1+l {
+			return
+		}
+		x, _ := fuzzRows(data[1+l:])
+		if x == nil {
+			return
+		}
+		n := len(x)
+		sweep := make([]int, l)
+		for k, b := range data[1 : 1+l] {
+			sweep[k] = 1 + int(b)%(linalg.NearestWidth+8)
+			if b >= 0xf0 {
+				sweep[k] = n + 1
+			}
+		}
+		for name, dm := range matrices(x) {
+			for k, minPts := range sweep {
+				got, err := RunWithMatrix(dm, minPts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameResult(t, fmt.Sprintf("%s n=%d sweep %v, run %d", name, n, sweep, k), got, matrixReference(dm, minPts))
+			}
+		}
+	})
+}
+
+// The runs of a sweep started at once on one matrix share its
+// nearest-distance table: each fills the rows it reaches first and reads
+// the rows the others published, or selects from its own row while
+// another run fills it. Under -race a row read before it is published is
+// a reported race; a wrong table entry is a wrong result.
+func TestConcurrentSweepMatchesReference(t *testing.T) {
+	x := pinnedRows(rand.New(rand.NewSource(24)), 300, 8, true, false)
+	sweep := []int{3, 6, 9, 12, 15, 18, 21, 24, 2, 24, 7, 25, 301}
+	for name, dm := range matrices(x) {
+		want := make([]*Result, len(sweep))
+		for k, minPts := range sweep {
+			want[k] = matrixReference(dm, minPts)
+		}
+		got := make([]*Result, len(sweep))
+		errs := make([]error, len(sweep))
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for k, minPts := range sweep {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				got[k], errs[k] = RunWithMatrix(dm, minPts)
+			}()
+		}
+		close(start)
+		wg.Wait()
+		for k, minPts := range sweep {
+			if errs[k] != nil {
+				t.Fatal(errs[k])
+			}
+			sameResult(t, fmt.Sprintf("%s MinPts=%d", name, minPts), got[k], want[k])
+		}
+	}
+}
+
+// A matrix serving one MinPts, such as a refit's, carries no table: the
+// first run on a matrix selects each core distance from its row, and only
+// the second allocates the table, n·NearestWidth floats, and fills it.
+func TestSingleRunBuildsNoTable(t *testing.T) {
+	const n = 200
+	x := pinnedRows(rand.New(rand.NewSource(25)), n, 4, false, false)
+	allocated := func(minPts int, dm *linalg.DistMatrix) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := RunWithMatrix(dm, minPts); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	const table = n * linalg.NearestWidth * 8
+	for name, dm := range matrices(x) {
+		first := allocated(6, dm)
+		second := allocated(9, dm)
+		if first > 64*n {
+			t.Errorf("%s: the first run allocated %d bytes, want at most %d: no table", name, first, 64*n)
+		}
+		if second < first+table {
+			t.Errorf("%s: the second run allocated %d bytes, want the first run's %d plus the table's %d", name, second, first, table)
+		}
+	}
 }
 
 // A MinPts far above n is valid input, not an allocation size: the
@@ -193,11 +323,7 @@ func TestDenseHugeMinPts(t *testing.T) {
 	drivers := map[string]func(int) (*Result, error){
 		"Run": func(minPts int) (*Result, error) { return Run(x, minPts) },
 	}
-	for name, dm := range map[string]*linalg.DistMatrix{
-		"square":      linalg.NewDistMatrix(x),
-		"condensed":   linalg.NewDistMatrixCondensed(x),
-		"condensed32": linalg.NewDistMatrixCondensed32(x),
-	} {
+	for name, dm := range matrices(x) {
 		drivers["RunWithMatrix/"+name] = func(minPts int) (*Result, error) { return RunWithMatrix(dm, minPts) }
 	}
 	for name, run := range drivers {

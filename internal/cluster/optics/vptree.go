@@ -212,7 +212,7 @@ func RunWithEps(x [][]float64, minPts int, eps float64) (*Result, error) {
 	core := make([]float64, n)
 	var nb []Neighbor
 	dbuf := make([]float64, 0, n)
-	// kthSmallest runs only when len(nb) >= minPts, so minPts <= n there;
+	// KthSmallest runs only when len(nb) >= minPts, so minPts <= n there;
 	// sizing by n too keeps an oversized MinPts from allocating.
 	hbuf := make([]float64, min(minPts, n))
 	for i := 0; i < n; i++ {
@@ -225,7 +225,7 @@ func RunWithEps(x [][]float64, minPts int, eps float64) (*Result, error) {
 		for _, p := range nb {
 			dbuf = append(dbuf, p.Dist)
 		}
-		core[i] = kthSmallest(dbuf, minPts-1, hbuf)
+		core[i] = linalg.KthSmallest(dbuf, minPts-1, hbuf)
 	}
 
 	processed := make([]bool, n)

@@ -187,7 +187,8 @@ func TestVPTreeConcurrentQueries(t *testing.T) {
 	}
 }
 
-// kthSmallest must select exactly the value sort would place at index k,
+// linalg.KthSmallest, which selects core distances the table does not
+// hold, must select exactly the value sort would place at index k,
 // on adversarial shapes: duplicates, all-equal, pre-sorted, reversed,
 // slices containing +Inf, rows of length 1 and every k up to n-1. One
 // heap buffer, longer than any k needs, serves every call, as it serves
@@ -225,16 +226,16 @@ func TestKthSmallestMatchesSort(t *testing.T) {
 		sort.Float64s(want)
 		row := append([]float64(nil), c...)
 		for k := range c {
-			if got := kthSmallest(row, k, buf); got != want[k] {
-				t.Fatalf("case %d: kthSmallest(k=%d) = %v, want %v (input %v)", ci, k, got, want[k], c)
+			if got := linalg.KthSmallest(row, k, buf); got != want[k] {
+				t.Fatalf("case %d: KthSmallest(k=%d) = %v, want %v (input %v)", ci, k, got, want[k], c)
 			}
 		}
-		if got, last := kthSmallest(row, len(c)-1, buf[:len(c)]), want[len(c)-1]; got != last {
-			t.Fatalf("case %d: kthSmallest(k=n-1) with an exact-length buffer = %v, want the maximum %v", ci, got, last)
+		if got, last := linalg.KthSmallest(row, len(c)-1, buf[:len(c)]), want[len(c)-1]; got != last {
+			t.Fatalf("case %d: KthSmallest(k=n-1) with an exact-length buffer = %v, want the maximum %v", ci, got, last)
 		}
 		for i := range c {
 			if math.Float64bits(row[i]) != math.Float64bits(c[i]) {
-				t.Fatalf("case %d: kthSmallest changed the row at %d: %v, was %v", ci, i, row[i], c[i])
+				t.Fatalf("case %d: KthSmallest changed the row at %d: %v, was %v", ci, i, row[i], c[i])
 			}
 		}
 	}

@@ -11,7 +11,8 @@ import (
 // DefaultMinPtsRange is the MinPts candidate range the paper uses for
 // FOSC-OPTICSDend: {3, 6, 9, 12, 15, 18, 21, 24}. It is the single source
 // of truth for every surface (root package, CLIs, the selection server), so
-// they cannot drift apart.
+// they cannot drift apart. Its largest value is linalg.NearestWidth, the
+// width of the nearest-distance table a cached matrix keeps for the sweep.
 var DefaultMinPtsRange = []int{3, 6, 9, 12, 15, 18, 21, 24}
 
 // KRange returns the candidate range {lo, ..., hi} for the number of

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"cvcp/internal/cluster/optics"
@@ -134,5 +135,20 @@ func TestFloat32DivergenceOnSubUlpTies(t *testing.T) {
 	// divergence, not a bug.
 	if want := []int{0, 1, 2}; !reflect.DeepEqual(f32.Order, want) {
 		t.Fatalf("float32 ordering = %v, want %v", f32.Order, want)
+	}
+}
+
+// Every MinPts of the default grid must fall inside a matrix's
+// nearest-distance table, or the default sweep's runs would select each
+// core distance per row again; and the grid's largest MinPts sets the
+// table's width, so the table holds no column the grid never reads.
+func TestNearestTableCoversDefaultMinPtsRange(t *testing.T) {
+	for _, p := range DefaultMinPtsRange {
+		if p > linalg.NearestWidth {
+			t.Errorf("MinPts %d is past the table's width %d", p, linalg.NearestWidth)
+		}
+	}
+	if widest := slices.Max(DefaultMinPtsRange); widest != linalg.NearestWidth {
+		t.Errorf("the grid's largest MinPts is %d, the table's width %d", widest, linalg.NearestWidth)
 	}
 }

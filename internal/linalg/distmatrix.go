@@ -1,5 +1,10 @@
 package linalg
 
+import (
+	"sync"
+	"sync/atomic"
+)
+
 // DistMatrix is a precomputed symmetric pairwise Euclidean distance matrix.
 // Computing it costs the same O(n²·d) work as one pass of OPTICS
 // core-distance computation; every subsequent consumer (each MinPts value of
@@ -27,11 +32,19 @@ package linalg
 // lane is bit-identical to the scalar Dist (see kernels.go), the blocked
 // builders produce exactly the bytes the naive per-pair builder
 // (NewDistMatrixNaive) produces, at all block sizes — only faster.
+//
+// A matrix read by more than one OPTICS run also carries a table of each
+// row's smallest entries (see Nearest), so the runs of a MinPts sweep
+// share their core distances.
 type DistMatrix struct {
 	n         int
 	d         []float64
 	d32       []float32
 	condensed bool
+
+	nearestUses atomic.Int64 // calls to Nearest so far
+	nearestOnce sync.Once
+	nearest     *Nearest
 }
 
 // distBlock is the default tile width (in rows) of the blocked builders:
