@@ -47,15 +47,21 @@ type Set struct {
 	// sorted views, under indexMu, when a caller first needs it.
 	index   atomic.Pointer[pairIndex]
 	indexMu sync.Mutex
-	// sorted caches the views MustLinks and CannotLinks return: built by
-	// the first read after a change, dropped by every change. At least
-	// one of index and sorted is always present.
+	// sorted caches the views MustLinks and CannotLinks return, with
+	// Validate's answer over them: built by the first read after a
+	// change, dropped by every change. At least one of index and sorted
+	// is always present.
 	sorted atomic.Pointer[sortedViews]
 }
 
 type pairIndex struct{ ml, cl map[Pair]struct{} }
 
-type sortedViews struct{ ml, cl []Pair }
+type sortedViews struct {
+	ml, cl []Pair
+
+	validated sync.Once
+	conflict  error // Validate's answer, set under validated
+}
 
 // NewSet returns an empty constraint set.
 func NewSet() *Set {
@@ -221,10 +227,18 @@ func (s *Set) Clone() *Set {
 }
 
 // Validate reports an error if any pair is constrained both must-link and
-// cannot-link, naming the smallest such pair.
+// cannot-link, naming the smallest such pair. The answer is kept with the
+// sorted views it walks, so a set is walked once however many cells
+// validate it, and a change drops both.
 func (s *Set) Validate() error {
 	v := s.views()
-	ml, cl := v.ml, v.cl
+	v.validated.Do(func() { v.conflict = firstConflict(v.ml, v.cl) })
+	return v.conflict
+}
+
+// firstConflict returns an error naming the smallest pair in both sorted
+// lists, or nil.
+func firstConflict(ml, cl []Pair) error {
 	for len(ml) > 0 && len(cl) > 0 {
 		switch c := comparePairs(ml[0], cl[0]); {
 		case c < 0:

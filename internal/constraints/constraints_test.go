@@ -83,6 +83,31 @@ func TestValidateConflict(t *testing.T) {
 	}
 }
 
+// Validate keeps its answer with the sorted views, so a change must drop
+// it: a conflict added after a first Validate is reported, on a set in
+// its FromLabels form and on one built by Add, and again on a second
+// Validate of the changed set.
+func TestValidateSeesConflictAddedLater(t *testing.T) {
+	y := []int{0, 0, 1, 0, 1, 0, 0, 1}
+	added := NewSet()
+	for _, c := range FromLabels([]int{4, 1, 7, 2}, y).Constraints() {
+		added.AddConstraint(c)
+	}
+	for name, s := range map[string]*Set{"FromLabels": FromLabels([]int{4, 1, 7, 2}, y), "Add": added} {
+		for range 2 {
+			if err := s.Validate(); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+		}
+		s.Add(7, 2, false) // (2,7) is a must-link
+		for range 2 {
+			if err := s.Validate(); err == nil || !strings.Contains(err.Error(), "pair (2,7)") {
+				t.Fatalf("%s: Validate() = %v, want the conflict on pair (2,7)", name, err)
+			}
+		}
+	}
+}
+
 // With several conflicting pairs, Validate names the smallest one, so the
 // error does not depend on map iteration order.
 func TestValidateNamesSmallestConflict(t *testing.T) {
