@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"reflect"
 	"strconv"
 	"strings"
 
@@ -143,9 +144,39 @@ func decodeStrictJSON(r io.Reader, v any) *apiError {
 		if name, ok := strings.CutPrefix(err.Error(), "json: unknown field "); ok {
 			return badRequest("invalid_request", "unknown field %s in JSON body", name)
 		}
+		// A value of the wrong JSON type: name the field by its JSON keys
+		// (encoding/json's path also names the embedded jobOptions) and
+		// the JSON type it takes, not the Go types behind it.
+		var te *json.UnmarshalTypeError
+		if errors.As(err, &te) {
+			if te.Field == "" {
+				return badRequest("invalid_request", "JSON body: want %s, got %s", jsonType(te.Type), te.Value)
+			}
+			field := strings.TrimPrefix(te.Field, reflect.TypeFor[jobOptions]().Name()+".")
+			return badRequest("invalid_request", "field %q: want %s, got %s", field, jsonType(te.Type), te.Value)
+		}
 		return badRequest("invalid_request", "malformed JSON body: %v", err)
 	}
 	return nil
+}
+
+// jsonType names the JSON type a value of Go type t decodes from.
+func jsonType(t reflect.Type) string {
+	switch t.Kind() {
+	case reflect.String:
+		return "a string"
+	case reflect.Bool:
+		return "a boolean"
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		return "an integer"
+	case reflect.Float32, reflect.Float64:
+		return "a number"
+	case reflect.Slice, reflect.Array:
+		return "an array"
+	default:
+		return "an object"
+	}
 }
 
 // spec assembles the job spec the options describe, for every submission

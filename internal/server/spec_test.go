@@ -410,6 +410,27 @@ func TestSpecOptionValidation(t *testing.T) {
 		{name: "dataset_version in a batch", via: viaBatch,
 			opts: `"label_fraction": 0.5, "dataset_version": 1`,
 			msg:  `unknown field "dataset_version" in JSON body`},
+		{name: "string seed", via: viaJSON,
+			opts: `"label_fraction": 0.5, "seed": "x"`,
+			msg:  `field "seed": want an integer, got string`},
+		{name: "fractional folds", via: viaJSON,
+			opts: `"label_fraction": 0.5, "folds": 2.5`,
+			msg:  `field "folds": want an integer, got number 2.5`},
+		{name: "string label_fraction", via: viaJSON,
+			opts: `"label_fraction": "x"`,
+			msg:  `field "label_fraction": want a number, got string`},
+		{name: "non-boolean matrix32 in JSON", via: viaJSON,
+			opts: `"label_fraction": 0.5, "matrix32": "maybe"`,
+			msg:  `field "matrix32": want a boolean, got string`},
+		{name: "object algorithms", via: viaJSON,
+			opts: `"label_fraction": 0.5, "algorithms": {}`,
+			msg:  `field "algorithms": want an array, got object`},
+		{name: "string in params", via: viaJSON,
+			opts: `"label_fraction": 0.5, "params": [3, "x"]`,
+			msg:  `field "params": want an integer, got string`},
+		{name: "string constraint index", via: viaJSON,
+			opts: `"constraints": [{"a":"0","b":1,"link":"ml"}]`,
+			msg:  `field "constraints.a": want an integer, got string`},
 		{name: "non-integer folds", via: viaString,
 			opts: `"label_fraction": 0.5, "folds": "x"`,
 			msg:  `option "folds": strconv.Atoi: parsing "x": invalid syntax`},
@@ -522,6 +543,16 @@ func TestSpecOptionValidation(t *testing.T) {
 			400, "invalid_request", "malformed JSON body: unexpected EOF"},
 		{"truncated batch", "/v1/batches", "application/json", `{"datasets": [`,
 			400, "invalid_request", "malformed JSON body: unexpected EOF"},
+		{"job body not an object", "/v1/jobs", "application/json", `[]`,
+			400, "invalid_request", "JSON body: want an object, got array"},
+		{"number as job csv", "/v1/jobs", "application/json", `{"csv": 3, "label_fraction": 0.5}`,
+			400, "invalid_request", `field "csv": want a string, got number`},
+		{"string has_label", "/v1/jobs", "application/json", `{"csv": ` + csvJSON + `, "has_label": "yes", "label_fraction": 0.5}`,
+			400, "invalid_request", `field "has_label": want a boolean, got string`},
+		{"number as batch dataset name", "/v1/batches", "application/json", `{"datasets": [{"csv": ` + csvJSON + `, "name": 3}], "label_fraction": 0.5}`,
+			400, "invalid_request", `field "datasets.name": want a string, got number`},
+		{"object as dataset name", "/v1/datasets", "application/json", `{"name": {}, "csv": ` + csvJSON + `}`,
+			400, "invalid_request", `field "name": want a string, got object`},
 		{"batch as CSV", "/v1/batches", "text/csv", csvText,
 			400, "invalid_request", `batch submissions are JSON documents (got Content-Type "text/csv")`},
 		{"batch without datasets", "/v1/batches", "application/json", `{"label_fraction": 0.5}`,
