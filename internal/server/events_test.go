@@ -62,8 +62,16 @@ func TestSSEReplayIdenticalAcrossRestart(t *testing.T) {
 		t.Fatalf("pre-restart stream has only %d events", len(before))
 	}
 
-	// "kill -9": the first manager is abandoned without Shutdown or
-	// store Close; a fresh manager opens the same directory.
+	// "kill -9": the first store is abandoned without Close, and a fresh
+	// manager opens the same directory. A killed process writes nothing
+	// afterwards, so the kill comes only once m1 is quiescent: the job
+	// turns terminal in memory before the executor writes its terminal
+	// record, and a restart that read the running record would re-queue
+	// the job and append a second run's events to the stream. Shutdown
+	// waits for the executor and writes nothing of its own.
+	if err := m1.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 	s2 := openFileStore(t, dir)
 	defer s2.Close()
 	m2 := NewManager(Config{MaxRunningJobs: 1, WorkerBudget: 2, Store: s2})
@@ -95,7 +103,6 @@ func TestSSEReplayIdenticalAcrossRestart(t *testing.T) {
 		}
 	}
 
-	m1.Shutdown(context.Background()) // executor cleanup; s1 stays un-Closed like a killed process
 }
 
 // A reconnecting client sending Last-Event-ID receives only events with
