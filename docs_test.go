@@ -169,7 +169,7 @@ var requiredAPIDocs = map[string][]string{
 	},
 	"docs/performance.md": {
 		"Dist4", "SqDist4", "Pack4", "NewDistMatrixNaive", "RowInto",
-		"Matrix32", "RunWithEps", "kthSmallest", "BENCH_v5.json",
+		"Matrix32", "RunWithEps", "KthSmallest", "NearestWidth", "BENCH_v5.json",
 		"bench-smoke", "benchjson",
 	},
 	"BENCH_v5.json": {
