@@ -250,10 +250,6 @@ func main() {
 	}
 }
 
-// cellCacheEntries bounds the in-memory tier of the -dataset-dir cell
-// cache; the persistent tier (<dir>/cellcache) is unbounded.
-const cellCacheEntries = 4096
-
 // datasetDirOwner is the owning record of every cell score the
 // -dataset-dir cache persists. The file store's startup sweep deletes
 // cell records whose owner record is gone, so the owner is written before
@@ -313,7 +309,7 @@ func openDatasetDir(dir string) (*root.Dataset, *runner.ScoreCache, func(), erro
 		}
 	}
 	fmt.Fprintf(os.Stderr, "cvcp: %s at version %d (%d batches, %d rows)\n", v.Name(), v.Version(), len(paths), v.N())
-	cache := runner.NewScoreCache(store.NewCellCache(st, datasetDirOwner), cellCacheEntries)
+	cache := runner.NewScoreCache(store.NewCellCache(st, datasetDirOwner), 0)
 	return ds, cache, func() { st.Close() }, nil
 }
 

@@ -54,12 +54,11 @@
 // # Concurrency
 //
 // The scoring grid — every (candidate, parameter, fold) cell — is
-// scheduled onto a bounded worker pool, controlled by four Options fields:
+// scheduled onto a bounded worker pool, controlled by three Options fields
+// and the ctx argument of Select, which cancels a selection mid-grid:
 //
 //   - Workers bounds this selection's concurrency (0 = serial, -1 = one
 //     worker per CPU, any positive value an explicit bound);
-//   - Context cancels a selection mid-grid (the ctx argument of Select
-//     supersedes it when non-nil);
 //   - Progress observes completion: it is called after every finished
 //     grid task with (done, total), serialized and monotone;
 //   - Limiter, when non-nil, draws every task's execution slot from a

@@ -7,10 +7,10 @@
 // parameter-range) candidates, a Supervision (labeled objects — Scenario I —
 // or pairwise constraints — Scenario II) and a Scorer strategy
 // (cross-validation — the paper's CVCP criterion —, bootstrap resampling,
-// or a relative validity index). The scorer evaluates every candidate cell
-// through the execution engine as one run, picks each candidate's best
-// parameter, refits with all supervision, and the overall winner is the
-// cross-candidate best.
+// or a relative validity index). A partition scorer's selection is a
+// CellPlan: every (candidate, parameter, fold) cell is scored through the
+// execution engine as one run, each candidate's best parameter is refit
+// with all supervision, and the overall winner is the cross-candidate best.
 package cvcp
 
 import (
@@ -50,10 +50,6 @@ type Options struct {
 	// Every task's seed derives from its grid position, so the result is
 	// bit-identical for every worker count.
 	Workers int
-	// Context cancels a selection mid-grid; the selection then returns the
-	// context's error. Nil means context.Background(). The ctx argument of
-	// Select supersedes this field when non-nil.
-	Context context.Context
 	// Progress, when non-nil, observes grid completion: it is called after
 	// each finished grid task with (done, total). Calls are serialized.
 	Progress func(done, total int)
@@ -64,11 +60,11 @@ type Options struct {
 	// use this to bound machine load globally instead of per selection.
 	Limiter *runner.Limiter
 	// CellCache, when non-nil, memoizes partition-scorer cell scores
-	// across runs through the two-tier content-addressed cache. Only
-	// cells of folds carrying a CacheKey (stable supervisions such as
-	// StableLabels) participate. Like Workers and Limiter this is
-	// machine-local configuration: a cached score is bit-identical to the
-	// computation it replaced, so the cache never affects results.
+	// across runs through the content-addressed cell cache. Only cells of
+	// folds carrying a CacheKey (stable supervisions such as StableLabels)
+	// participate. Like Workers and Limiter this is machine-local
+	// configuration: a cached score is bit-identical to the computation
+	// it replaced, so the cache never affects results.
 	CellCache *runner.ScoreCache
 	// CellStats, when non-nil, accumulates how many grid cells this run
 	// computed versus reused from the cell cache — observability only
@@ -127,9 +123,10 @@ func (o Options) workers() int {
 	}
 }
 
-// engineOptions builds the runner configuration for this selection.
-func (o Options) engineOptions() runner.Options {
-	return runner.Options{Workers: o.workers(), Context: o.Context, OnProgress: o.Progress, Limiter: o.Limiter}
+// engineOptions builds the runner configuration of a selection's grid
+// run under ctx.
+func (o Options) engineOptions(ctx context.Context) runner.Options {
+	return runner.Options{Workers: o.workers(), Context: ctx, OnProgress: o.Progress, Limiter: o.Limiter}
 }
 
 // ParamScore is the cross-validated quality of one candidate parameter.

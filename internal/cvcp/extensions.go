@@ -1,6 +1,8 @@
 package cvcp
 
 import (
+	"context"
+	"errors"
 	"fmt"
 
 	"cvcp/internal/cluster/copkmeans"
@@ -33,7 +35,7 @@ func (COPKMeans) Name() string { return "COP-KMeans" }
 func (c COPKMeans) Cluster(ds *dataset.Dataset, train *constraints.Set, k int, seed int64) ([]int, error) {
 	res, err := copkmeans.Run(ds.X, train, copkmeans.Config{K: k, Seed: seed, MaxIter: c.MaxIter})
 	if err != nil {
-		if isInfeasible(err) {
+		if errors.Is(err, copkmeans.ErrInfeasible) {
 			labels := make([]int, ds.N())
 			for i := range labels {
 				labels[i] = -1
@@ -43,20 +45,6 @@ func (c COPKMeans) Cluster(ds *dataset.Dataset, train *constraints.Set, k int, s
 		return nil, err
 	}
 	return res.Labels, nil
-}
-
-func isInfeasible(err error) bool {
-	for e := err; e != nil; {
-		if e == copkmeans.ErrInfeasible {
-			return true
-		}
-		u, ok := e.(interface{ Unwrap() error })
-		if !ok {
-			return false
-		}
-		e = u.Unwrap()
-	}
-	return false
 }
 
 // ValidityIndex is a relative clustering validity criterion used as an
@@ -113,7 +101,7 @@ func SelectByValidityIndices(alg Algorithm, ds *dataset.Dataset, full *constrain
 	if err != nil {
 		return nil, err
 	}
-	per, err := validityScore(ds, spec.Grid, sup, vis, spec.Options)
+	per, err := validityScore(context.Background(), ds, spec.Grid, sup, vis, spec.Options)
 	if err != nil {
 		return nil, err
 	}

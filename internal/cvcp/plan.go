@@ -28,13 +28,14 @@ type PartitionScorer interface {
 // cell subrange (ScoreRange) or merge a complete set of cell scores
 // into the final Result (Finalize). Cells linearize candidate-major —
 // ci outermost, then parameter, then fold — the cell order cellTasks
-// indexes by, so cell index c of a plan is cell c of the single-node
-// engine run.
+// indexes by.
 //
-// The contract underpinning distributed execution: for any partition of
-// [0, NumCells()) into ranges, computing each range with ScoreRange (on
-// any node, at any worker count) and passing the concatenated scores to
-// Finalize yields a Result bit-identical to Select on the same Spec.
+// Select runs a partition scorer's selection as exactly this plan: all
+// cells in one engine run, then Finalize. The contract underpinning
+// distributed execution follows: for any partition of [0, NumCells())
+// into ranges, computing each range with ScoreRange (on any node, at any
+// worker count) and passing the concatenated scores to Finalize yields a
+// Result bit-identical to Select on the same Spec.
 type CellPlan struct {
 	ds     *dataset.Dataset
 	grid   Grid
@@ -46,8 +47,8 @@ type CellPlan struct {
 }
 
 // PlanCells validates the spec and materializes its fold plan. It fails
-// when the spec's scorer is not partition-based; callers fall back to
-// single-node Select.
+// when the spec's scorer is not partition-based (Validity); callers fall
+// back to Select, which sweeps instead.
 func PlanCells(spec Spec) (*CellPlan, error) {
 	if err := spec.validate(); err != nil {
 		return nil, err
@@ -106,41 +107,33 @@ type CellCounts struct {
 // the plan's Options carry a CellStats, the counts are accumulated there
 // too.
 func (p *CellPlan) ScoreRangeCounted(ctx context.Context, lo, hi int, workers int, limiter *runner.Limiter) ([]float64, CellCounts, error) {
+	return p.scoreCells(lo, hi, runner.Options{Workers: workers, Context: ctx, Limiter: limiter})
+}
+
+// scoreCells computes the cells in [lo, hi) as one engine run under ropt
+// and returns their scores in cell order with the range's counts.
+func (p *CellPlan) scoreCells(lo, hi int, ropt runner.Options) ([]float64, CellCounts, error) {
 	if lo < 0 || hi > p.cells || lo > hi {
 		return nil, CellCounts{}, fmt.Errorf("cvcp: cell range [%d, %d) outside grid of %d cells", lo, hi, p.cells)
 	}
 	counts := &CellStats{}
-	scores := newScoreGrid(p.grid, len(p.folds))
-	tasks := cellTasks(p.ds, p.grid, p.folds, p.opt, scores, counts, lo, hi)
-	ropt := runner.Options{Workers: workers, Context: ctx, Limiter: limiter}
+	out := make([]float64, hi-lo)
+	tasks := cellTasks(p.ds, p.grid, p.folds, p.opt, out, counts, lo, hi)
 	if err := runner.Run(ropt, tasks); err != nil {
 		return nil, CellCounts{}, err
 	}
 	if p.opt.CellStats != nil {
 		p.opt.CellStats.add(counts.Computed(), counts.Reused())
 	}
-	out := make([]float64, 0, hi-lo)
-	c := 0
-	for ci, cand := range p.grid {
-		for pi := range cand.Params {
-			for fi := range p.folds {
-				if c >= lo && c < hi {
-					out = append(out, scores[ci][pi].FoldScores[fi])
-				}
-				c++
-			}
-		}
-	}
 	return out, CellCounts{Computed: int(counts.Computed()), Reused: int(counts.Reused())}, nil
 }
 
 // Finalize merges a complete set of per-cell scores — cellScores[c] is
 // cell c's score, typically concatenated from ScoreRange calls — into
-// the final Result: the single-node reduction (per-parameter fold
-// means, first-best parameter scan), the per-candidate refits with the
-// full supervision, and the scorer's winner comparison, all via the
-// same helpers Select's path uses. workers and limiter bound the refit
-// clusterings on this node.
+// the final Result: per-parameter fold means and the first-best
+// parameter scan (reduceScores), the per-candidate refits with the full
+// supervision, and the scorer's winner comparison. workers and limiter
+// bound the refit clusterings on this node.
 func (p *CellPlan) Finalize(ctx context.Context, cellScores []float64, workers int, limiter *runner.Limiter) (*Result, error) {
 	if len(cellScores) != p.cells {
 		return nil, fmt.Errorf("cvcp: %d cell scores for a grid of %d cells", len(cellScores), p.cells)
@@ -157,18 +150,10 @@ func (p *CellPlan) Finalize(ctx context.Context, cellScores []float64, workers i
 	}
 	sels := reduceScores(p.grid, scores)
 	opt := p.opt
-	opt.Context = ctx
 	opt.Workers = workers
 	opt.Limiter = limiter
-	opt.Progress = nil
-	if err := refitFinals(p.ds, p.grid, p.full, opt, sels); err != nil {
+	if err := refitFinals(ctx, p.ds, p.grid, p.full, opt, sels); err != nil {
 		return nil, err
 	}
-	res := &Result{PerCandidate: sels}
-	for _, sel := range sels {
-		if res.Winner == nil || p.scorer.Better(sel.Best.Score, res.Winner.Best.Score) {
-			res.Winner = sel
-		}
-	}
-	return res, nil
+	return newResult(sels, p.scorer), nil
 }

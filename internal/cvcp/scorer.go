@@ -12,17 +12,16 @@ import (
 	"cvcp/internal/stats"
 )
 
-// Scorer is the strategy that turns a candidate grid plus supervision into
-// scored selections — the axis along which evaluation procedures plug into
-// the framework. Three implementations ship: CrossValidation (the paper's
-// CVCP criterion), Bootstrap (the resampling alternative §3.1 mentions) and
-// Validity (the classical unsupervised baselines of §4.3).
-//
-// A Scorer must dispatch its entire (candidate, parameter, evaluation-unit)
-// workload through a single engine run per phase, so every candidate shares
-// one worker pool, one Limiter and one run cache, and must derive every
-// random seed from grid position — never from scheduling order — so results
-// are bit-identical for any worker count.
+// Scorer is the strategy that scores a candidate grid against supervision
+// — the axis along which evaluation procedures plug into the framework.
+// Three implementations ship: CrossValidation (the paper's CVCP
+// criterion), Bootstrap (the resampling alternative §3.1 mentions) and
+// Validity (the classical unsupervised baselines of §4.3). The first two
+// are PartitionScorers: Select plans their folds' cell grid (PlanCells)
+// and scores it through the engine as one run. Validity clusters each
+// candidate parameter once with the full supervision and needs no folds.
+// Every random seed derives from grid position — never from scheduling
+// order — so results are bit-identical for any worker count.
 type Scorer interface {
 	// Name identifies the strategy in errors and reports.
 	Name() string
@@ -30,9 +29,6 @@ type Scorer interface {
 	// comparing candidates (larger-is-better for constraint F-measure,
 	// index-specific for validity criteria).
 	Better(a, b float64) bool
-	// Score evaluates every candidate of the grid against the supervision
-	// and returns one complete Selection per candidate, in grid order.
-	Score(ds *dataset.Dataset, grid Grid, sup Supervision, opt Options) ([]*Selection, error)
 }
 
 // ScorerByName maps a scoring-strategy name onto its implementation: ""
@@ -86,15 +82,6 @@ func (CrossValidation) Folds(ds *dataset.Dataset, sup Supervision, opt Options) 
 	return sup.CVFolds(ds, opt.nFolds(), opt.Seed)
 }
 
-// Score implements Scorer.
-func (cv CrossValidation) Score(ds *dataset.Dataset, grid Grid, sup Supervision, opt Options) ([]*Selection, error) {
-	folds, full, err := cv.Folds(ds, sup, opt)
-	if err != nil {
-		return nil, err
-	}
-	return partitionScore(ds, grid, folds, full, opt)
-}
-
 // Bootstrap scores candidates by bootstrap resampling instead of
 // cross-validation — the alternative partition-based evaluation the paper's
 // Section 3.1 mentions. Each round draws supervision objects with
@@ -124,15 +111,6 @@ func (b Bootstrap) Folds(ds *dataset.Dataset, sup Supervision, opt Options) ([]F
 	return sup.BootstrapFolds(ds, b.rounds(), opt.Seed)
 }
 
-// Score implements Scorer.
-func (b Bootstrap) Score(ds *dataset.Dataset, grid Grid, sup Supervision, opt Options) ([]*Selection, error) {
-	folds, full, err := b.Folds(ds, sup, opt)
-	if err != nil {
-		return nil, err
-	}
-	return partitionScore(ds, grid, folds, full, opt)
-}
-
 // Validity scores candidates by a relative clustering validity index — the
 // classical unsupervised model-selection baseline (§4.3): every candidate
 // parameter clusters the data once with the full supervision and the index
@@ -153,45 +131,25 @@ func (v Validity) Better(a, b float64) bool {
 	return v.Index.Better(a, b)
 }
 
-// Score implements Scorer.
-func (v Validity) Score(ds *dataset.Dataset, grid Grid, sup Supervision, opt Options) ([]*Selection, error) {
-	full, err := sup.Full(ds)
+// sweep is a Validity selection: Select runs one full-supervision
+// parameter sweep per candidate in place of a cell plan.
+func (v Validity) sweep(ctx context.Context, spec Spec) (*Result, error) {
+	if err := spec.validate(); err != nil {
+		return nil, err
+	}
+	full, err := spec.Supervision.Full(spec.Dataset)
 	if err != nil {
 		return nil, err
 	}
-	per, err := validityScore(ds, grid, full, []ValidityIndex{v.Index}, opt)
+	per, err := validityScore(ctx, spec.Dataset, spec.Grid, full, []ValidityIndex{v.Index}, spec.Options)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]*Selection, len(per))
+	sels := make([]*Selection, len(per))
 	for ci := range per {
-		out[ci] = per[ci][0]
+		sels[ci] = per[ci][0]
 	}
-	return out, nil
-}
-
-// partitionScore is the shared machinery of the partition-based scorers
-// (cross-validation, bootstrap): it schedules the full candidate × parameter
-// × fold grid through the execution engine as ONE run — a single worker
-// pool, a single Limiter acquisition stream and a single run cache serve
-// every candidate — then aggregates per-candidate scores and refits each
-// candidate's winner with the full supervision.
-//
-// Determinism: each cell's seed is stats.SplitSeed(opt.Seed,
-// pi*len(folds)+fi+1), a function of its parameter and fold index within
-// its candidate only, so a multi-candidate run is bit-identical to running
-// each candidate alone.
-func partitionScore(ds *dataset.Dataset, grid Grid, folds []Fold, full *constraints.Set, opt Options) ([]*Selection, error) {
-	scores := newScoreGrid(grid, len(folds))
-	tasks := cellTasks(ds, grid, folds, opt, scores, opt.CellStats, 0, gridCells(grid, len(folds)))
-	if err := runner.Run(opt.engineOptions(), tasks); err != nil {
-		return nil, err
-	}
-	out := reduceScores(grid, scores)
-	if err := refitFinals(ds, grid, full, opt, out); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return newResult(sels, v), nil
 }
 
 // newScoreGrid allocates the per-candidate score matrix the cell tasks
@@ -217,9 +175,10 @@ func gridCells(grid Grid, nFolds int) int {
 }
 
 // cellTasks builds one engine task per (candidate, parameter, fold) cell
-// whose index lies in [lo, hi). Cells are indexed in canonical cell order
-// — ci outermost, then pi, then fi — the linearization the distributed
-// layer's shard ranges index into. Each cell's seed is
+// whose index c lies in [lo, hi); the task writes the cell's score to
+// out[c-lo]. Cells are indexed in canonical cell order — ci outermost,
+// then pi, then fi — the linearization the distributed layer's shard
+// ranges index into. Each cell's seed is
 // stats.SplitSeed(seed, pi*len(folds)+fi+1), a function of its
 // within-candidate position only, so any contiguous subrange computes
 // bit-identically to those cells of the full grid.
@@ -239,13 +198,14 @@ func gridCells(grid Grid, nFolds int) int {
 // cell cache — a cache hit returns the identical bits the computation
 // would have produced. counts, when non-nil, tallies computed vs reused
 // cells.
-func cellTasks(ds *dataset.Dataset, grid Grid, folds []Fold, opt Options, scores [][]ParamScore, counts *CellStats, lo, hi int) []runner.Task {
+func cellTasks(ds *dataset.Dataset, grid Grid, folds []Fold, opt Options, out []float64, counts *CellStats, lo, hi int) []runner.Task {
 	tasks := make([]runner.Task, 0, hi-lo)
 	base := 0 // index of the candidate's first cell
 	for ci, cand := range grid {
 		for fi := range folds {
 			for pi := range cand.Params {
-				if c := base + pi*len(folds) + fi; c < lo || c >= hi {
+				c := base + pi*len(folds) + fi
+				if c < lo || c >= hi {
 					continue
 				}
 				ci, pi, fi := ci, pi, fi
@@ -281,7 +241,7 @@ func cellTasks(ds *dataset.Dataset, grid Grid, folds []Fold, opt Options, scores
 					if counts != nil {
 						counts.note(reused)
 					}
-					scores[ci][pi].FoldScores[fi] = score
+					out[c-lo] = score
 					return nil
 				})
 			}
@@ -314,13 +274,12 @@ func reduceScores(grid Grid, scores [][]ParamScore) []*Selection {
 
 // refitFinals computes each candidate's final clustering with the full
 // supervision. The final clusterings dispatch through the engine too —
-// one task per candidate, still under the shared Limiter and context —
-// each seeded with stats.SplitSeed(opt.Seed, 0), an index no grid cell
-// uses. Progress reporting covers the scoring grid only, so the callback
-// never sees a second, smaller (done, total) sequence after the grid
-// completed.
-func refitFinals(ds *dataset.Dataset, grid Grid, full *constraints.Set, opt Options, out []*Selection) error {
-	fopt := opt.engineOptions()
+// one task per candidate, still under the shared Limiter and ctx — each
+// seeded with stats.SplitSeed(opt.Seed, 0), an index no grid cell uses.
+// Progress reporting covers the scoring grid only, so the callback never
+// sees a second, smaller (done, total) sequence after the grid completed.
+func refitFinals(ctx context.Context, ds *dataset.Dataset, grid Grid, full *constraints.Set, opt Options, out []*Selection) error {
+	fopt := opt.engineOptions(ctx)
 	fopt.OnProgress = nil
 	finals := make([]runner.Task, len(grid))
 	for ci := range grid {
@@ -335,20 +294,32 @@ func refitFinals(ds *dataset.Dataset, grid Grid, full *constraints.Set, opt Opti
 		}
 	}
 	if err := runner.Run(fopt, finals); err != nil {
-		if opt.Context != nil && opt.Context.Err() != nil {
-			return opt.Context.Err()
+		if ctx != nil && ctx.Err() != nil {
+			return ctx.Err()
 		}
 		return fmt.Errorf("cvcp: final clustering: %w", err)
 	}
 	return nil
 }
 
+// newResult picks the overall winner of a selection: the first candidate
+// that no later candidate beats under the scorer's comparison.
+func newResult(sels []*Selection, s Scorer) *Result {
+	res := &Result{PerCandidate: sels}
+	for _, sel := range sels {
+		if res.Winner == nil || s.Better(sel.Best.Score, res.Winner.Best.Score) {
+			res.Winner = sel
+		}
+	}
+	return res
+}
+
 // validityScore runs one full-supervision parameter sweep per candidate —
-// all candidates through a single engine run — and scores the shared
-// partitions with every given index. It returns one Selection per
+// all candidates through a single engine run under ctx — and scores the
+// shared partitions with every given index. It returns one Selection per
 // (candidate, index); the clustering cost is the dominant term, so scoring
 // n indices costs the same as scoring one.
-func validityScore(ds *dataset.Dataset, grid Grid, full *constraints.Set, vis []ValidityIndex, opt Options) ([][]*Selection, error) {
+func validityScore(ctx context.Context, ds *dataset.Dataset, grid Grid, full *constraints.Set, vis []ValidityIndex, opt Options) ([][]*Selection, error) {
 	for _, vi := range vis {
 		if vi.Score == nil || vi.Better == nil {
 			return nil, fmt.Errorf("cvcp: validity index %q incomplete", vi.Name)
@@ -371,7 +342,7 @@ func validityScore(ds *dataset.Dataset, grid Grid, full *constraints.Set, vis []
 			})
 		}
 	}
-	if err := runner.Run(opt.engineOptions(), tasks); err != nil {
+	if err := runner.Run(opt.engineOptions(ctx), tasks); err != nil {
 		return nil, err
 	}
 	out := make([][]*Selection, len(grid))

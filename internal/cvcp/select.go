@@ -38,8 +38,7 @@ type Spec struct {
 	// paper's CVCP criterion.
 	Scorer Scorer
 	// Options carries the run parameters (folds, seed, workers, progress,
-	// limiter). Its Context field is superseded by the ctx argument of
-	// Select when that is non-nil.
+	// limiter, cell cache).
 	Options Options
 }
 
@@ -56,37 +55,30 @@ type Result struct {
 // candidate of spec.Grid against spec.Supervision with spec.Scorer and
 // returns the per-candidate selections plus the overall winner.
 //
-// The entire workload — every (candidate, parameter, fold) cell — is
-// dispatched through the execution engine as one run: one worker pool, one
-// shared Limiter and one run cache serve all candidates, and every cell's
+// A partition scorer's selection is its CellPlan (PlanCells): every
+// (candidate, parameter, fold) cell is dispatched through the execution
+// engine as one run under the Options' workers, limiter and progress —
+// one worker pool, one Limiter acquisition stream and one run cache serve
+// all candidates — and Finalize refits and picks the winner. Every cell's
 // seed derives from its grid position, so results are bit-identical for
 // every worker count and identical to scoring each candidate alone.
+// Validity sweeps each candidate's parameters once instead.
 //
-// ctx cancels the selection mid-grid; when non-nil it supersedes
-// spec.Options.Context.
+// ctx cancels the selection mid-grid; nil means context.Background().
 func Select(ctx context.Context, spec Spec) (*Result, error) {
-	if err := spec.validate(); err != nil {
-		return nil, err
+	if v, ok := spec.Scorer.(Validity); ok {
+		return v.sweep(ctx, spec)
 	}
-	opt := spec.Options
-	if ctx != nil {
-		opt.Context = ctx
-	}
-	scorer := spec.Scorer
-	if scorer == nil {
-		scorer = CrossValidation{}
-	}
-	sels, err := scorer.Score(spec.Dataset, spec.Grid, spec.Supervision, opt)
+	plan, err := PlanCells(spec)
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{PerCandidate: sels}
-	for _, sel := range sels {
-		if res.Winner == nil || scorer.Better(sel.Best.Score, res.Winner.Best.Score) {
-			res.Winner = sel
-		}
+	opt := spec.Options
+	scores, _, err := plan.scoreCells(0, plan.cells, opt.engineOptions(ctx))
+	if err != nil {
+		return nil, err
 	}
-	return res, nil
+	return plan.Finalize(ctx, scores, opt.workers(), opt.Limiter)
 }
 
 // validate rejects a spec with no data, no candidates, a nil algorithm, an

@@ -45,8 +45,7 @@ func TestSelectValidation(t *testing.T) {
 	}
 }
 
-// A cancelled ctx argument must abort the selection even when
-// Options.Context is unset — the ctx parameter supersedes the field.
+// A cancelled ctx argument must abort the selection with its error.
 func TestSelectContextArgument(t *testing.T) {
 	ds := blobsDataset(111, 3, 20, 15)
 	labeled := ds.SampleLabels(stats.NewRand(112), 0.3)

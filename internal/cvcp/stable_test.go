@@ -186,8 +186,8 @@ func TestStableLabelsCacheBitIdentity(t *testing.T) {
 				t.Fatalf("cold run: computed=%d reused=%d, want %d/0", stats.Computed(), stats.Reused(), cells)
 			}
 		} else {
-			// The persistent tier is warm from the workers=1 run (each run
-			// gets a fresh in-memory tier): everything reuses.
+			// The store is warm from the workers=1 run (each run gets a
+			// fresh cache over it): everything reuses.
 			if stats.Computed() != 0 || stats.Reused() != int64(cells) {
 				t.Fatalf("warm run: computed=%d reused=%d, want 0/%d", stats.Computed(), stats.Reused(), cells)
 			}

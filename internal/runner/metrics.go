@@ -16,11 +16,11 @@ var (
 	mCacheMisses = metrics.NewCounter("cvcpd_runcache_misses_total",
 		"Run-cache lookups that created a new entry.")
 	mCellCacheHits = metrics.NewCounter("cvcpd_cellcache_hits_total",
-		"Cell-cache lookups satisfied from the memory or persistent tier without recomputing the cell.")
+		"Cell-cache lookups satisfied from the cell store without recomputing the cell.")
 	mCellCacheMisses = metrics.NewCounter("cvcpd_cellcache_misses_total",
-		"Cell-cache lookups that found no tier populated and computed the cell.")
+		"Cell-cache lookups that found no stored score and computed the cell.")
 	mCellCacheWrites = metrics.NewCounter("cvcpd_cellcache_writes_total",
-		"Cell scores written back to the persistent cell-cache tier.")
+		"Computed cell scores written to the cell store.")
 	mCellCacheWriteFailures = metrics.NewCounter("cvcpd_cellcache_write_failures_total",
 		"Cell-cache write-backs that failed; the job keeps its computed score and the cell is recomputed next time.")
 )

@@ -37,8 +37,7 @@ type Task func(ctx context.Context) error
 // Options configures one engine run.
 type Options struct {
 	// Workers bounds the number of tasks executing concurrently.
-	// 0 or negative means GOMAXPROCS. Workers == 1 runs every task inline
-	// on the calling goroutine, which keeps serial callers allocation-free.
+	// 0 or negative means GOMAXPROCS.
 	Workers int
 	// Context cancels the run: no new task starts after it is done, and
 	// the run returns ctx.Err() unless a task failed first. Nil means
@@ -136,10 +135,6 @@ func Run(opt Options, tasks []Task) error {
 	workers := opt.workers()
 	if workers > n {
 		workers = n
-	}
-
-	if workers == 1 {
-		return runSerial(ctx, opt, tasks)
 	}
 
 	// The run owns a derived context so the first task error stops the
@@ -241,39 +236,12 @@ func Run(opt Options, tasks []Task) error {
 	}
 	if done == n {
 		// Every task completed; the grid is whole, so a caller context
-		// that died after the last task finished does not discard it —
-		// matching the serial path, which also returns the full result.
+		// that died after the last task finished does not discard it.
 		return nil
 	}
 	// No task failed but the grid is incomplete: the caller's context was
 	// cancelled mid-run.
 	return opt.context().Err()
-}
-
-// runSerial is the Workers == 1 path: tasks run inline in index order, so a
-// serial run observes exactly the behavior of the pre-engine loop.
-func runSerial(ctx context.Context, opt Options, tasks []Task) error {
-	for i, t := range tasks {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if opt.Limiter != nil {
-			if err := opt.Limiter.acquire(ctx); err != nil {
-				return err
-			}
-		}
-		err := t(ctx)
-		if opt.Limiter != nil {
-			opt.Limiter.release()
-		}
-		if err != nil {
-			return err
-		}
-		if opt.OnProgress != nil {
-			opt.OnProgress(i+1, len(tasks))
-		}
-	}
-	return nil
 }
 
 // Grid runs fn over every cell of a rows×cols grid (row-major), the shape of

@@ -344,8 +344,8 @@ func TestLimiterBoundsConcurrencyAcrossRuns(t *testing.T) {
 	}
 }
 
-// The serial path must honor the Limiter too, and a cancelled context must
-// unblock a waiting acquire.
+// A pool of one worker must honor the Limiter too, and a cancelled context
+// must unblock a waiting acquire.
 func TestLimiterSerialAndCancel(t *testing.T) {
 	lim := NewLimiter(1)
 	ran := 0
@@ -354,7 +354,7 @@ func TestLimiterSerialAndCancel(t *testing.T) {
 		func(context.Context) error { ran++; return nil },
 	})
 	if err != nil || ran != 2 {
-		t.Fatalf("serial limited run: err=%v ran=%d", err, ran)
+		t.Fatalf("one-worker limited run: err=%v ran=%d", err, ran)
 	}
 
 	// Occupy the only slot, then start a run that must block acquiring it;

@@ -22,108 +22,83 @@ type CellStore interface {
 	PutCell(key string, bits uint64) error
 }
 
-// ScoreCache is the two-tier cell-result cache: an in-memory single-flight
-// layer backed by an optional persistent CellStore. Lookups try memory,
-// then the store; misses compute and write back to both tiers. A failing
-// store never fails a lookup — reads fall through to compute and write
-// failures degrade the cache to memory-only for that cell (the score is
-// recomputed next time instead of reused).
+// ScoreCache is the cell-result cache: it reads through its CellStore.
+// A lookup gets the key from the store and, on a miss, computes the score
+// and puts it. A failing store never fails a lookup: a failed get
+// computes, and a failed put keeps the computed score, which the next
+// lookup computes again instead of reusing.
 type ScoreCache struct {
-	store CellStore // nil means memory-only
-
-	maxEntries int
-	mu         sync.Mutex
-	order      []string // insertion order, for eviction
-	entries    map[string]*scoreEntry
+	store CellStore
 }
 
-type scoreEntry struct {
-	once sync.Once
-	val  float64
-	err  error
-}
-
-// NewScoreCache returns a ScoreCache over the given store (nil for
-// memory-only) retaining at most maxEntries in-memory scores (minimum 1;
-// the persistent tier is unbounded).
+// NewScoreCache returns a ScoreCache over the given store. A nil store
+// means an in-memory one that keeps the maxEntries (minimum 1) most
+// recently added scores; maxEntries bounds nothing else.
 func NewScoreCache(store CellStore, maxEntries int) *ScoreCache {
-	if maxEntries < 1 {
-		maxEntries = 1
+	if store == nil {
+		store = newMemCellStore(maxEntries)
 	}
-	return &ScoreCache{store: store, maxEntries: maxEntries, entries: map[string]*scoreEntry{}}
+	return &ScoreCache{store: store}
 }
 
 // Do returns the score for the content-addressed cell key, computing it
-// with compute on a full miss. The reused result reports whether the score
-// came from either cache tier (or an in-flight computation of the same
-// key) rather than this call's own compute — re-selection jobs sum it into
-// their reused-cell counters. Errors are not cached or persisted: a failed
-// cell computation is retried on the next lookup.
+// with compute when the store does not hold it. The reused result reports
+// whether the score came from the store rather than this call's compute —
+// re-selection jobs sum it into their reused-cell counters. Errors are not
+// stored: a failed cell computation is retried on the next lookup.
 func (c *ScoreCache) Do(key string, compute func() (float64, error)) (score float64, reused bool, err error) {
-	c.mu.Lock()
-	e, ok := c.entries[key]
-	if !ok {
-		e = &scoreEntry{}
-		c.entries[key] = e
-		c.order = append(c.order, key)
-		if len(c.order) > c.maxEntries {
-			evict := c.order[0]
-			c.order = c.order[1:]
-			delete(c.entries, evict)
-		}
-	}
-	c.mu.Unlock()
-
-	computed := false
-	e.once.Do(func() {
-		if c.store != nil {
-			if bits, found, gerr := c.store.GetCell(key); gerr == nil && found {
-				e.val = math.Float64frombits(bits)
-				return
-			}
-		}
-		mCellCacheMisses.Inc()
-		computed = true
-		v, cerr := compute()
-		if cerr != nil {
-			e.err = cerr
-			return
-		}
-		e.val = v
-		if c.store != nil {
-			if perr := c.store.PutCell(key, math.Float64bits(v)); perr != nil {
-				// Degrade, don't fail: the job keeps its computed score and
-				// the next process recomputes this cell.
-				mCellCacheWriteFailures.Inc()
-			} else {
-				mCellCacheWrites.Inc()
-			}
-		}
-	})
-	if e.err != nil {
-		// Drop the failed entry so a later lookup retries the computation.
-		c.mu.Lock()
-		if c.entries[key] == e {
-			delete(c.entries, key)
-			for i, k := range c.order {
-				if k == key {
-					c.order = append(c.order[:i], c.order[i+1:]...)
-					break
-				}
-			}
-		}
-		c.mu.Unlock()
-		return 0, false, e.err
-	}
-	if !computed {
+	if bits, found, gerr := c.store.GetCell(key); gerr == nil && found {
 		mCellCacheHits.Inc()
+		return math.Float64frombits(bits), true, nil
 	}
-	return e.val, !computed, nil
+	mCellCacheMisses.Inc()
+	v, err := compute()
+	if err != nil {
+		return 0, false, err
+	}
+	if perr := c.store.PutCell(key, math.Float64bits(v)); perr != nil {
+		// Degrade, don't fail: the job keeps its computed score and the
+		// next lookup recomputes this cell.
+		mCellCacheWriteFailures.Inc()
+	} else {
+		mCellCacheWrites.Inc()
+	}
+	return v, false, nil
 }
 
-// Len reports how many scores are resident in the memory tier.
-func (c *ScoreCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
+// memCellStore is the CellStore of a ScoreCache built without one: a map
+// that evicts its oldest key once it holds more than max.
+type memCellStore struct {
+	max   int
+	mu    sync.Mutex
+	order []string // insertion order, for eviction
+	bits  map[string]uint64
+}
+
+func newMemCellStore(max int) *memCellStore {
+	if max < 1 {
+		max = 1
+	}
+	return &memCellStore{max: max, bits: map[string]uint64{}}
+}
+
+func (s *memCellStore) GetCell(key string) (uint64, bool, error) {
+	s.mu.Lock()
+	bits, ok := s.bits[key]
+	s.mu.Unlock()
+	return bits, ok, nil
+}
+
+func (s *memCellStore) PutCell(key string, bits uint64) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, ok := s.bits[key]; !ok {
+		s.order = append(s.order, key)
+		if len(s.order) > s.max {
+			delete(s.bits, s.order[0])
+			s.order = s.order[1:]
+		}
+	}
+	s.bits[key] = bits
+	return nil
 }

@@ -65,10 +65,6 @@ func (m *Manager) executeDistributed(j *Job, ds dist.Store, plan *corecvcp.CellP
 	j.finish(res, err)
 }
 
-// cellCacheEntries bounds the in-memory tier of a job's cell cache; the
-// persistent tier (the store's cell records) is unbounded.
-const cellCacheEntries = 4096
-
 // runJob dispatches one claimed job: coordinators distribute every job
 // whose store and scorer allow it, everything else (single role, a store
 // without atomic updates, a validity-scored job) computes locally.
@@ -79,7 +75,7 @@ const cellCacheEntries = 4096
 func (m *Manager) runJob(j *Job) {
 	if j.spec.DatasetID != "" {
 		j.cellStats = &corecvcp.CellStats{}
-		j.cellCache = runner.NewScoreCache(store.NewCellCache(m.store, j.spec.DatasetID), cellCacheEntries)
+		j.cellCache = runner.NewScoreCache(store.NewCellCache(m.store, j.spec.DatasetID), 0)
 	}
 	if m.cfg.Role == RoleCoordinator {
 		if ds, ok := m.store.(dist.Store); ok {
@@ -172,7 +168,7 @@ func resolvePlan(s store.Store) func(store.Record) (*corecvcp.CellPlan, error) {
 		}
 		var cache *runner.ScoreCache
 		if sr.Spec.DatasetID != "" {
-			cache = runner.NewScoreCache(store.NewCellCache(s, sr.Spec.DatasetID), cellCacheEntries)
+			cache = runner.NewScoreCache(store.NewCellCache(s, sr.Spec.DatasetID), 0)
 		}
 		return distPlan(sr.Spec, ds, cache)
 	}

@@ -480,30 +480,11 @@ func (m *Manager) discardPersisted(j *Job) {
 // Cancelling a queued job removes it from the queue immediately, so its
 // slot frees without waiting for an executor.
 func (m *Manager) Submit(spec Spec, ds *dataset.Dataset) (*Job, error) {
-	blob := marshalDataset(ds)
-	m.mu.Lock()
-	ids, err := m.reserveLocked(spec.Tenant, 1)
-	m.mu.Unlock()
+	jobs, _, err := m.submit([]BatchItem{{Spec: spec, Dataset: ds}}, false)
 	if err != nil {
-		mJobsRejected.With(rejectReason(err)).Inc()
 		return nil, err
 	}
-	j := newJob(ids[0], "", spec, ds, blob, m.baseCtx, m, nil, 0, false)
-	if err := m.store.Put(j.record()); err != nil {
-		m.release(spec.Tenant, 1)
-		// Discard, don't just cancel: newJob already appended the queued
-		// event to the store's log, and the consumed ID is never reused —
-		// an orphaned event log would otherwise live in the store forever.
-		m.discardPersisted(j)
-		mJobsRejected.With("store_error").Inc()
-		return nil, fmt.Errorf("server: persisting job: %w", err)
-	}
-	if err := m.publish([]*Job{j}, nil); err != nil {
-		mJobsRejected.With(rejectReason(err)).Inc()
-		return nil, err
-	}
-	mJobsSubmitted.Inc()
-	return j, nil
+	return jobs[0], nil
 }
 
 // SubmitBatch enqueues one job per item under a fresh batch ID, all-or-
@@ -513,6 +494,20 @@ func (m *Manager) Submit(spec Spec, ds *dataset.Dataset) (*Job, error) {
 // worker budget), so a batch of N datasets yields exactly the N selections
 // the individual submissions would.
 func (m *Manager) SubmitBatch(items []BatchItem) (BatchView, error) {
+	_, b, err := m.submit(items, true)
+	if err != nil {
+		return BatchView{}, err
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.batchViewLocked(b), nil
+}
+
+// submit is the one submission sequence of Submit and SubmitBatch: it
+// reserves a queue slot and an ID per item, persists each job, rolls the
+// persisted ones back when a write fails, and publishes them. batch mints
+// a batch ID that every job carries.
+func (m *Manager) submit(items []BatchItem, batch bool) ([]*Job, *batchState, error) {
 	blobs := make([][]byte, len(items))
 	for i, it := range items {
 		blobs[i] = marshalDataset(it.Dataset)
@@ -528,39 +523,45 @@ func (m *Manager) SubmitBatch(items []BatchItem) (BatchView, error) {
 	if err != nil {
 		m.mu.Unlock()
 		mJobsRejected.With(rejectReason(err)).Inc()
-		return BatchView{}, err
+		return nil, nil, err
 	}
-	m.nextBatch++
-	bid := fmt.Sprintf("batch-%09d", m.nextBatch)
+	var b *batchState
+	bid := ""
+	if batch {
+		m.nextBatch++
+		bid = fmt.Sprintf("batch-%09d", m.nextBatch)
+		b = &batchState{id: bid, created: time.Now()}
+	}
 	m.mu.Unlock()
 
-	b := &batchState{id: bid, created: time.Now()}
 	jobs := make([]*Job, 0, len(items))
 	for i, it := range items {
 		j := newJob(ids[i], bid, it.Spec, it.Dataset, blobs[i], m.baseCtx, m, nil, 0, false)
 		if err := m.store.Put(j.record()); err != nil {
-			// Roll the partial batch back so it never half-exists — the
-			// failing job included: its record never landed, but its
-			// queued event is already in the store's log.
+			// Roll the submission back so it never half-exists — the
+			// failing job included: its record never landed, but newJob
+			// already appended its queued event to the store's log, and the
+			// consumed ID is never reused, so the orphaned event log would
+			// otherwise live in the store forever.
 			m.discardPersisted(j)
 			for _, created := range jobs {
 				m.discardPersisted(created)
 			}
 			m.release(tenant, len(items))
 			mJobsRejected.With("store_error").Inc()
-			return BatchView{}, fmt.Errorf("server: persisting job: %w", err)
+			return nil, nil, fmt.Errorf("server: persisting job: %w", err)
 		}
 		jobs = append(jobs, j)
-		b.jobIDs = append(b.jobIDs, j.id)
+		if b != nil {
+			b.jobIDs = append(b.jobIDs, j.id)
+		}
 	}
 	if err := m.publish(jobs, b); err != nil {
 		mJobsRejected.With(rejectReason(err)).Inc()
-		return BatchView{}, err
+		return nil, nil, err
 	}
 	mJobsSubmitted.Add(uint64(len(jobs)))
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.batchViewLocked(b), nil
+	return jobs, b, nil
 }
 
 // Get returns the job with the given id, or ErrNotFound (also for evicted

@@ -126,6 +126,33 @@ func TestManagerLifecycleAndEviction(t *testing.T) {
 	}
 }
 
+// Submit runs SubmitBatch's sequence for one item without the batch: its
+// job carries no batch ID and uses up none, so the first batch after it
+// is still batch-000000001.
+func TestSubmitMintsNoBatch(t *testing.T) {
+	ds, _ := testDataset(t, 30)
+	m := NewManager(Config{MaxRunningJobs: 1, WorkerBudget: 2})
+	defer m.Shutdown(context.Background())
+
+	j, err := m.Submit(quickSpec(), ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b := j.Batch(); b != "" {
+		t.Fatalf("submitted job carries batch %q", b)
+	}
+	bv, err := m.SubmitBatch([]BatchItem{{Spec: quickSpec(), Dataset: ds}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bv.ID != "batch-000000001" || len(bv.Jobs) != 1 || bv.Jobs[0].Batch != bv.ID {
+		t.Fatalf("first batch after a submission: %+v", bv)
+	}
+	if s := waitTerminal(t, j); s != StatusDone {
+		t.Fatalf("submitted job finished as %s, want done", s)
+	}
+}
+
 func TestManagerQueueFullAndQueuedCancel(t *testing.T) {
 	ds, _ := testDataset(t, 30)
 	alg := newBlockingAlg()

@@ -5,9 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"net/http"
+	"net/url"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -222,7 +225,7 @@ func parseMultipartSubmission(r *http.Request, maxBody int64) (Spec, *dataset.Da
 		return Spec{}, nil, badRequest("invalid_request", `multipart submissions require a "dataset" file part: %v`, err)
 	}
 	defer file.Close()
-	spec, hasLabel, name, apiErr := parseOptions(r.FormValue)
+	spec, hasLabel, name, apiErr := parseOptions(r.Form)
 	if apiErr != nil {
 		return Spec{}, nil, apiErr
 	}
@@ -234,8 +237,7 @@ func parseMultipartSubmission(r *http.Request, maxBody int64) (Spec, *dataset.Da
 }
 
 func parseRawSubmission(r *http.Request, maxBody int64) (Spec, *dataset.Dataset, *apiError) {
-	q := r.URL.Query()
-	spec, hasLabel, name, apiErr := parseOptions(q.Get)
+	spec, hasLabel, name, apiErr := parseOptions(r.URL.Query())
 	if apiErr != nil {
 		return Spec{}, nil, apiErr
 	}
@@ -246,10 +248,27 @@ func parseRawSubmission(r *http.Request, maxBody int64) (Spec, *dataset.Dataset,
 	return finishSpec(spec, ds)
 }
 
+// optionNames are the options a raw or multipart submission may carry:
+// the jobOptions plus the dataset's name and has_label.
+var optionNames = map[string]bool{
+	"algorithm": true, "algorithms": true, "scorer": true, "bootstrap_rounds": true,
+	"params": true, "param_min": true, "param_max": true, "folds": true, "seed": true,
+	"matrix32": true, "eps": true, "label_fraction": true, "constraints": true,
+	"name": true, "has_label": true,
+}
+
 // parseOptions decodes the option strings of a raw or multipart
-// submission, read through get (URL query or form values), into the job
-// options, and returns their spec with the dataset's has_label and name.
-func parseOptions(get func(string) string) (spec Spec, hasLabel bool, name string, apiErr *apiError) {
+// submission (URL query or form values) into the job options, and returns
+// their spec with the dataset's has_label and name. Like a JSON
+// submission's fields, an option it does not know is rejected, so a
+// typoed one never runs the job with its default.
+func parseOptions(vals url.Values) (spec Spec, hasLabel bool, name string, apiErr *apiError) {
+	for _, k := range slices.Sorted(maps.Keys(vals)) {
+		if !optionNames[k] {
+			return Spec{}, false, "", badRequest("invalid_request", "unknown option %q", k)
+		}
+	}
+	get := vals.Get
 	var o jobOptions
 	o.Algorithm = get("algorithm")
 	if s := get("algorithms"); s != "" {

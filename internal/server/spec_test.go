@@ -404,6 +404,12 @@ func TestSpecOptionValidation(t *testing.T) {
 		{name: "unknown field", via: viaJSON,
 			opts: `"label_fraction": 0.5, "seeed": 7`,
 			msg:  `unknown field "seeed" in JSON body`},
+		{name: "unknown option", via: viaString,
+			opts: `"label_fraction": 0.5, "seeed": 7`,
+			msg:  `unknown option "seeed"`},
+		{name: "JSON-only option", via: viaString,
+			opts: `"label_fraction": 0.5, "dataset_id": "` + dsID + `"`,
+			msg:  `unknown option "dataset_id"`},
 		{name: "dataset_id in a batch", via: viaBatch,
 			opts: `"label_fraction": 0.5, "dataset_id": "` + dsID + `"`,
 			msg:  `unknown field "dataset_id" in JSON body`},

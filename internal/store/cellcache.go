@@ -50,9 +50,9 @@ func ParseCellOwner(id string) (owner string, ok bool) {
 }
 
 // CellCache adapts a Store to the runner's CellStore seam for one owning
-// dataset: GetCell/PutCell read and write "cell-" records. It is the
-// persistent tier of runner.NewScoreCache; distributed workers sharing one
-// store therefore share one cell cache.
+// dataset: GetCell/PutCell read and write "cell-" records. It is the store
+// a runner.ScoreCache reads through; distributed workers sharing one store
+// therefore share one cell cache.
 type CellCache struct {
 	store Store
 	owner string
