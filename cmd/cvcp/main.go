@@ -340,14 +340,14 @@ func loadConstraints(path string, n int) (*root.Constraints, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	cons := root.NewConstraints()
-	for _, c := range lines {
+	cs := make([]constraints.Constraint, len(lines))
+	for i, c := range lines {
 		if err := c.Check(n); err != nil {
 			return nil, fmt.Errorf("%s: %w", path, err)
 		}
-		cons.Add(c.A, c.B, c.MustLink)
+		cs[i] = constraints.Constraint{Pair: constraints.MakePair(c.A, c.B), MustLink: c.MustLink}
 	}
-	return cons, nil
+	return constraints.NewSet(cs...), nil
 }
 
 func fatal(err error) {

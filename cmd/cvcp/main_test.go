@@ -6,8 +6,11 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+
+	"cvcp/internal/constraints"
 )
 
 // TestMain runs the command itself when CVCP_TEST_MAIN is set, so tests
@@ -37,6 +40,18 @@ func TestLoadConstraints(t *testing.T) {
 	}
 	if !cons.HasMustLink(0, 1) || !cons.HasCannotLink(1, 2) || cons.Len() != 2 {
 		t.Errorf("parsed %v", cons.Constraints())
+	}
+	// Lines in any order, repeats and reversed pairs included, load as
+	// one sorted set.
+	cons, err = loadConstraints(write("unsorted.txt", "5 4 cl\n2 1 ml\n1 0 ml\n0 1 must\n3 0 cl\n4 5 cl\n"), 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := cons.Constraints(), []constraints.Constraint{
+		{Pair: constraints.Pair{A: 0, B: 1}, MustLink: true}, {Pair: constraints.Pair{A: 1, B: 2}, MustLink: true},
+		{Pair: constraints.Pair{A: 0, B: 3}}, {Pair: constraints.Pair{A: 4, B: 5}},
+	}; !slices.Equal(got, want) {
+		t.Errorf("unsorted.txt: parsed %v, want %v", got, want)
 	}
 	for _, c := range []struct{ name, text, want string }{
 		{"far.txt", "0 1 ml\n0 500 ml\n", "far.txt: constraint (0, 500): object index out of range [0, 150)"},
@@ -74,6 +89,10 @@ func TestCLIInvalidConstraintsExit1(t *testing.T) {
 	}
 	valid := "0 2 ml\n2 4 ml\n1 3 ml\n3 5 ml\n0 1 cl\n4 5 cl\n6 8 ml\n7 9 ml\n6 7 cl\n"
 	far, negative, self := consFile("far", valid+"0 500 ml\n"), consFile("negative", valid+"-1 8 cl\n"), consFile("self", valid+"7 7 ml\n")
+	// Four cannot-links inside must-link components: the error names the
+	// smallest, (0,5), on every run.
+	inconsistent := consFile("inconsistent", "0 8 ml\n5 8 ml\n1 10 ml\n4 10 ml\n3 11 ml\n9 11 ml\n2 7 ml\n"+
+		"3 9 cl\n2 7 cl\n1 4 cl\n0 5 cl\n0 1 cl\n")
 	mpck := func(cons string) []string {
 		return []string{"-algo", "mpck", "-constraints", cons, "-kmin", "2", "-kmax", "3", "-folds", "2"}
 	}
@@ -85,6 +104,7 @@ func TestCLIInvalidConstraintsExit1(t *testing.T) {
 		{"far", mpck(far), far + ": constraint (0, 500): object index out of range [0, 20)"},
 		{"negative", mpck(negative), negative + ": constraint (-1, 8): object index out of range [0, 20)"},
 		{"self", mpck(self), self + ": constraint (7, 7): a pair needs two distinct objects"},
+		{"inconsistent", mpck(inconsistent), "constraints: inconsistent input: cannot-link(0,5) joins one must-link component"},
 		{"negative folds", []string{"-labelfrac", "0.5", "-folds", "-3"}, "-folds must be >= 0 (0 means the default)"},
 		{"infinite eps", []string{"-labelfrac", "0.5", "-eps", "inf"}, "-eps must be finite (omit it for the dense ε=∞ path)"},
 		{"label fraction above 1", []string{"-labelfrac", "1.5"}, "-labelfrac 1.5: want a value in (0, 1]"},

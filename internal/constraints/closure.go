@@ -2,6 +2,7 @@ package constraints
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -14,62 +15,59 @@ import (
 //
 // Objects that appear only in cannot-link constraints form singleton
 // components. Closure returns an error when the input is inconsistent, i.e.
-// some cannot-link connects two objects of the same must-link component.
+// some cannot-link connects two objects of the same must-link component;
+// it names the smallest such cannot-link.
 func Closure(s *Set) (*Set, error) {
-	x := s.pairs()
 	uf := NewUnionFind()
-	for p := range x.ml {
+	for _, p := range s.ml {
 		uf.Union(p.A, p.B)
-	}
-	for p := range x.cl {
-		uf.Find(p.A)
-		uf.Find(p.B)
 	}
 
 	// Conflicts and component-level cannot-link pairs.
-	compCL := map[Pair]struct{}{}
-	for p := range x.cl {
+	var compCL []Pair
+	for _, p := range s.cl {
 		ra, rb := uf.Find(p.A), uf.Find(p.B)
 		if ra == rb {
 			return nil, fmt.Errorf("constraints: inconsistent input: cannot-link(%d,%d) joins one must-link component", p.A, p.B)
 		}
-		compCL[MakePair(ra, rb)] = struct{}{}
+		compCL = append(compCL, MakePair(ra, rb))
 	}
+	slices.SortFunc(compCL, comparePairs)
+	compCL = slices.Compact(compCL)
 
+	// Distinct components and distinct component pairs give distinct
+	// object pairs, so each list needs one sort and no deduplication.
 	comps := uf.Components()
+	var ml, cl []Pair
 	for _, members := range comps {
-		sort.Ints(members)
-	}
-
-	out := NewSet()
-	ox := out.pairs()
-	for _, members := range comps {
-		for i := 0; i < len(members); i++ {
-			for j := i + 1; j < len(members); j++ {
-				ox.ml[Pair{members[i], members[j]}] = struct{}{}
+		slices.Sort(members)
+		for i, a := range members {
+			for _, b := range members[i+1:] {
+				ml = append(ml, Pair{a, b})
 			}
 		}
 	}
-	for cp := range compCL {
+	slices.SortFunc(ml, comparePairs)
+	for _, cp := range compCL {
 		for _, a := range comps[cp.A] {
 			for _, b := range comps[cp.B] {
-				ox.cl[MakePair(a, b)] = struct{}{}
+				cl = append(cl, MakePair(a, b))
 			}
 		}
 	}
-	return out, nil
+	slices.SortFunc(cl, comparePairs)
+	return &Set{ml: ml, cl: cl}, nil
 }
 
 // MustLinkComponents returns the must-link connected components of s as
 // sorted member slices, in deterministic order (by smallest member). Objects
 // appearing only in cannot-links are included as singletons.
 func MustLinkComponents(s *Set) [][]int {
-	x := s.pairs()
 	uf := NewUnionFind()
-	for p := range x.ml {
+	for _, p := range s.ml {
 		uf.Union(p.A, p.B)
 	}
-	for p := range x.cl {
+	for _, p := range s.cl {
 		uf.Find(p.A)
 		uf.Find(p.B)
 	}

@@ -9,9 +9,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
-	"sync"
-	"sync/atomic"
 )
 
 // Pair is an unordered pair of object indices with A < B.
@@ -38,207 +35,45 @@ type Constraint struct {
 	MustLink bool
 }
 
-// Set is a deduplicated collection of constraints. The zero value is not
-// usable; call NewSet. Any number of goroutines may read a Set at once;
-// a change must not overlap any other use.
+// Set is a deduplicated collection of constraints: the must-link and the
+// cannot-link pairs, each list sorted by (A, B) without repeats, and the
+// smallest pair both lists hold. The zero value is an empty set. Any
+// number of goroutines may read a Set at once; a change must not overlap
+// any other use.
 type Set struct {
-	// index holds the pairs as maps for membership tests and changes. A
-	// set FromLabels built starts without it and derives it from its
-	// sorted views, under indexMu, when a caller first needs it.
-	index   atomic.Pointer[pairIndex]
-	indexMu sync.Mutex
-	// sorted caches the views MustLinks and CannotLinks return, with
-	// Validate's answer over them: built by the first read after a
-	// change, dropped by every change. At least one of index and sorted
-	// is always present.
-	sorted atomic.Pointer[sortedViews]
-}
-
-type pairIndex struct{ ml, cl map[Pair]struct{} }
-
-type sortedViews struct {
 	ml, cl []Pair
-
-	validated sync.Once
-	conflict  error // Validate's answer, set under validated
+	// conflict is the smallest pair in both lists, or the zero Pair,
+	// which no constraint can be, when there is none.
+	conflict Pair
 }
 
-// NewSet returns an empty constraint set.
-func NewSet() *Set {
-	s := &Set{}
-	s.index.Store(&pairIndex{ml: map[Pair]struct{}{}, cl: map[Pair]struct{}{}})
-	return s
-}
-
-// pairs returns the set's maps, deriving them from the sorted views the
-// first time a set FromLabels built needs them. Concurrent first readers
-// wait for one derivation.
-func (s *Set) pairs() *pairIndex {
-	if x := s.index.Load(); x != nil {
-		return x
+// NewSet returns the set of the given constraints, in any order: it sorts
+// them once, drops repeats and finds the smallest pair given with both
+// senses in one merge walk. cs is not modified.
+func NewSet(cs ...Constraint) *Set {
+	nml := 0
+	for _, c := range cs {
+		if c.MustLink {
+			nml++
+		}
 	}
-	s.indexMu.Lock()
-	defer s.indexMu.Unlock()
-	if x := s.index.Load(); x != nil {
-		return x
+	ml, cl := make([]Pair, 0, nml), make([]Pair, 0, len(cs)-nml)
+	for _, c := range cs {
+		if p := MakePair(c.A, c.B); c.MustLink {
+			ml = append(ml, p)
+		} else {
+			cl = append(cl, p)
+		}
 	}
-	v := s.sorted.Load()
-	x := &pairIndex{ml: pairSet(v.ml), cl: pairSet(v.cl)}
-	s.index.Store(x)
-	return x
+	slices.SortFunc(ml, comparePairs)
+	slices.SortFunc(cl, comparePairs)
+	return sortedSet(slices.Compact(ml), slices.Compact(cl))
 }
 
-func pairSet(ps []Pair) map[Pair]struct{} {
-	m := make(map[Pair]struct{}, len(ps))
-	for _, p := range ps {
-		m[p] = struct{}{}
-	}
-	return m
-}
-
-// Add inserts the constraint between a and b. Adding the same pair with the
-// opposite sense records a direct conflict, which Validate and Closure
-// report; the later Add does not silently overwrite the earlier one.
-func (s *Set) Add(a, b int, mustLink bool) {
-	p := MakePair(a, b)
-	x := s.pairs()
-	if mustLink {
-		x.ml[p] = struct{}{}
-	} else {
-		x.cl[p] = struct{}{}
-	}
-	if s.sorted.Load() != nil {
-		s.sorted.Store(nil)
-	}
-}
-
-// AddConstraint inserts c.
-func (s *Set) AddConstraint(c Constraint) { s.Add(c.A, c.B, c.MustLink) }
-
-// Len returns the total number of constraints.
-func (s *Set) Len() int {
-	ml, cl := s.counts()
-	return ml + cl
-}
-
-// NumMustLink returns the number of must-link constraints.
-func (s *Set) NumMustLink() int {
-	ml, _ := s.counts()
-	return ml
-}
-
-// NumCannotLink returns the number of cannot-link constraints.
-func (s *Set) NumCannotLink() int {
-	_, cl := s.counts()
-	return cl
-}
-
-// counts reads the must-link and cannot-link counts from whichever form
-// the set holds, deriving neither.
-func (s *Set) counts() (ml, cl int) {
-	if x := s.index.Load(); x != nil {
-		return len(x.ml), len(x.cl)
-	}
-	v := s.sorted.Load()
-	return len(v.ml), len(v.cl)
-}
-
-// HasMustLink reports whether the pair (a,b) is a must-link constraint.
-func (s *Set) HasMustLink(a, b int) bool {
-	_, ok := s.pairs().ml[MakePair(a, b)]
-	return ok
-}
-
-// HasCannotLink reports whether the pair (a,b) is a cannot-link constraint.
-func (s *Set) HasCannotLink(a, b int) bool {
-	_, ok := s.pairs().cl[MakePair(a, b)]
-	return ok
-}
-
-// Constraints returns all constraints in deterministic (sorted) order:
-// must-links first, then cannot-links, each sorted by (A, B).
-func (s *Set) Constraints() []Constraint {
-	v := s.views()
-	out := make([]Constraint, 0, s.Len())
-	for _, p := range v.ml {
-		out = append(out, Constraint{Pair: p, MustLink: true})
-	}
-	for _, p := range v.cl {
-		out = append(out, Constraint{Pair: p, MustLink: false})
-	}
-	return out
-}
-
-// MustLinks returns the must-link pairs in sorted order. The slice is
-// shared with every other reader until the set changes: callers must not
-// modify it.
-func (s *Set) MustLinks() []Pair { return s.views().ml }
-
-// CannotLinks returns the cannot-link pairs in sorted order. The slice is
-// shared with every other reader until the set changes: callers must not
-// modify it.
-func (s *Set) CannotLinks() []Pair { return s.views().cl }
-
-// views returns the sorted pair views, sorting the maps only when no read
-// since the last change has. Concurrent first readers each build identical
-// views; whichever is stored last stays.
-func (s *Set) views() *sortedViews {
-	if v := s.sorted.Load(); v != nil {
-		return v
-	}
-	x := s.pairs()
-	v := &sortedViews{ml: sortedPairs(x.ml), cl: sortedPairs(x.cl)}
-	s.sorted.Store(v)
-	return v
-}
-
-// Involved returns the sorted indices of all objects that appear in at least
-// one constraint.
-func (s *Set) Involved() []int {
-	x := s.pairs()
-	seen := map[int]struct{}{}
-	for p := range x.ml {
-		seen[p.A] = struct{}{}
-		seen[p.B] = struct{}{}
-	}
-	for p := range x.cl {
-		seen[p.A] = struct{}{}
-		seen[p.B] = struct{}{}
-	}
-	out := make([]int, 0, len(seen))
-	for i := range seen {
-		out = append(out, i)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// Clone returns a deep copy of the set.
-func (s *Set) Clone() *Set {
-	x, c := s.pairs(), NewSet()
-	cx := c.pairs()
-	for p := range x.ml {
-		cx.ml[p] = struct{}{}
-	}
-	for p := range x.cl {
-		cx.cl[p] = struct{}{}
-	}
-	return c
-}
-
-// Validate reports an error if any pair is constrained both must-link and
-// cannot-link, naming the smallest such pair. The answer is kept with the
-// sorted views it walks, so a set is walked once however many cells
-// validate it, and a change drops both.
-func (s *Set) Validate() error {
-	v := s.views()
-	v.validated.Do(func() { v.conflict = firstConflict(v.ml, v.cl) })
-	return v.conflict
-}
-
-// firstConflict returns an error naming the smallest pair in both sorted
-// lists, or nil.
-func firstConflict(ml, cl []Pair) error {
+// sortedSet returns the set of the sorted, repeat-free lists ml and cl,
+// finding the smallest pair they share in one merge walk.
+func sortedSet(ml, cl []Pair) *Set {
+	s := &Set{ml: orNil(ml), cl: orNil(cl)}
 	for len(ml) > 0 && len(cl) > 0 {
 		switch c := comparePairs(ml[0], cl[0]); {
 		case c < 0:
@@ -246,41 +81,143 @@ func firstConflict(ml, cl []Pair) error {
 		case c > 0:
 			cl = cl[1:]
 		default:
-			return fmt.Errorf("constraints: pair (%d,%d) is both must-link and cannot-link", ml[0].A, ml[0].B)
+			s.conflict = ml[0]
+			return s
 		}
 	}
-	return nil
+	return s
+}
+
+// orNil returns ps, or nil when it is empty, so that an empty list reads
+// the same whichever builder made it.
+func orNil(ps []Pair) []Pair {
+	if len(ps) == 0 {
+		return nil
+	}
+	return ps
+}
+
+// Add inserts the constraint between a and b. Adding the same pair with the
+// opposite sense records a direct conflict, which Validate and Closure
+// report; the later Add does not silently overwrite the earlier one. Each
+// Add that lands before the end of its list copies the list, so a set
+// built from unsorted input should come from NewSet.
+func (s *Set) Add(a, b int, mustLink bool) {
+	p := MakePair(a, b)
+	list, other := &s.cl, s.ml
+	if mustLink {
+		list, other = &s.ml, s.cl
+	}
+	i, found := slices.BinarySearchFunc(*list, p, comparePairs)
+	if found {
+		return
+	}
+	if i < len(*list) {
+		// Insert into a copy: a slice an earlier read returned keeps its
+		// contents.
+		*list = slices.Clip(*list)
+	}
+	*list = slices.Insert(*list, i, p)
+	if has(other, p) && (s.conflict == Pair{} || comparePairs(p, s.conflict) < 0) {
+		s.conflict = p
+	}
+}
+
+// AddConstraint inserts c.
+func (s *Set) AddConstraint(c Constraint) { s.Add(c.A, c.B, c.MustLink) }
+
+// Len returns the total number of constraints.
+func (s *Set) Len() int { return len(s.ml) + len(s.cl) }
+
+// NumMustLink returns the number of must-link constraints.
+func (s *Set) NumMustLink() int { return len(s.ml) }
+
+// NumCannotLink returns the number of cannot-link constraints.
+func (s *Set) NumCannotLink() int { return len(s.cl) }
+
+// HasMustLink reports whether the pair (a,b) is a must-link constraint.
+func (s *Set) HasMustLink(a, b int) bool { return has(s.ml, MakePair(a, b)) }
+
+// HasCannotLink reports whether the pair (a,b) is a cannot-link constraint.
+func (s *Set) HasCannotLink(a, b int) bool { return has(s.cl, MakePair(a, b)) }
+
+// has reports whether the sorted list ps holds p.
+func has(ps []Pair, p Pair) bool {
+	_, ok := slices.BinarySearchFunc(ps, p, comparePairs)
+	return ok
+}
+
+// Constraints returns all constraints in deterministic (sorted) order:
+// must-links first, then cannot-links, each sorted by (A, B).
+func (s *Set) Constraints() []Constraint {
+	out := make([]Constraint, 0, s.Len())
+	for _, p := range s.ml {
+		out = append(out, Constraint{Pair: p, MustLink: true})
+	}
+	for _, p := range s.cl {
+		out = append(out, Constraint{Pair: p, MustLink: false})
+	}
+	return out
+}
+
+// MustLinks returns the must-link pairs in sorted order. The slice is
+// shared with every other reader: callers must not modify it.
+func (s *Set) MustLinks() []Pair { return s.ml }
+
+// CannotLinks returns the cannot-link pairs in sorted order. The slice is
+// shared with every other reader: callers must not modify it.
+func (s *Set) CannotLinks() []Pair { return s.cl }
+
+// Involved returns the sorted indices of all objects that appear in at least
+// one constraint.
+func (s *Set) Involved() []int {
+	out := make([]int, 0, 2*s.Len())
+	for _, ps := range [][]Pair{s.ml, s.cl} {
+		for _, p := range ps {
+			out = append(out, p.A, p.B)
+		}
+	}
+	slices.Sort(out)
+	return slices.Compact(out)
+}
+
+// Clone returns a deep copy of the set.
+func (s *Set) Clone() *Set {
+	return &Set{ml: slices.Clone(s.ml), cl: slices.Clone(s.cl), conflict: s.conflict}
+}
+
+// Validate reports an error if any pair is constrained both must-link and
+// cannot-link, naming the smallest such pair.
+func (s *Set) Validate() error {
+	if s.conflict == (Pair{}) {
+		return nil
+	}
+	return fmt.Errorf("constraints: pair (%d,%d) is both must-link and cannot-link", s.conflict.A, s.conflict.B)
 }
 
 // Restrict returns the subset of constraints whose endpoints are both in
 // keep (given as a membership predicate over object indices).
 func (s *Set) Restrict(keep func(int) bool) *Set {
-	x, out := s.pairs(), NewSet()
-	ox := out.pairs()
-	for p := range x.ml {
-		if keep(p.A) && keep(p.B) {
-			ox.ml[p] = struct{}{}
+	filter := func(ps []Pair) []Pair {
+		var out []Pair
+		for _, p := range ps {
+			if keep(p.A) && keep(p.B) {
+				out = append(out, p)
+			}
 		}
+		return out
 	}
-	for p := range x.cl {
-		if keep(p.A) && keep(p.B) {
-			ox.cl[p] = struct{}{}
-		}
-	}
-	return out
+	return sortedSet(filter(s.ml), filter(s.cl))
 }
 
-func sortedPairs(m map[Pair]struct{}) []Pair {
-	out := make([]Pair, 0, len(m))
-	for p := range m {
-		out = append(out, p)
+// comparePairs orders pairs by (A, B). It compares B only on a tie in A:
+// the sorts that build a set spend most of their time here.
+func comparePairs(a, b Pair) int {
+	if a.A != b.A {
+		return cmp.Compare(a.A, b.A)
 	}
-	slices.SortFunc(out, comparePairs)
-	return out
+	return cmp.Compare(a.B, b.B)
 }
-
-// comparePairs orders pairs by (A, B).
-func comparePairs(a, b Pair) int { return cmp.Or(cmp.Compare(a.A, b.A), cmp.Compare(a.B, b.B)) }
 
 // FromLabels derives the full set of constraints among the given labeled
 // objects: a must-link for every same-label pair and a cannot-link for every
@@ -288,8 +225,8 @@ func comparePairs(a, b Pair) int { return cmp.Or(cmp.Compare(a.A, b.A), cmp.Comp
 // It panics when an index repeats, as Add does on a self-pair.
 //
 // Over sorted indices the pairs (idx[i], idx[j]), i < j, come out in (A, B)
-// order, so each list is already its sorted view; the maps wait until a
-// caller needs them.
+// order, so each list is sorted as it is emitted, and no pair has both
+// senses.
 func FromLabels(indices []int, y []int) *Set {
 	idx := slices.Clone(indices)
 	slices.Sort(idx)
@@ -312,7 +249,5 @@ func FromLabels(indices []int, y []int) *Set {
 			}
 		}
 	}
-	s := &Set{}
-	s.sorted.Store(&sortedViews{ml: ml, cl: cl})
-	return s
+	return &Set{ml: orNil(ml), cl: orNil(cl)}
 }

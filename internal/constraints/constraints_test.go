@@ -1,9 +1,11 @@
 package constraints
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -336,19 +338,6 @@ func TestFromLabelsMatchesAddedPairs(t *testing.T) {
 	}
 }
 
-// Reading a FromLabels set's views, counts and constraints, as FOSC and
-// MPCK-Means do, derives no maps.
-func TestFromLabelsReadsWithoutMaps(t *testing.T) {
-	s := FromLabels([]int{5, 2, 9, 1}, []int{0, 1, 0, 1, 0, 1, 0, 1, 0, 1})
-	if s.Len() != 6 || s.NumMustLink() != 3 || len(s.MustLinks()) != 3 || len(s.CannotLinks()) != 3 ||
-		len(s.Constraints()) != 6 || s.Validate() != nil {
-		t.Fatalf("FromLabels set: %v", s.Constraints())
-	}
-	if s.index.Load() != nil {
-		t.Error("a read that needs no maps derived them")
-	}
-}
-
 // A repeated index is a self-pair, which FromLabels refuses as Add does.
 func TestFromLabelsRepeatedIndexPanics(t *testing.T) {
 	defer func() {
@@ -394,5 +383,304 @@ func TestFromLabelsConcurrentReaders(t *testing.T) {
 			}()
 		}
 		wg.Wait()
+	}
+}
+
+// refSet is the map-based set the sorted lists replaced, kept as the
+// reference FuzzSetMatchesReference holds a Set to: one map per sense,
+// with every reader derived from the maps on each call.
+type refSet struct{ ml, cl map[Pair]struct{} }
+
+func newRefSet() *refSet { return &refSet{ml: map[Pair]struct{}{}, cl: map[Pair]struct{}{}} }
+
+func (r *refSet) add(a, b int, mustLink bool) {
+	if mustLink {
+		r.ml[MakePair(a, b)] = struct{}{}
+	} else {
+		r.cl[MakePair(a, b)] = struct{}{}
+	}
+}
+
+// refSorted lists m's pairs by (A, B).
+func refSorted(m map[Pair]struct{}) []Pair {
+	out := make([]Pair, 0, len(m))
+	for p := range m {
+		out = append(out, p)
+	}
+	sort.Slice(out, func(i, j int) bool {
+		return out[i].A < out[j].A || out[i].A == out[j].A && out[i].B < out[j].B
+	})
+	return out
+}
+
+func (r *refSet) constraints() []Constraint {
+	var out []Constraint
+	for _, p := range refSorted(r.ml) {
+		out = append(out, Constraint{p, true})
+	}
+	for _, p := range refSorted(r.cl) {
+		out = append(out, Constraint{p, false})
+	}
+	return out
+}
+
+func (r *refSet) involved() []int {
+	seen := map[int]struct{}{}
+	for _, m := range []map[Pair]struct{}{r.ml, r.cl} {
+		for p := range m {
+			seen[p.A], seen[p.B] = struct{}{}, struct{}{}
+		}
+	}
+	out := make([]int, 0, len(seen))
+	for i := range seen {
+		out = append(out, i)
+	}
+	sort.Ints(out)
+	return out
+}
+
+// validate names the smallest pair held with both senses.
+func (r *refSet) validate() error {
+	for _, p := range refSorted(r.ml) {
+		if _, ok := r.cl[p]; ok {
+			return fmt.Errorf("constraints: pair (%d,%d) is both must-link and cannot-link", p.A, p.B)
+		}
+	}
+	return nil
+}
+
+func (r *refSet) clone() *refSet {
+	return r.restrict(func(int) bool { return true })
+}
+
+func (r *refSet) restrict(keep func(int) bool) *refSet {
+	out := newRefSet()
+	for _, c := range r.constraints() {
+		if keep(c.A) && keep(c.B) {
+			out.add(c.A, c.B, c.MustLink)
+		}
+	}
+	return out
+}
+
+// closure is the map-based closure, with the conflicts checked over the
+// sorted cannot-links so that the error names the smallest one.
+func (r *refSet) closure() (*refSet, error) {
+	uf := NewUnionFind()
+	for p := range r.ml {
+		uf.Union(p.A, p.B)
+	}
+	compCL := map[Pair]struct{}{}
+	for _, p := range refSorted(r.cl) {
+		ra, rb := uf.Find(p.A), uf.Find(p.B)
+		if ra == rb {
+			return nil, fmt.Errorf("constraints: inconsistent input: cannot-link(%d,%d) joins one must-link component", p.A, p.B)
+		}
+		compCL[MakePair(ra, rb)] = struct{}{}
+	}
+	comps := uf.Components()
+	out := newRefSet()
+	for _, members := range comps {
+		for i, a := range members {
+			for _, b := range members[i+1:] {
+				out.add(a, b, true)
+			}
+		}
+	}
+	for cp := range compCL {
+		for _, a := range comps[cp.A] {
+			for _, b := range comps[cp.B] {
+				out.add(a, b, false)
+			}
+		}
+	}
+	return out, nil
+}
+
+func (r *refSet) components() [][]int {
+	uf := NewUnionFind()
+	for p := range r.ml {
+		uf.Union(p.A, p.B)
+	}
+	for p := range r.cl {
+		uf.Find(p.A)
+		uf.Find(p.B)
+	}
+	out := [][]int{}
+	for _, members := range uf.Components() {
+		sort.Ints(members)
+		out = append(out, members)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
+	return out
+}
+
+func errText(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
+}
+
+// checkMatchesRef fails unless every reader of s equals the reference's.
+// An empty list must also read as nil, as it does from every builder.
+func checkMatchesRef(t *testing.T, step int, s *Set, ref *refSet, objects int) {
+	t.Helper()
+	ml, cl := s.MustLinks(), s.CannotLinks()
+	if !slices.Equal(ml, refSorted(ref.ml)) || !slices.Equal(cl, refSorted(ref.cl)) {
+		t.Fatalf("step %d: lists %v / %v, want %v / %v", step, ml, cl, refSorted(ref.ml), refSorted(ref.cl))
+	}
+	if (ml == nil) != (len(ml) == 0) || (cl == nil) != (len(cl) == 0) {
+		t.Fatalf("step %d: an empty list is not nil (or a nil one not empty)", step)
+	}
+	if s.Len() != len(ref.ml)+len(ref.cl) || s.NumMustLink() != len(ref.ml) || s.NumCannotLink() != len(ref.cl) {
+		t.Fatalf("step %d: counts %d/%d/%d, want %d/%d", step, s.Len(), s.NumMustLink(), s.NumCannotLink(), len(ref.ml), len(ref.cl))
+	}
+	if got, want := s.Constraints(), ref.constraints(); !slices.Equal(got, want) {
+		t.Fatalf("step %d: Constraints %v, want %v", step, got, want)
+	}
+	for a := 0; a < objects; a++ {
+		for b := 0; b < objects; b++ {
+			if a == b {
+				continue
+			}
+			_, ml := ref.ml[MakePair(a, b)]
+			_, cl := ref.cl[MakePair(a, b)]
+			if s.HasMustLink(a, b) != ml || s.HasCannotLink(a, b) != cl {
+				t.Fatalf("step %d: Has(%d,%d) = %v/%v, want %v/%v", step, a, b, s.HasMustLink(a, b), s.HasCannotLink(a, b), ml, cl)
+			}
+		}
+	}
+	if got, want := s.Involved(), ref.involved(); !slices.Equal(got, want) {
+		t.Fatalf("step %d: Involved %v, want %v", step, got, want)
+	}
+	if got, want := errText(s.Validate()), errText(ref.validate()); got != want {
+		t.Fatalf("step %d: Validate %q, want %q", step, got, want)
+	}
+	if got, want := MustLinkComponents(s), ref.components(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("step %d: MustLinkComponents %v, want %v", step, got, want)
+	}
+	closed, err := Closure(s)
+	refClosed, refErr := ref.closure()
+	if errText(err) != errText(refErr) {
+		t.Fatalf("step %d: Closure error %q, want %q", step, errText(err), errText(refErr))
+	}
+	if err == nil && !slices.Equal(closed.Constraints(), refClosed.constraints()) {
+		t.Fatalf("step %d: Closure %v, want %v", step, closed.Constraints(), refClosed.constraints())
+	}
+}
+
+// FuzzSetMatchesReference runs a script of changes on a Set and on the
+// map-based reference, and after every step each reader of the set must
+// equal the reference's. A step is three bytes: an op and two objects
+// among 12, so pairs repeat and meet with both senses. The ops are Add
+// (which must leave the slices earlier reads returned as they were), a
+// bulk NewSet over the script's next bytes, Restrict, Clone (changing
+// the clone must leave the original as it was), Closure, which the
+// script goes on with when the input is consistent, and NewSet over the
+// set's own constraints.
+func FuzzSetMatchesReference(f *testing.F) {
+	f.Add([]byte{0x80, 1, 2, 0, 1, 2, 0x80, 2, 3, 6, 0, 0, 0, 3, 9})
+	f.Add([]byte{3, 8, 0, 0x85, 2, 1, 0x86, 7, 9, 3, 5, 11, 0x80, 1, 0x8b, 4, 0xff, 0x0f})
+	f.Add([]byte{0x80, 5, 4, 0x80, 4, 3, 1, 3, 5, 0x81, 9, 8, 2, 0, 1, 6, 0, 0, 5, 1, 2})
+	f.Fuzz(func(t *testing.T, script []byte) {
+		const objects = 12
+		s, ref := NewSet(), newRefSet()
+		for step := 0; len(script) >= 3; step++ {
+			op, ra, rb := script[0], script[1], script[2]
+			a, b, mustLink := int(ra)%objects, int(rb)%objects, op&0x80 != 0
+			script = script[3:]
+			switch op % 8 {
+			case 0, 1, 2:
+				if a == b {
+					continue
+				}
+				ml, cl := s.MustLinks(), s.CannotLinks()
+				mlWas, clWas := slices.Clone(ml), slices.Clone(cl)
+				s.Add(a, b, mustLink)
+				ref.add(a, b, mustLink)
+				if !slices.Equal(ml, mlWas) || !slices.Equal(cl, clWas) {
+					t.Fatalf("step %d: Add changed a slice an earlier read returned", step)
+				}
+			case 3:
+				// NewSet over the next 2a bytes, one constraint per two.
+				n := min(2*a, len(script)) &^ 1
+				var cs []Constraint
+				ref = newRefSet()
+				for i := 0; i < n; i += 2 {
+					x, y := int(script[i])%objects, int(script[i+1])%objects
+					if x != y {
+						// A pair may come with A > B: NewSet normalizes it.
+						c := Constraint{Pair{x, y}, script[i]&0x80 != 0}
+						cs = append(cs, c)
+						ref.add(x, y, c.MustLink)
+					}
+				}
+				script = script[n:]
+				given := slices.Clone(cs)
+				s = NewSet(cs...)
+				if !slices.Equal(cs, given) {
+					t.Fatalf("step %d: NewSet changed its input", step)
+				}
+			case 4:
+				mask := uint(ra) | uint(rb)<<8
+				keep := func(i int) bool { return mask>>i&1 == 1 }
+				s, ref = s.Restrict(keep), ref.restrict(keep)
+			case 5:
+				c, cref := s.Clone(), ref.clone()
+				if a != b {
+					c.Add(a, b, mustLink)
+					cref.add(a, b, mustLink)
+				}
+				checkMatchesRef(t, step, s, ref, objects)
+				s, ref = c, cref
+			case 6:
+				if closed, err := Closure(s); err == nil {
+					s = closed
+					ref, _ = ref.closure()
+				}
+			case 7:
+				s, ref = NewSet(s.Constraints()...), ref.clone()
+			}
+			checkMatchesRef(t, step, s, ref, objects)
+		}
+	})
+}
+
+// With several cannot-links inside must-link components, Closure names
+// the smallest one on every run, whatever order maps would give.
+func TestClosureNamesSmallestConflict(t *testing.T) {
+	s := NewSet()
+	for _, p := range []Pair{{0, 8}, {5, 8}, {1, 10}, {4, 10}, {2, 7}, {3, 11}, {9, 11}} {
+		s.Add(p.A, p.B, true)
+	}
+	for _, p := range []Pair{{3, 9}, {2, 7}, {1, 4}, {0, 5}, {0, 1}, {2, 6}} {
+		s.Add(p.A, p.B, false)
+	}
+	want := "constraints: inconsistent input: cannot-link(0,5) joins one must-link component"
+	for run := 0; run < 200; run++ {
+		if _, err := Closure(s); err == nil || err.Error() != want {
+			t.Fatalf("run %d: Closure error %v, want %q", run, err, want)
+		}
+	}
+}
+
+// BenchmarkNewSetDescending builds one set from 100k distinct
+// constraints given in descending (A, B) order, a third of them
+// must-links: the bulk constructor sorts once.
+func BenchmarkNewSetDescending(b *testing.B) {
+	const n = 100_000
+	cs := make([]Constraint, 0, n)
+	for x := 0; len(cs) < n; x++ {
+		for y := x + 1; y < 450 && len(cs) < n; y++ {
+			cs = append(cs, Constraint{Pair{x, y}, (x+y)%3 == 0})
+		}
+	}
+	slices.Reverse(cs)
+	b.ReportAllocs()
+	for b.Loop() {
+		if s := NewSet(cs...); s.Len() != n {
+			b.Fatalf("Len %d, want %d", s.Len(), n)
+		}
 	}
 }

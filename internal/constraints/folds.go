@@ -140,17 +140,13 @@ func NaiveSplitConstraints(r *rand.Rand, s *Set, nFolds int) ([]ConstraintFold, 
 	}
 	out := make([]ConstraintFold, nFolds)
 	for i := range buckets {
-		train := NewSet()
-		test := NewSet()
+		var rest []Constraint
 		for j, b := range buckets {
-			for _, c := range b {
-				if j == i {
-					test.AddConstraint(c)
-				} else {
-					train.AddConstraint(c)
-				}
+			if j != i {
+				rest = append(rest, b...)
 			}
 		}
+		train, test := NewSet(rest...), NewSet(buckets[i]...)
 		out[i] = ConstraintFold{
 			Train:        train,
 			Test:         test,

@@ -50,10 +50,9 @@ func Sample(r *rand.Rand, s *Set, frac float64) *Set {
 	if k > len(all) {
 		k = len(all)
 	}
-	out := NewSet()
-	perm := r.Perm(len(all))
-	for _, j := range perm[:k] {
-		out.AddConstraint(all[j])
+	picked := make([]Constraint, k)
+	for i, j := range r.Perm(len(all))[:k] {
+		picked[i] = all[j]
 	}
-	return out
+	return NewSet(picked...)
 }

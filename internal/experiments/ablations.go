@@ -51,17 +51,17 @@ func leakageAblation(cfg Config, w io.Writer) error {
 					if err != nil {
 						return nil // inconsistent naive training side
 					}
-					leaked := constraints.NewSet()
-					fresh := constraints.NewSet()
+					var leakedCs, freshCs []constraints.Constraint
 					for _, c := range f.Test.Constraints() {
 						derivable := (c.MustLink && trainClosed.HasMustLink(c.A, c.B)) ||
 							(!c.MustLink && trainClosed.HasCannotLink(c.A, c.B))
 						if derivable {
-							leaked.AddConstraint(c)
+							leakedCs = append(leakedCs, c)
 						} else {
-							fresh.AddConstraint(c)
+							freshCs = append(freshCs, c)
 						}
 					}
+					leaked, fresh := constraints.NewSet(leakedCs...), constraints.NewSet(freshCs...)
 					if leaked.Len() == 0 || fresh.Len() == 0 {
 						return nil
 					}

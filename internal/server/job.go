@@ -640,11 +640,11 @@ func buildSelectionSpec(spec Spec, ds *dataset.Dataset) (corecvcp.Spec, error) {
 	var sup corecvcp.Supervision
 	switch {
 	case len(spec.Constraints) > 0:
-		cons := constraints.NewSet()
-		for _, c := range spec.Constraints {
-			cons.Add(c.A, c.B, c.MustLink)
+		cs := make([]constraints.Constraint, len(spec.Constraints))
+		for i, c := range spec.Constraints {
+			cs[i] = constraints.Constraint{Pair: constraints.MakePair(c.A, c.B), MustLink: c.MustLink}
 		}
-		sup = corecvcp.ConstraintSet(cons)
+		sup = corecvcp.ConstraintSet(constraints.NewSet(cs...))
 	case spec.DatasetID != "":
 		// Dataset-referencing jobs use the stable supervision: per-row
 		// label selection and fold assignment that never move under

@@ -102,16 +102,8 @@ func jobFromRecord(rec store.Record, parent context.Context, log jobEventLog, pr
 	if err := json.Unmarshal(rec.Spec, &sr); err != nil {
 		return corruptJob(rec, fmt.Errorf("decoding job spec: %w", err), log, prior), false
 	}
-	status := Status(rec.Status)
-	if status.Terminal() {
-		j := newResurrectedJob(rec, sr, status, log, prior)
-		if len(rec.Result) > 0 {
-			var res ResultView
-			if err := json.Unmarshal(rec.Result, &res); err == nil {
-				j.result = &res
-			}
-		}
-		return j, false
+	if status := Status(rec.Status); status.Terminal() {
+		return newResurrectedJob(rec, sr, status, log, prior), false
 	}
 
 	// Interrupted mid-flight: rebuild the dataset and re-queue.
@@ -136,21 +128,8 @@ func jobFromRecord(rec store.Record, parent context.Context, log jobEventLog, pr
 // stream; a legacy or truncated log gets a condensed completion (the
 // missing lifecycle events) appended so the stream still ends terminal.
 func newResurrectedJob(rec store.Record, sr specRecord, status Status, log jobEventLog, prior []Event) *Job {
-	j := &Job{
-		id:       rec.ID,
-		batch:    rec.Batch,
-		spec:     sr.Spec,
-		dsName:   sr.DatasetName,
-		objects:  sr.Objects,
-		created:  rec.Created,
-		started:  rec.Started,
-		finished: rec.Finished,
-		status:   status,
-		done:     sr.Done,
-		total:    sr.Total,
-		errMsg:   rec.Error,
-		log:      log,
-	}
+	j := recordedJob(rec, sr, status)
+	j.log = log
 	j.ctx, j.cancel = context.WithCancel(context.Background())
 	j.cancel()
 	j.mu.Lock()
@@ -183,13 +162,41 @@ func newResurrectedJob(rec store.Record, sr specRecord, status Status, log jobEv
 	return j
 }
 
-// corruptJob marks an undecodable record as a failed job so it stays
-// visible.
+// corruptJob marks an undecodable record as a failed job, with no
+// result, so it stays visible.
 func corruptJob(rec store.Record, err error, log jobEventLog, prior []Event) *Job {
+	rec.Result = nil
 	j := newResurrectedJob(rec, specRecord{DatasetName: "(corrupt record)"}, StatusFailed, log, prior)
 	j.errMsg = fmt.Sprintf("restored from store: %v", err)
 	if j.finished.IsZero() {
 		j.finished = time.Now()
+	}
+	return j
+}
+
+// recordedJob builds the job rec describes, with sr its decoded spec
+// payload: its persisted fields and result, and no context, dataset, log
+// or events.
+func recordedJob(rec store.Record, sr specRecord, status Status) *Job {
+	j := &Job{
+		id:       rec.ID,
+		batch:    rec.Batch,
+		spec:     sr.Spec,
+		dsName:   sr.DatasetName,
+		objects:  sr.Objects,
+		created:  rec.Created,
+		started:  rec.Started,
+		finished: rec.Finished,
+		status:   status,
+		done:     sr.Done,
+		total:    sr.Total,
+		errMsg:   rec.Error,
+	}
+	if len(rec.Result) > 0 {
+		var res ResultView
+		if err := json.Unmarshal(rec.Result, &res); err == nil {
+			j.result = &res
+		}
 	}
 	return j
 }
@@ -200,43 +207,7 @@ func corruptJob(rec store.Record, err error, log jobEventLog, prior []Event) *Jo
 func viewFromRecord(rec store.Record) JobView {
 	var sr specRecord
 	_ = json.Unmarshal(rec.Spec, &sr)
-	v := JobView{
-		ID:         rec.ID,
-		Batch:      rec.Batch,
-		Status:     Status(rec.Status),
-		Algorithm:  sr.Spec.Algorithm,
-		Algorithms: sr.Spec.Algorithms,
-		Scorer:     sr.Spec.Scorer,
-		Matrix32:   sr.Spec.Matrix32,
-		Eps:        sr.Spec.Eps,
-		Tenant:     sr.Spec.Tenant,
-		Dataset:    sr.DatasetName,
-		DatasetID:  sr.Spec.DatasetID,
-		DatasetVer: sr.Spec.DatasetVersion,
-		Objects:    sr.Objects,
-		Params:     sr.Spec.Params,
-		Folds:      sr.Spec.NFolds,
-		Seed:       sr.Spec.Seed,
-		Created:    rec.Created,
-		Done:       sr.Done,
-		Total:      sr.Total,
-		Error:      rec.Error,
-	}
-	if !rec.Started.IsZero() {
-		t := rec.Started
-		v.Started = &t
-	}
-	if !rec.Finished.IsZero() {
-		t := rec.Finished
-		v.Finished = &t
-	}
-	if len(rec.Result) > 0 {
-		var res ResultView
-		if err := json.Unmarshal(rec.Result, &res); err == nil {
-			v.Result = &res
-		}
-	}
-	return v
+	return recordedJob(rec, sr, Status(rec.Status)).View()
 }
 
 // metaID is the reserved record ID of the manager's counter high-water

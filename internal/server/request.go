@@ -197,7 +197,10 @@ func (o jobOptions) spec() (Spec, *apiError) {
 		Eps:             o.Eps,
 		LabelFraction:   o.LabelFraction,
 	}
-	if len(spec.Params) == 0 && (o.ParamMin != 0 || o.ParamMax != 0) {
+	if o.ParamMin != 0 || o.ParamMax != 0 {
+		if len(spec.Params) > 0 {
+			return Spec{}, badRequest("invalid_request", `"params" and "param_min"/"param_max" are mutually exclusive`)
+		}
 		var apiErr *apiError
 		if spec.Params, apiErr = paramRange(o.ParamMin, o.ParamMax); apiErr != nil {
 			return Spec{}, apiErr
@@ -547,7 +550,7 @@ func finishSpec(spec Spec, ds *dataset.Dataset) (Spec, *dataset.Dataset, *apiErr
 	case !hasLabels && !hasCons:
 		return Spec{}, nil, badRequest("invalid_request", "supervision required: set label_fraction (Scenario I) or constraints (Scenario II)")
 	case hasLabels:
-		if spec.LabelFraction < 0 || spec.LabelFraction > 1 {
+		if !(spec.LabelFraction > 0 && spec.LabelFraction <= 1) {
 			return Spec{}, nil, badRequest("invalid_request", "label_fraction %v: want a value in (0, 1]", spec.LabelFraction)
 		}
 		if !ds.Labeled() {

@@ -354,6 +354,12 @@ func TestSpecOptionValidation(t *testing.T) {
 		{name: "range over limit", via: viaAll,
 			opts: `"label_fraction": 0.5, "param_min": 1, "param_max": 1000`,
 			msg:  "parameter range 1..1000 has 1000 candidates, limit 512"},
+		{name: "params and a range", via: viaAll,
+			opts: `"label_fraction": 0.5, "params": [3, 6], "param_min": 2, "param_max": 9`,
+			msg:  `"params" and "param_min"/"param_max" are mutually exclusive`},
+		{name: "params and param_max", via: viaAll,
+			opts: `"label_fraction": 0.5, "params": [3, 6], "param_max": 9`,
+			msg:  `"params" and "param_min"/"param_max" are mutually exclusive`},
 		{name: "matrix32 without fosc", via: viaJob | viaString, item: true,
 			opts: `"label_fraction": 0.5, "algorithm": "mpck", "matrix32": true`,
 			msg:  "matrix32 requires a fosc candidate in the grid"},
@@ -386,6 +392,12 @@ func TestSpecOptionValidation(t *testing.T) {
 		{name: "label fraction above 1", via: viaAll, item: true,
 			opts: `"label_fraction": 1.5`,
 			msg:  "label_fraction 1.5: want a value in (0, 1]"},
+		{name: "NaN label fraction", via: viaString, item: true,
+			opts: `"label_fraction": "NaN"`,
+			msg:  "label_fraction NaN: want a value in (0, 1]"},
+		{name: "lower-case NaN label fraction", via: viaString, item: true,
+			opts: `"label_fraction": "nan"`,
+			msg:  "label_fraction NaN: want a value in (0, 1]"},
 		{name: "labels on an unlabelled dataset", via: viaAll, item: true, unlabeled: true,
 			opts: `"label_fraction": 0.5`,
 			msg:  "label_fraction requires a labeled dataset (set has_label)"},
@@ -537,6 +549,8 @@ func TestSpecOptionValidation(t *testing.T) {
 			400, "invalid_request", `dataset "registered": no version 7 (latest is 1)`},
 		{"constraints on a dataset", "/v1/jobs", "application/json", `{` + dsJSON + `, "constraints": [{"a":0,"b":1,"link":"ml"}]}`,
 			400, "invalid_request", "dataset jobs use stable label supervision; constraints are not supported"},
+		{"dataset with params and a range", "/v1/jobs", "application/json", `{` + dsJSON + `, "label_fraction": 0.5, "params": [3, 6], "param_min": 2}`,
+			400, "invalid_request", `"params" and "param_min"/"param_max" are mutually exclusive`},
 		{"dataset without labels", "/v1/jobs", "application/json", `{` + dsJSON + `}`,
 			400, "invalid_request", "dataset jobs require label_fraction supervision"},
 		{"dataset with a validity scorer", "/v1/jobs", "application/json", `{` + dsJSON + `, "label_fraction": 0.5, "scorer": "silhouette"}`,
