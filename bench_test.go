@@ -277,7 +277,7 @@ func BenchmarkAblationClosureFolds(b *testing.B) {
 	given := constraints.Sample(r, constraints.Pool(r, ds.Y, 0.15), 0.5)
 	b.Run("closure", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := constraints.SplitConstraints(stats.NewRand(int64(i)), given, 5); err != nil {
+			if _, _, err := constraints.SplitConstraints(stats.NewRand(int64(i)), given, 5); err != nil {
 				b.Fatal(err)
 			}
 		}

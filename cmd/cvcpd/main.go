@@ -91,7 +91,6 @@ func main() {
 		WorkerBudget:   *workers,
 		RetainFinished: *retain,
 		MaxBodyBytes:   *maxBody,
-		LeaseTTL:       *leaseTTL,
 		Poll:           *poll,
 		DisableMetrics: !*metricsOn,
 	}

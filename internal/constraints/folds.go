@@ -80,19 +80,20 @@ type ConstraintFold struct {
 // it first extends s to its transitive closure, partitions the objects
 // involved in any constraint into nFolds folds, deletes all constraints
 // between a training-fold object and a test-fold object, and keeps each
-// side's (already closed) constraints. It returns an error for inconsistent
-// constraint sets or when the involved objects cannot fill the folds.
-func SplitConstraints(r *rand.Rand, s *Set, nFolds int) ([]ConstraintFold, error) {
+// side's (already closed) constraints. It returns the folds and the
+// closure, or an error for inconsistent constraint sets or when the
+// involved objects cannot fill the folds.
+func SplitConstraints(r *rand.Rand, s *Set, nFolds int) ([]ConstraintFold, *Set, error) {
 	if nFolds < 2 {
-		return nil, fmt.Errorf("constraints: need at least 2 folds, got %d", nFolds)
+		return nil, nil, fmt.Errorf("constraints: need at least 2 folds, got %d", nFolds)
 	}
 	closed, err := Closure(s)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	objects := closed.Involved()
 	if len(objects) < 2*nFolds {
-		return nil, fmt.Errorf("constraints: %d constrained objects cannot fill %d folds with >=2 objects each", len(objects), nFolds)
+		return nil, nil, fmt.Errorf("constraints: %d constrained objects cannot fill %d folds with >=2 objects each", len(objects), nFolds)
 	}
 	folds := partition(r, objects, nFolds)
 	out := make([]ConstraintFold, nFolds)
@@ -116,7 +117,7 @@ func SplitConstraints(r *rand.Rand, s *Set, nFolds int) ([]ConstraintFold, error
 			TestObjects:  testIdx,
 		}
 	}
-	return out, nil
+	return out, closed, nil
 }
 
 // NaiveSplitConstraints partitions the raw constraint *edges* (not objects)

@@ -145,7 +145,7 @@ func TestSplitConstraintsEdgeCases(t *testing.T) {
 			if n != c.wantFolds {
 				t.Fatalf("AdaptFolds(10, %d) = %d, want %d", len(closed.Involved()), n, c.wantFolds)
 			}
-			folds, err := SplitConstraints(stats.NewRand(1), c.set, n)
+			folds, _, err := SplitConstraints(stats.NewRand(1), c.set, n)
 			if c.wantErr {
 				if err == nil {
 					t.Fatalf("SplitConstraints succeeded with %d folds, want error", n)
@@ -236,7 +236,7 @@ func TestSplitConstraintsIndependence(t *testing.T) {
 		idx[i] = i
 	}
 	s := FromLabels(idx, y)
-	folds, err := SplitConstraints(r, s, 3)
+	folds, _, err := SplitConstraints(r, s, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +275,7 @@ func TestSplitConstraintsTrainClosed(t *testing.T) {
 			idx[i] = i
 		}
 		s := FromLabels(idx, y)
-		folds, err := SplitConstraints(stats.NewRand(seed), s, 3)
+		folds, _, err := SplitConstraints(stats.NewRand(seed), s, 3)
 		if err != nil {
 			return true
 		}
@@ -297,7 +297,7 @@ func TestSplitConstraintsInconsistent(t *testing.T) {
 	s.Add(0, 1, true)
 	s.Add(1, 2, true)
 	s.Add(0, 2, false)
-	if _, err := SplitConstraints(stats.NewRand(1), s, 2); err == nil {
+	if _, _, err := SplitConstraints(stats.NewRand(1), s, 2); err == nil {
 		t.Error("expected inconsistency error")
 	}
 }
@@ -332,7 +332,7 @@ func TestNaiveSplitLeaksThroughClosure(t *testing.T) {
 	// The proper procedure can never leak: (0,3) in the test fold forces
 	// its premises out of training because they share objects.
 	for seed := int64(0); seed < 50; seed++ {
-		folds, err := SplitConstraints(stats.NewRand(seed), s, 2)
+		folds, _, err := SplitConstraints(stats.NewRand(seed), s, 2)
 		if err != nil {
 			continue // too few constrained objects for the fold count is fine
 		}

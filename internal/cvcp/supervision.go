@@ -208,12 +208,10 @@ func (c constraintSupervision) CVFolds(ds *dataset.Dataset, n int, seed int64) (
 	if err := c.checkIndices(ds.N()); err != nil {
 		return nil, nil, err
 	}
-	closed, err := constraints.Closure(cons)
-	if err != nil {
-		return nil, nil, err
-	}
-	n = constraints.AdaptFolds(n, len(closed.Involved()))
-	cfolds, err := constraints.SplitConstraints(stats.NewRand(seed), cons, n)
+	// A closure involves exactly the objects its input does, so the fold
+	// count needs no closure of its own.
+	n = constraints.AdaptFolds(n, len(cons.Involved()))
+	cfolds, closed, err := constraints.SplitConstraints(stats.NewRand(seed), cons, n)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -192,12 +193,23 @@ func TestDatasetIncrementalReselectBitIdenticalDistributed(t *testing.T) {
 	m := NewManager(Config{
 		MaxRunningJobs: 1, WorkerBudget: 2, Store: cs,
 		Role: RoleCoordinator, Poll: 3 * time.Millisecond,
-		LeaseTTL: 10 * time.Second,
 	})
 	defer m.Shutdown(context.Background())
+	// The workers' leases outlive any scheduling stall, so a reclaim
+	// cannot move the split.
+	ctx, cancel := context.WithCancel(context.Background())
+	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
-		defer startServerWorker(t, dir, fmt.Sprintf("w%d", i))()
+		ws := openSharedStore(t, dir)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_ = RunWorker(ctx, WorkerConfig{Store: ws, ID: fmt.Sprintf("w%d", i), Workers: 2, LeaseTTL: 10 * time.Second, Poll: 3 * time.Millisecond})
+			ws.Close()
+		}()
 	}
+	defer wg.Wait()
+	defer cancel()
 
 	dv, err := m.CreateDataset("g", true, batchPtr(growthBatch(0, 60)))
 	if err != nil {

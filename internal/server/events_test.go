@@ -335,14 +335,6 @@ func TestProgressCoalescing(t *testing.T) {
 		t.Fatalf("view counters = %d/%d, want exact", v.Done, v.Total)
 	}
 
-	// The in-memory tail is bounded; the full history still replays
-	// through the log, and a tail-covered resume never touches it.
-	j.mu.Lock()
-	tailLen := j.tail.n
-	j.mu.Unlock()
-	if tailLen > eventTailCap {
-		t.Fatalf("tail holds %d events, cap %d", tailLen, eventTailCap)
-	}
 	if got := len(history); got != progress+2 { // queued + running + progress
 		t.Fatalf("full replay = %d events, want %d", got, progress+2)
 	}
@@ -373,50 +365,6 @@ func TestProgressSmallGridUncoalesced(t *testing.T) {
 	}
 	if progress != 20 {
 		t.Fatalf("%d progress events for a 20-cell grid, want all 20", progress)
-	}
-}
-
-func tailSeqs(evs []Event) []int {
-	out := make([]int, len(evs))
-	for i, ev := range evs {
-		out[i] = ev.Seq
-	}
-	return out
-}
-
-// eventTail ring semantics: growth, wraparound, and the authoritative
-// cutoff that sends older scans to the durable log.
-func TestEventTailRing(t *testing.T) {
-	var tail eventTail
-	if _, ok := tail.since(0); ok {
-		t.Fatal("empty tail claimed authority")
-	}
-	for seq := 1; seq <= 3; seq++ {
-		tail.push(Event{Seq: seq})
-	}
-	if evs, ok := tail.since(0); !ok || len(evs) != 3 {
-		t.Fatalf("small tail since(0) = %v, %v", tailSeqs(evs), ok)
-	}
-	if evs, ok := tail.since(2); !ok || len(evs) != 1 || evs[0].Seq != 3 {
-		t.Fatalf("small tail since(2) = %v, %v", tailSeqs(evs), ok)
-	}
-
-	for seq := 4; seq <= 300; seq++ { // wrap: oldest resident is 300-cap+1 = 45
-		tail.push(Event{Seq: seq})
-	}
-	oldest := 300 - eventTailCap + 1
-	if _, ok := tail.since(oldest - 2); ok {
-		t.Fatalf("tail answered a scan reaching before its oldest entry (%d)", oldest)
-	}
-	evs, ok := tail.since(oldest - 1)
-	if !ok || len(evs) != eventTailCap || evs[0].Seq != oldest || evs[len(evs)-1].Seq != 300 {
-		t.Fatalf("tail since(%d): ok=%v len=%d", oldest-1, ok, len(evs))
-	}
-	if evs, ok := tail.since(299); !ok || len(evs) != 1 || evs[0].Seq != 300 {
-		t.Fatalf("tail since(299) = %v, %v", tailSeqs(evs), ok)
-	}
-	if evs, ok := tail.since(300); !ok || len(evs) != 0 {
-		t.Fatalf("tail since(300) = %v, %v", tailSeqs(evs), ok)
 	}
 }
 
@@ -554,9 +502,6 @@ func TestEvictedJobServesTailWhenLogGone(t *testing.T) {
 	history := j.EventsSince(0)
 	if len(history) == 0 {
 		t.Fatal("empty stream after the log vanished; want the tail")
-	}
-	if len(history) > eventTailCap {
-		t.Fatalf("tail fallback returned %d events, cap %d", len(history), eventTailCap)
 	}
 	j.mu.Lock()
 	lastSeq := j.seq

@@ -121,11 +121,7 @@ func (a *api) list(w http.ResponseWriter, r *http.Request) {
 		}
 		limit = v
 	}
-	views, next, err := a.m.ListPage(q.Get("cursor"), limit)
-	if err != nil {
-		writeError(w, &apiError{status: http.StatusInternalServerError, Code: "internal", Message: err.Error()})
-		return
-	}
+	views, next := a.m.ListPage(q.Get("cursor"), limit)
 	writeJSON(w, http.StatusOK, jobListResponse{Jobs: views, NextCursor: next})
 }
 

@@ -2,6 +2,8 @@ package server
 
 import (
 	"context"
+	"slices"
+	"sort"
 	"sync"
 	"time"
 
@@ -145,16 +147,9 @@ type Event struct {
 // subscriberBuffer is the channel capacity of one SSE subscriber. A
 // subscriber that falls this far behind loses intermediate events (the
 // stream stays monotone; only granularity suffers — the SSE handler
-// catches up from the replay log after the channel closes, so the
+// catches up from the job's history after the channel closes, so the
 // terminal status event is never lost).
 const subscriberBuffer = 256
-
-// eventTailCap bounds the per-job in-memory event history. The durable
-// event log (the store) is the source of truth for full replay; the job
-// keeps only this recent tail so replays and catch-ups that are nearly
-// current never touch the store, and a long-running job's memory stays
-// proportional to the tail, not to its grid.
-const eventTailCap = 256
 
 // Progress coalescing: the engine reports every completed grid cell, but
 // publishing (and durably logging) an event per cell would make huge
@@ -185,56 +180,17 @@ const (
 // harmless to consumers: ids only need to be monotone.
 const seqRequeueGap = 4 * maxProgressEvents
 
-// jobEventLog is the job's view of the durable per-job event log: the
-// Manager implements it over the store, serializing server events into
-// opaque store entries and back. Appends happen inside publishLocked —
+// jobEventLog is the job's write-through to the durable per-job event
+// log: the Manager implements it over the store, serializing server
+// events into opaque store entries. Appends happen inside publishLocked —
 // under the job mutex — which is what guarantees the log's sequence
 // order matches publish order. An append never performs its own fsync
 // (the file store coalesces syncs off the append path), so it is
 // normally a buffered write; it can briefly contend on the store mutex
 // with a concurrent record commit, a deliberate trade for the ordering
-// guarantee.
+// guarantee. Only a restart reads the log back (Manager.eventsSince).
 type jobEventLog interface {
 	appendEvents(jobID string, evs []Event)
-	eventsSince(jobID string, afterSeq int) []Event
-}
-
-// eventTail is a fixed-capacity ring buffer of a job's most recent
-// events. Callers synchronize (the job mutex).
-type eventTail struct {
-	buf   []Event // ring storage, grows up to eventTailCap then wraps
-	start int     // index of the oldest entry once the ring is full
-	n     int     // live entries
-}
-
-func (t *eventTail) push(ev Event) {
-	if t.n < eventTailCap {
-		t.buf = append(t.buf, ev)
-		t.n++
-		return
-	}
-	t.buf[t.start] = ev
-	t.start = (t.start + 1) % t.n
-}
-
-// since returns the tail's events with Seq > after, and whether the tail
-// reaches back far enough to answer authoritatively: its oldest entry
-// must be at or before after+1, otherwise events older than the tail may
-// be missing and the caller should prefer the durable log. The events
-// are returned either way — a caller whose log read comes back empty
-// (the job was evicted mid-stream) serves the partial tail rather than
-// nothing.
-func (t *eventTail) since(after int) ([]Event, bool) {
-	if t.n == 0 {
-		return nil, false
-	}
-	out := make([]Event, 0, t.n)
-	for i := 0; i < t.n; i++ {
-		if ev := t.buf[(t.start+i)%t.n]; ev.Seq > after {
-			out = append(out, ev)
-		}
-	}
-	return out, t.buf[t.start].Seq <= after+1
 }
 
 // Job is one selection job. All mutable state is guarded by mu; the
@@ -272,7 +228,7 @@ type Job struct {
 	errMsg   string
 	result   *ResultView
 	seq      int
-	tail     eventTail
+	events   []Event // the whole history, ascending in Seq
 	subs     map[chan Event]struct{}
 
 	// Progress coalescing state: the done value and wall time of the
@@ -288,7 +244,7 @@ type Job struct {
 // lock (marshalDataset), or reuse the payload of a replayed record.
 // prior is the job's replayed event history and restored marks a job
 // re-queued from a restart: prior seeds the sequence counter and the
-// tail so the fresh queued event continues the existing log instead of
+// history so the fresh queued event continues the existing log instead of
 // restarting seq numbering, and a restored job gaps its sequence
 // counter even when prior is empty — the log may have been wholly lost
 // to WAL corruption, yet a pre-crash subscriber still holds the old
@@ -327,13 +283,13 @@ func newJob(id, batch string, spec Spec, ds *dataset.Dataset, dsBlob []byte, par
 }
 
 // seedEventsLocked installs replayed history: the sequence counter
-// resumes past it and the tail holds its most recent entries. Seeded
-// events are already in the durable log, so they are not re-appended and
-// there are no subscribers yet to fan them out to. Callers hold mu.
+// resumes past it. Seeded events are already in the durable log, so they
+// are not re-appended and there are no subscribers yet to fan them out
+// to. Callers hold mu.
 func (j *Job) seedEventsLocked(prior []Event) {
-	for _, ev := range prior {
-		j.seq = ev.Seq
-		j.tail.push(ev)
+	j.events = append(j.events, prior...)
+	if len(prior) > 0 {
+		j.seq = prior[len(prior)-1].Seq
 	}
 }
 
@@ -351,16 +307,16 @@ func (j *Job) Status() Status {
 }
 
 // publishLocked assigns the next sequence number, mirrors the event into
-// the durable log, keeps it in the in-memory tail and fans it out to the
+// the durable log, adds it to the job's history and fans it out to the
 // live subscribers. Callers hold mu. Slow subscribers (full buffers)
 // skip the event rather than blocking the engine — the SSE handler
-// catches up from the log. Appending under mu is what makes the log's
-// order equal the publish order; the append is a buffered write that
-// never fsyncs on its own (see jobEventLog).
+// catches up from the history. Appending under mu is what makes the
+// log's order equal the publish order; the append is a buffered write
+// that never fsyncs on its own (see jobEventLog).
 func (j *Job) publishLocked(ev Event) {
 	j.seq++
 	ev.Seq = j.seq
-	j.tail.push(ev)
+	j.events = append(j.events, ev)
 	j.log.appendEvents(j.id, []Event{ev})
 	for ch := range j.subs {
 		select {
@@ -380,11 +336,10 @@ func (j *Job) closeSubsLocked() {
 }
 
 // SubscribeSince returns a replay of the events with Seq > after plus a
-// channel of future events. after 0 replays the full history (served
-// from the durable log when it reaches past the in-memory tail); a
-// client resuming with Last-Event-ID passes its last seen sequence
-// number and re-receives nothing before it. The channel is closed after
-// the terminal event (or immediately when the job already finished).
+// channel of future events. after 0 replays the full history; a client
+// resuming with Last-Event-ID passes its last seen sequence number and
+// re-receives nothing before it. The channel is closed after the
+// terminal event (or immediately when the job already finished).
 // The returned cancel function releases the subscription; it is safe to
 // call after the channel closed. The replay and the subscription are
 // atomic — an event is in the replay or will arrive on the channel;
@@ -427,38 +382,14 @@ func (j *Job) EventsSince(after int) []Event {
 	return j.eventsSinceLocked(after)
 }
 
-// eventsSinceLocked serves scan-since-seq from the in-memory tail when
-// it reaches back far enough, and from the durable log otherwise.
-// Callers hold mu; the log read is an in-memory lookup in both store
-// backends, so holding the job mutex across it is cheap. When the log
-// has nothing (the job was evicted mid-stream, dropping its log, while
-// this handler already held the *Job), the partial tail is served
-// instead of an empty stream — it always holds the newest events, so
-// the terminal status still reaches the subscriber.
+// eventsSinceLocked returns the history's events with Seq > after.
+// Callers hold mu. The result shares the history's array, clipped so a
+// caller's append copies instead of writing into the history's spare
+// capacity; published events never change, so it stays valid after mu
+// is released.
 func (j *Job) eventsSinceLocked(after int) []Event {
-	if after >= j.seq {
-		return nil
-	}
-	evs, ok := j.tail.since(after)
-	if ok {
-		return evs
-	}
-	logged := j.log.eventsSince(j.id, after)
-	if len(logged) == 0 {
-		return evs
-	}
-	// The log can lag the tail — appends may have been failing (disk
-	// full; the manager swallows append errors) or the log may have
-	// been dropped by a concurrent eviction. Graft the tail's newer
-	// events on so the newest — the terminal status above all — are
-	// never lost from a catch-up.
-	last := logged[len(logged)-1].Seq
-	for _, ev := range evs {
-		if ev.Seq > last {
-			logged = append(logged, ev)
-		}
-	}
-	return logged
+	i := sort.Search(len(j.events), func(i int) bool { return j.events[i].Seq > after })
+	return slices.Clip(j.events[i:])
 }
 
 // requestCancel cancels the job's context and, when the job has not started

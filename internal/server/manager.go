@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -36,14 +37,15 @@ func errUnknownAlgorithm(name string) error {
 }
 
 // Manager owns the job queue, the executors and the live job set. Job
-// persistence is delegated to a store.Store: every lifecycle transition is
-// mirrored into it, listings page through it, and at construction time the
-// manager replays whatever the store holds — finished jobs come back as
-// resident results, jobs a previous process was killed around are
-// re-queued and run again (deterministic seeding makes the re-run select
-// the same parameter). With the default in-memory store the manager
-// behaves exactly like the pre-store versions; with a file store the
-// service survives restarts.
+// persistence is delegated to a store.Store: every lifecycle transition
+// and event is written through to it, and only construction reads it
+// back — the manager replays whatever the store holds, so finished jobs
+// come back as resident results and jobs a previous process was killed
+// around are re-queued and run again (deterministic seeding makes the
+// re-run select the same parameter). Every read about a job — views,
+// listings, event streams — is answered from memory. With the default
+// in-memory store the service is ephemeral; with a file store it
+// survives restarts.
 type Manager struct {
 	cfg     Config
 	store   store.Store
@@ -62,7 +64,7 @@ type Manager struct {
 	cond       *sync.Cond // signals: the queue grew, or draining began
 	queue      *fairQueue // the pending queue; cancelled jobs are removed eagerly
 	jobs       map[string]*Job
-	order      []string // ID (= submission) order, for List
+	order      []string // sorted IDs (= submission order), for List and ListPage
 	finished   []string // finish order, for eviction
 	batches    map[string]*batchState
 	nextID     int
@@ -170,9 +172,9 @@ func (m *Manager) replay() {
 }
 
 // appendEvents mirrors published job events into the store's event log
-// (jobEventLog's write half). Failures are swallowed like persist's: the
-// live stream is still served from memory, and the log degrades to a
-// shorter replay instead of failing the job.
+// (jobEventLog). Failures are swallowed like persist's: the live stream
+// is still served from memory, and the log degrades to a shorter replay
+// after a restart instead of failing the job.
 func (m *Manager) appendEvents(jobID string, evs []Event) {
 	if len(evs) == 0 {
 		return
@@ -189,8 +191,8 @@ func (m *Manager) appendEvents(jobID string, evs []Event) {
 }
 
 // eventsSince reads the job's persisted events with Seq > afterSeq back
-// out of the store (jobEventLog's read half). Entries that fail to
-// decode are skipped.
+// out of the store, for restart replay. Entries that fail to decode are
+// skipped.
 func (m *Manager) eventsSince(jobID string, afterSeq int) []Event {
 	recs, err := m.store.EventsSince(jobID, afterSeq)
 	if err != nil {
@@ -594,42 +596,26 @@ func (m *Manager) List() []*Job {
 	return out
 }
 
-// ListPage returns up to limit job views with ID > cursor in submission
-// order, plus the cursor for the next page ("" when exhausted). limit <= 0
-// means no limit. The page walks the store (the source of listing order);
-// resident jobs contribute their live view, records without a resident job
-// (evicted mid-listing) fall back to the persisted snapshot. Reserved
-// records (the counter high-water mark) are filtered out and refilled, so
-// pages are never short of limit while more jobs exist.
-func (m *Manager) ListPage(cursor string, limit int) ([]JobView, string, error) {
-	views := make([]JobView, 0, max(limit, 0))
-	for {
-		want := limit
-		if limit > 0 {
-			want = limit - len(views)
-		}
-		recs, next, err := m.store.List(cursor, want)
-		if err != nil {
-			return nil, "", err
-		}
-		m.mu.Lock()
-		for _, rec := range recs {
-			if !strings.HasPrefix(rec.ID, "job-") {
-				continue // reserved records (e.g. the counter high-water mark)
-			}
-			if j, ok := m.jobs[rec.ID]; ok {
-				views = append(views, j.View())
-			} else {
-				views = append(views, viewFromRecord(rec))
-			}
-		}
-		m.mu.Unlock()
-		cursor = next
-		if next == "" || limit <= 0 || len(views) >= limit {
-			return views, next, nil
-		}
-		// A filtered reserved record left the page short: fetch more.
+// ListPage returns up to limit views of the resident jobs with ID >
+// cursor in submission order, plus the cursor for the next page (""
+// when exhausted). limit <= 0 means no limit.
+func (m *Manager) ListPage(cursor string, limit int) ([]JobView, string) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	i, found := slices.BinarySearch(m.order, cursor)
+	if found {
+		i++
 	}
+	ids, next := m.order[i:], ""
+	if limit > 0 && limit < len(ids) {
+		ids = ids[:limit]
+		next = ids[limit-1]
+	}
+	views := make([]JobView, len(ids))
+	for k, id := range ids {
+		views[k] = m.jobs[id].View()
+	}
+	return views, next
 }
 
 // GetBatch returns the aggregate view of a batch, or ErrNotFound.

@@ -128,8 +128,27 @@ func jobFromRecord(rec store.Record, parent context.Context, log jobEventLog, pr
 // stream; a legacy or truncated log gets a condensed completion (the
 // missing lifecycle events) appended so the stream still ends terminal.
 func newResurrectedJob(rec store.Record, sr specRecord, status Status, log jobEventLog, prior []Event) *Job {
-	j := recordedJob(rec, sr, status)
-	j.log = log
+	j := &Job{
+		id:       rec.ID,
+		batch:    rec.Batch,
+		spec:     sr.Spec,
+		dsName:   sr.DatasetName,
+		objects:  sr.Objects,
+		created:  rec.Created,
+		started:  rec.Started,
+		finished: rec.Finished,
+		status:   status,
+		done:     sr.Done,
+		total:    sr.Total,
+		errMsg:   rec.Error,
+		log:      log,
+	}
+	if len(rec.Result) > 0 {
+		var res ResultView
+		if err := json.Unmarshal(rec.Result, &res); err == nil {
+			j.result = &res
+		}
+	}
 	j.ctx, j.cancel = context.WithCancel(context.Background())
 	j.cancel()
 	j.mu.Lock()
@@ -174,47 +193,10 @@ func corruptJob(rec store.Record, err error, log jobEventLog, prior []Event) *Jo
 	return j
 }
 
-// recordedJob builds the job rec describes, with sr its decoded spec
-// payload: its persisted fields and result, and no context, dataset, log
-// or events.
-func recordedJob(rec store.Record, sr specRecord, status Status) *Job {
-	j := &Job{
-		id:       rec.ID,
-		batch:    rec.Batch,
-		spec:     sr.Spec,
-		dsName:   sr.DatasetName,
-		objects:  sr.Objects,
-		created:  rec.Created,
-		started:  rec.Started,
-		finished: rec.Finished,
-		status:   status,
-		done:     sr.Done,
-		total:    sr.Total,
-		errMsg:   rec.Error,
-	}
-	if len(rec.Result) > 0 {
-		var res ResultView
-		if err := json.Unmarshal(rec.Result, &res); err == nil {
-			j.result = &res
-		}
-	}
-	return j
-}
-
-// viewFromRecord builds a JobView straight from a record, for listings
-// that encounter a record with no resident job (e.g. evicted between the
-// store read and the view pass).
-func viewFromRecord(rec store.Record) JobView {
-	var sr specRecord
-	_ = json.Unmarshal(rec.Spec, &sr)
-	return recordedJob(rec, sr, Status(rec.Status)).View()
-}
-
 // metaID is the reserved record ID of the manager's counter high-water
-// mark. It sorts before every "job-" ID, is skipped by job listings and
-// replay, and exists so that IDs of jobs evicted before a restart are
-// never re-issued to new jobs (the surviving records alone cannot prove
-// how far the counters had advanced).
+// mark. It sorts before every "job-" ID and exists so that IDs of jobs
+// evicted before a restart are never re-issued to new jobs (the surviving
+// records alone cannot prove how far the counters had advanced).
 const metaID = "_meta"
 
 // metaRecord is the Spec payload of the metaID record.

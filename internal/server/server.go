@@ -27,12 +27,13 @@
 //
 // Job state is delegated to a store.Store (Config.Store): every lifecycle
 // transition — and every published SSE event, via the store's EventLog —
-// is mirrored into it, listings page through it, and finished jobs
-// beyond the retention window are evicted oldest-first (dropping their
-// event logs with them). With the default in-memory store the service is
-// exactly as ephemeral as before the store existed; with a file store
-// (cvcpd -store-dir) the manager replays the store on startup — finished
-// jobs reappear with their results and full event histories (SSE replay
+// is written through to it, and finished jobs beyond the retention window
+// are evicted oldest-first (dropping their event logs with them). Job
+// views, listings and SSE streams are answered from the manager's memory;
+// only startup reads job records and event logs back. With the default
+// in-memory store the service is ephemeral; with a file store (cvcpd
+// -store-dir) the manager replays the store on startup — finished jobs
+// reappear with their results and full event histories (SSE replay
 // streams the identical sequence before and after a restart, and
 // Last-Event-ID resume works across it), and jobs interrupted mid-run
 // are re-queued, appending to their existing event logs, and, thanks to
@@ -125,13 +126,8 @@ type Config struct {
 	// scorer cannot be sharded (validity indices) fall back to local
 	// execution even on a coordinator.
 	Role Role
-	// LeaseTTL is how long a worker's shard lease lives without a
-	// heartbeat renewal before another worker may reclaim it; 0 means
-	// 10s. Coordinator and workers should agree, but correctness never
-	// depends on it — only reclaim latency does.
-	LeaseTTL time.Duration
-	// Poll is the coordinator's shard-watch interval (and the worker's
-	// idle scan interval in RunWorker); 0 means 100ms.
+	// Poll is the coordinator's shard-watch interval; 0 means 100ms.
+	// Workers take theirs from WorkerConfig.
 	Poll time.Duration
 	// Tenants, when non-empty, enables per-tenant API keys with weighted
 	// fair queueing: every /v1 request must present a configured key,

@@ -25,7 +25,7 @@ const sseWriteTimeout = 30 * time.Second
 // EventSource clients ignore comment lines by specification.
 const sseHeartbeatInterval = 15 * time.Second
 
-// events streams a job's progress as Server-Sent Events: the persisted
+// events streams a job's progress as Server-Sent Events: the job's
 // event history is replayed first (so late subscribers — and subscribers
 // arriving after a server restart — see the full history), then live
 // events stream until the job reaches a terminal status or the client
@@ -113,7 +113,7 @@ func (a *api) events(w http.ResponseWriter, r *http.Request) {
 			if !open {
 				// The job is terminal. A slow subscriber may have had
 				// events dropped from its buffer — catch up from the
-				// event log so the terminal status event always lands.
+				// job's history so the terminal status event always lands.
 				for _, missed := range j.EventsSince(lastSeq) {
 					if !write(missed) {
 						return
