@@ -126,7 +126,6 @@ func main() {
 	var (
 		ds        *root.Dataset
 		cellCache *runner.ScoreCache
-		cellStats *corecvcp.CellStats
 		err       error
 	)
 	if *dsetDir != "" {
@@ -136,7 +135,6 @@ func main() {
 			fatal(err)
 		}
 		defer closeCache()
-		cellStats = &corecvcp.CellStats{}
 	} else {
 		ds, err = root.LoadCSV(*data, *data, *labeled)
 		if err != nil {
@@ -204,7 +202,7 @@ func main() {
 		fatal(err)
 	}
 
-	opt := root.Options{NFolds: *folds, Seed: *seed, Workers: *workers, CellCache: cellCache, CellStats: cellStats}
+	opt := root.Options{NFolds: *folds, Seed: *seed, Workers: *workers, CellCache: cellCache}
 	if *progress {
 		opt.Progress = func(done, total int) {
 			fmt.Fprintf(os.Stderr, "\rcvcp: %d/%d grid tasks", done, total)
@@ -239,8 +237,8 @@ func main() {
 		fmt.Printf("selected algorithm: %s\n", res.Winner.Algorithm)
 	}
 	fmt.Printf("selected parameter: %d\n", res.Winner.Best.Param)
-	if cellStats != nil {
-		fmt.Printf("grid cells computed: %d, reused from cache: %d\n", cellStats.Computed(), cellStats.Reused())
+	if *dsetDir != "" {
+		fmt.Printf("grid cells computed: %d, reused from cache: %d\n", res.Cells.Computed, res.Cells.Reused)
 	}
 	if !*quiet {
 		fmt.Println("final assignment (object cluster):")

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -10,7 +11,9 @@ import (
 	"strings"
 	"testing"
 
+	root "cvcp"
 	"cvcp/internal/constraints"
+	"cvcp/internal/dataset"
 )
 
 // TestMain runs the command itself when CVCP_TEST_MAIN is set, so tests
@@ -126,5 +129,62 @@ func TestCLIInvalidConstraintsExit1(t *testing.T) {
 		if want := "cvcp: " + c.want + "\n"; stderr.String() != want {
 			t.Errorf("%s: stderr %q, want %q", c.name, stderr.String(), want)
 		}
+	}
+}
+
+// -dataset-dir prints how many grid cells a run computed and how many the
+// cell cache served: every cell computed on the first run, every cell
+// reused on a rerun, and after a 2-row append only the two folds the new
+// rows landed in are computed again.
+func TestCLIDatasetDirCellSplit(t *testing.T) {
+	dir := t.TempDir()
+	writeBatch := func(name string, lo, hi int) {
+		t.Helper()
+		var b dataset.RowBatch
+		for i := lo; i < hi; i++ {
+			base := float64(i%2) * 10
+			b.Rows = append(b.Rows, []float64{base + 0.3*float64(i%7), base + 0.2*float64(i%5)})
+			b.Labels = append(b.Labels, i%2)
+		}
+		var buf bytes.Buffer
+		if err := dataset.EncodeRowBatch(&buf, b); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	split := func() string {
+		t.Helper()
+		cmd := exec.Command(os.Args[0], "-dataset-dir", dir, "-algo", "fosc", "-labelfrac", "0.5", "-folds", "4", "-quiet")
+		cmd.Env = append(os.Environ(), "CVCP_TEST_MAIN=1")
+		out, err := cmd.Output()
+		if err != nil {
+			t.Fatalf("cvcp -dataset-dir: %v", err)
+		}
+		for _, line := range strings.Split(string(out), "\n") {
+			if strings.HasPrefix(line, "grid cells computed:") {
+				return line
+			}
+		}
+		t.Fatalf("no cell split in the output:\n%s", out)
+		return ""
+	}
+	want := func(computed, reused int) string {
+		return fmt.Sprintf("grid cells computed: %d, reused from cache: %d", computed, reused)
+	}
+	cells := len(root.DefaultMinPtsRange) * 4
+
+	writeBatch("batch-000.rowbatch", 0, 40)
+	writeBatch("batch-001.rowbatch", 40, 80)
+	if got := split(); got != want(cells, 0) {
+		t.Errorf("first run: %q, want %q", got, want(cells, 0))
+	}
+	if got := split(); got != want(0, cells) {
+		t.Errorf("rerun: %q, want %q", got, want(0, cells))
+	}
+	writeBatch("batch-002.rowbatch", 80, 82)
+	if got := split(); got != want(cells/2, cells/2) {
+		t.Errorf("after a 2-row append: %q, want %q", got, want(cells/2, cells/2))
 	}
 }

@@ -17,7 +17,6 @@ import (
 	"context"
 	"runtime"
 	"sort"
-	"sync/atomic"
 
 	"cvcp/internal/constraints"
 	"cvcp/internal/dataset"
@@ -64,45 +63,10 @@ type Options struct {
 	// folds carrying a CacheKey (stable supervisions such as StableLabels)
 	// participate. Like Workers and Limiter this is machine-local
 	// configuration: a cached score is bit-identical to the computation
-	// it replaced, so the cache never affects results.
+	// it replaced, so the cache never affects results; Result.Cells
+	// reports how many cells it served.
 	CellCache *runner.ScoreCache
-	// CellStats, when non-nil, accumulates how many grid cells this run
-	// computed versus reused from the cell cache — observability only
-	// (the re-selection dirty/reused counters).
-	CellStats *CellStats
 }
-
-// CellStats counts a selection's cell-grid work: cells whose score was
-// computed this run (dirty) versus reused from the cell cache. Safe for
-// concurrent use; a caller shares one across the runs it wants summed.
-type CellStats struct {
-	computed atomic.Int64
-	reused   atomic.Int64
-}
-
-func (s *CellStats) note(reused bool) {
-	if reused {
-		s.reused.Add(1)
-	} else {
-		s.computed.Add(1)
-	}
-}
-
-func (s *CellStats) add(computed, reused int64) {
-	s.computed.Add(computed)
-	s.reused.Add(reused)
-}
-
-// Add accumulates externally counted cells — e.g. a distributed
-// coordinator summing its workers' per-shard computed/reused splits into
-// the owning job's stats.
-func (s *CellStats) Add(computed, reused int64) { s.add(computed, reused) }
-
-// Computed returns how many cells were computed (dirty).
-func (s *CellStats) Computed() int64 { return s.computed.Load() }
-
-// Reused returns how many cells were served from the cell cache.
-func (s *CellStats) Reused() int64 { return s.reused.Load() }
 
 func (o Options) nFolds() int {
 	if o.NFolds <= 0 {

@@ -103,9 +103,7 @@ type CellCounts struct {
 
 // ScoreRangeCounted is ScoreRange plus the range's computed/reused cell
 // counts — the per-shard accounting distributed workers report back so
-// re-selection jobs can assert they scheduled strictly fewer cells. When
-// the plan's Options carry a CellStats, the counts are accumulated there
-// too.
+// re-selection jobs can assert they scheduled strictly fewer cells.
 func (p *CellPlan) ScoreRangeCounted(ctx context.Context, lo, hi int, workers int, limiter *runner.Limiter) ([]float64, CellCounts, error) {
 	return p.scoreCells(lo, hi, runner.Options{Workers: workers, Context: ctx, Limiter: limiter})
 }
@@ -116,16 +114,19 @@ func (p *CellPlan) scoreCells(lo, hi int, ropt runner.Options) ([]float64, CellC
 	if lo < 0 || hi > p.cells || lo > hi {
 		return nil, CellCounts{}, fmt.Errorf("cvcp: cell range [%d, %d) outside grid of %d cells", lo, hi, p.cells)
 	}
-	counts := &CellStats{}
 	out := make([]float64, hi-lo)
-	tasks := cellTasks(p.ds, p.grid, p.folds, p.opt, out, counts, lo, hi)
-	if err := runner.Run(ropt, tasks); err != nil {
+	reused := make([]bool, hi-lo)
+	if err := runner.Run(ropt, cellTasks(p.ds, p.grid, p.folds, p.opt, out, reused, lo, hi)); err != nil {
 		return nil, CellCounts{}, err
 	}
-	if p.opt.CellStats != nil {
-		p.opt.CellStats.add(counts.Computed(), counts.Reused())
+	var counts CellCounts
+	for _, hit := range reused {
+		if hit {
+			counts.Reused++
+		}
 	}
-	return out, CellCounts{Computed: int(counts.Computed()), Reused: int(counts.Reused())}, nil
+	counts.Computed = len(reused) - counts.Reused
+	return out, counts, nil
 }
 
 // Finalize merges a complete set of per-cell scores — cellScores[c] is

@@ -196,9 +196,9 @@ func gridCells(grid Grid, nFolds int) int {
 // clustered on that sub-dataset; when it also carries a CacheKey and
 // opt.CellCache is set, the cell's score goes through the content-addressed
 // cell cache — a cache hit returns the identical bits the computation
-// would have produced. counts, when non-nil, tallies computed vs reused
-// cells.
-func cellTasks(ds *dataset.Dataset, grid Grid, folds []Fold, opt Options, out []float64, counts *CellStats, lo, hi int) []runner.Task {
+// would have produced. A cell writes its score to out and whether the
+// cache served it to reused, both at the cell's index less lo.
+func cellTasks(ds *dataset.Dataset, grid Grid, folds []Fold, opt Options, out []float64, reused []bool, lo, hi int) []runner.Task {
 	tasks := make([]runner.Task, 0, hi-lo)
 	base := 0 // index of the candidate's first cell
 	for ci, cand := range grid {
@@ -225,23 +225,20 @@ func cellTasks(ds *dataset.Dataset, grid Grid, folds []Fold, opt Options, out []
 						return eval.ConstraintF(labels, fold.Test), nil
 					}
 					var (
-						score  float64
-						reused bool
-						err    error
+						score float64
+						hit   bool
+						err   error
 					)
 					if opt.CellCache != nil && fold.CacheKey != "" {
 						key := cellKey(fold.CacheKey, algoCacheID(cand.Algorithm), cand.Params[pi], cellSeed)
-						score, reused, err = opt.CellCache.Do(key, compute)
+						score, hit, err = opt.CellCache.Do(key, compute)
 					} else {
 						score, err = compute()
 					}
 					if err != nil {
 						return err
 					}
-					if counts != nil {
-						counts.note(reused)
-					}
-					out[c-lo] = score
+					out[c-lo], reused[c-lo] = score, hit
 					return nil
 				})
 			}

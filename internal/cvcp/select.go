@@ -49,6 +49,10 @@ type Result struct {
 	Winner *Selection
 	// PerCandidate holds every candidate's selection, in Grid order.
 	PerCandidate []*Selection
+	// Cells splits the scored grid's cells into those computed this run
+	// and those served from Options.CellCache. Zero for Validity, which
+	// scores no cell grid.
+	Cells CellCounts
 }
 
 // Select is the single entry point of the framework: it scores every
@@ -74,11 +78,16 @@ func Select(ctx context.Context, spec Spec) (*Result, error) {
 		return nil, err
 	}
 	opt := spec.Options
-	scores, _, err := plan.scoreCells(0, plan.cells, opt.engineOptions(ctx))
+	scores, cells, err := plan.scoreCells(0, plan.cells, opt.engineOptions(ctx))
 	if err != nil {
 		return nil, err
 	}
-	return plan.Finalize(ctx, scores, opt.workers(), opt.Limiter)
+	res, err := plan.Finalize(ctx, scores, opt.workers(), opt.Limiter)
+	if err != nil {
+		return nil, err
+	}
+	res.Cells = cells
+	return res, nil
 }
 
 // validate rejects a spec with no data, no candidates, a nil algorithm, an

@@ -170,9 +170,7 @@ func TestStableLabelsCacheBitIdentity(t *testing.T) {
 	for _, workers := range []int{1, 8} {
 		cold := spec
 		cold.Options.Workers = workers
-		stats := &CellStats{}
 		cold.Options.CellCache = runner.NewScoreCache(cs, 1024)
-		cold.Options.CellStats = stats
 		got, err := Select(context.Background(), cold)
 		if err != nil {
 			t.Fatal(err)
@@ -182,14 +180,14 @@ func TestStableLabelsCacheBitIdentity(t *testing.T) {
 		}
 		if workers == 1 {
 			// First run: every cell computed, none reused.
-			if stats.Computed() != int64(cells) || stats.Reused() != 0 {
-				t.Fatalf("cold run: computed=%d reused=%d, want %d/0", stats.Computed(), stats.Reused(), cells)
+			if got.Cells.Computed != cells || got.Cells.Reused != 0 {
+				t.Fatalf("cold run: computed=%d reused=%d, want %d/0", got.Cells.Computed, got.Cells.Reused, cells)
 			}
 		} else {
 			// The store is warm from the workers=1 run (each run gets a
 			// fresh cache over it): everything reuses.
-			if stats.Computed() != 0 || stats.Reused() != int64(cells) {
-				t.Fatalf("warm run: computed=%d reused=%d, want 0/%d", stats.Computed(), stats.Reused(), cells)
+			if got.Cells.Computed != 0 || got.Cells.Reused != cells {
+				t.Fatalf("warm run: computed=%d reused=%d, want 0/%d", got.Cells.Computed, got.Cells.Reused, cells)
 			}
 		}
 	}
@@ -212,7 +210,7 @@ func TestStableLabelsIncrementalReuse(t *testing.T) {
 	grid := Grid{{Algorithm: MPCKMeans{}, Params: []int{2, 3, 4}}}
 	const nFolds = 5
 	cs := newMemCellStore()
-	run := func(ds *dataset.Dataset, stats *CellStats) *Result {
+	run := func(ds *dataset.Dataset) *Result {
 		t.Helper()
 		res, err := Select(context.Background(), Spec{
 			Dataset:     ds,
@@ -221,7 +219,6 @@ func TestStableLabelsIncrementalReuse(t *testing.T) {
 			Options: Options{
 				Seed: 56, NFolds: nFolds, Workers: 4,
 				CellCache: runner.NewScoreCache(cs, 1024),
-				CellStats: stats,
 			},
 		})
 		if err != nil {
@@ -229,7 +226,7 @@ func TestStableLabelsIncrementalReuse(t *testing.T) {
 		}
 		return res
 	}
-	run(v1, &CellStats{}) // warm the cache at version 1
+	run(v1) // warm the cache at version 1
 
 	// Append two rows: they land in folds 0 and 1 (indices 60, 61), so
 	// exactly 2 of the 5 folds are dirty.
@@ -242,8 +239,7 @@ func TestStableLabelsIncrementalReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	warm := &CellStats{}
-	incr := run(v2, warm)
+	incr := run(v2)
 
 	scratch, err := Select(context.Background(), Spec{
 		Dataset:     v2,
@@ -258,11 +254,11 @@ func TestStableLabelsIncrementalReuse(t *testing.T) {
 		equalSelection(t, scratch.PerCandidate[ci], incr.PerCandidate[ci], "incremental vs scratch")
 	}
 
-	cells := int64(3 * nFolds)
-	wantDirty := int64(3 * 2) // 3 params × 2 dirty folds
-	if warm.Computed() != wantDirty || warm.Reused() != cells-wantDirty {
+	cells := 3 * nFolds
+	wantDirty := 3 * 2 // 3 params × 2 dirty folds
+	if incr.Cells.Computed != wantDirty || incr.Cells.Reused != cells-wantDirty {
 		t.Fatalf("incremental run: computed=%d reused=%d, want %d/%d",
-			warm.Computed(), warm.Reused(), wantDirty, cells-wantDirty)
+			incr.Cells.Computed, incr.Cells.Reused, wantDirty, cells-wantDirty)
 	}
 }
 

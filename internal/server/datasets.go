@@ -152,7 +152,8 @@ func encodeBatchRecord(dsID string, version int, b dataset.RowBatch, created tim
 // CreateDataset registers a new versioned dataset, optionally seeded
 // with an initial row batch (initial may be nil for an empty dataset at
 // version 0). The meta record is durably persisted before the dataset
-// becomes visible.
+// becomes visible. A create whose initial batch fails to append deletes
+// the dataset again, so it leaves no dataset unless that delete fails.
 func (m *Manager) CreateDataset(name string, hasLabel bool, initial *dataset.RowBatch) (DatasetView, error) {
 	if name == "" {
 		name = "dataset"
@@ -184,7 +185,13 @@ func (m *Manager) CreateDataset(name string, hasLabel bool, initial *dataset.Row
 		defer m.dsMu.Unlock()
 		return m.datasetViewLocked(md), nil
 	}
-	return m.AppendRows(id, *initial)
+	v, err := m.AppendRows(id, *initial)
+	if err != nil {
+		// The append's error is the one to report; a failed delete leaves
+		// the dataset registered, as DeleteDataset documents.
+		_ = m.DeleteDataset(id)
+	}
+	return v, err
 }
 
 // AppendRows appends one row batch to a dataset, returning the view at

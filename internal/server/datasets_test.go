@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -374,6 +375,66 @@ func TestDatasetDeleteFailureKeepsDataset(t *testing.T) {
 	}
 	if g := gauge(); g != "absent" {
 		t.Errorf("version gauge after the retried delete = %s, want no series", g)
+	}
+}
+
+// A create whose initial row batch fails to persist leaves no dataset:
+// the API answers 500, the listing is empty, and a manager reopened on
+// the same store restores nothing.
+func TestDatasetCreateFailureLeavesNoDataset(t *testing.T) {
+	dir := t.TempDir()
+	s1, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	faulty := storetest.Wrap(s1)
+	faulty.Hook(storetest.OpPut, func(call int, id string) error {
+		if strings.HasPrefix(id, datasetBatchPrefix) {
+			return errInjected
+		}
+		return nil
+	})
+	m1 := NewManager(Config{MaxRunningJobs: 1, WorkerBudget: 1, Store: faulty})
+	ts := httptest.NewServer(NewHandler(m1))
+	body, err := json.Marshal(datasetCreateRequest{Name: "g", HasLabel: true, CSV: growthCSV(t, 0, 8)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/v1/datasets", "application/json", strings.NewReader(string(body)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e := decodeAPIError(t, resp); resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("create with a failing batch Put: status %d (%+v), want 500", resp.StatusCode, e)
+	}
+	resp, err = http.Get(ts.URL + "/v1/datasets")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var list datasetListResponse
+	err = json.NewDecoder(resp.Body).Decode(&list)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(list.Datasets) != 0 {
+		t.Fatalf("GET /v1/datasets after a failed create lists %+v, want nothing", list.Datasets)
+	}
+	ts.Close()
+	m1.Shutdown(context.Background())
+	if err := s1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	m2 := NewManager(Config{MaxRunningJobs: 1, WorkerBudget: 1, Store: s2})
+	defer m2.Shutdown(context.Background())
+	if got := m2.ListDatasets(); len(got) != 0 {
+		t.Fatalf("reopened manager restored %+v, want no dataset", got)
 	}
 }
 

@@ -41,6 +41,7 @@ func distPlan(spec Spec, ds *dataset.Dataset, cache *runner.ScoreCache) (*corecv
 // the job's regular progress counter at shard granularity.
 func (m *Manager) executeDistributed(j *Job, ds dist.Store, plan *corecvcp.CellPlan) {
 	cellsDone := 0
+	var cells corecvcp.CellCounts
 	onShard := func(ev dist.ShardEvent) {
 		j.onShard(ev.Shard, ev.Shards, ev.Status, ev.Worker)
 		if ev.Status == dist.ShardDone || ev.Status == dist.ShardFailed {
@@ -49,10 +50,11 @@ func (m *Manager) executeDistributed(j *Job, ds dist.Store, plan *corecvcp.CellP
 		}
 		// Workers report how many of their shard's cells came from the
 		// shared cell cache; the coordinator sums the split into the
-		// job's stats so distributed re-selections report the same
+		// result so distributed re-selections report the same
 		// dirty/reused counters as single-node ones.
-		if ev.Status == dist.ShardDone && j.cellStats != nil {
-			j.cellStats.Add(int64(ev.Hi-ev.Lo-ev.Reused), int64(ev.Reused))
+		if ev.Status == dist.ShardDone {
+			cells.Computed += ev.Hi - ev.Lo - ev.Reused
+			cells.Reused += ev.Reused
 		}
 	}
 	coord := &dist.Coordinator{Store: ds, Poll: m.cfg.Poll}
@@ -62,30 +64,34 @@ func (m *Manager) executeDistributed(j *Job, ds dist.Store, plan *corecvcp.CellP
 		return
 	}
 	res, err := plan.Finalize(j.ctx, scores, m.cfg.WorkerBudget, m.limiter)
+	if err == nil {
+		res.Cells = cells
+	}
 	j.finish(res, err)
 }
 
 // runJob dispatches one claimed job: coordinators distribute every job
 // whose store and scorer allow it, everything else (single role, a store
 // without atomic updates, a validity-scored job) computes locally.
-// Dataset-referencing jobs get their cell-cache wiring here — the cache
-// persists cell scores under the dataset's record ID, so later
-// re-selections (this process or the next one) reuse every clean fold's
-// cells.
+// Dataset-referencing jobs get their cell cache here — it persists cell
+// scores under the dataset's record ID, so later re-selections (this
+// process or the next one) reuse every clean fold's cells. The cache is
+// machine-local: a cached score is bit-identical to the computation it
+// replaced, so it never affects results.
 func (m *Manager) runJob(j *Job) {
+	var cache *runner.ScoreCache
 	if j.spec.DatasetID != "" {
-		j.cellStats = &corecvcp.CellStats{}
-		j.cellCache = runner.NewScoreCache(store.NewCellCache(m.store, j.spec.DatasetID), 0)
+		cache = runner.NewScoreCache(store.NewCellCache(m.store, j.spec.DatasetID), 0)
 	}
 	if m.cfg.Role == RoleCoordinator {
 		if ds, ok := m.store.(dist.Store); ok {
-			if plan, err := distPlan(j.spec, j.ds, j.cellCache); err == nil {
+			if plan, err := distPlan(j.spec, j.ds, cache); err == nil {
 				m.executeDistributed(j, ds, plan)
 				return
 			}
 		}
 	}
-	j.execute(m.limiter, m.cfg.WorkerBudget)
+	j.execute(m.limiter, m.cfg.WorkerBudget, cache)
 }
 
 // WorkerConfig configures RunWorker, the worker-role counterpart of the

@@ -150,7 +150,8 @@ func TestDistributedManagerMatchesSingleNode(t *testing.T) {
 			// Shard events reached the job's stream: every shard reported
 			// done by a named worker.
 			var shardDone int
-			for _, ev := range j.EventsSince(0) {
+			evs, _ := j.EventsSince(0)
+			for _, ev := range evs {
 				if ev.Type != "shard" {
 					continue
 				}
@@ -304,7 +305,8 @@ func TestCoordinatorFallsBackToLocalForValidityScorer(t *testing.T) {
 	if s := waitTerminal(t, j); s != StatusDone {
 		t.Fatalf("validity job on a coordinator finished as %s (%s)", s, j.View().Error)
 	}
-	for _, ev := range j.EventsSince(0) {
+	evs, _ := j.EventsSince(0)
+	for _, ev := range evs {
 		if ev.Type == "shard" {
 			t.Fatalf("locally-computed job emitted a shard event: %+v", ev)
 		}

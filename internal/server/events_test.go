@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"net/http"
@@ -277,18 +278,6 @@ func (l *testEventLog) appendEvents(jobID string, evs []Event) {
 	l.evs[jobID] = append(l.evs[jobID], evs...)
 }
 
-func (l *testEventLog) eventsSince(jobID string, afterSeq int) []Event {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	var out []Event
-	for _, ev := range l.evs[jobID] {
-		if ev.Seq > afterSeq {
-			out = append(out, ev)
-		}
-	}
-	return out
-}
-
 // Consecutive progress events are coalesced on large grids — the event
 // log stays near maxProgressEvents entries however many cells the grid
 // has — while the counters, the final progress event and full replay
@@ -307,7 +296,7 @@ func TestProgressCoalescing(t *testing.T) {
 		j.onProgress(done, total)
 	}
 
-	history := j.EventsSince(0)
+	history, _ := j.EventsSince(0)
 	progress := 0
 	lastDone := 0
 	for _, ev := range history {
@@ -339,7 +328,7 @@ func TestProgressCoalescing(t *testing.T) {
 		t.Fatalf("full replay = %d events, want %d", got, progress+2)
 	}
 	seq := history[len(history)-1].Seq
-	if got := j.EventsSince(seq - 5); len(got) != 5 {
+	if got, _ := j.EventsSince(seq - 5); len(got) != 5 {
 		t.Fatalf("tail resume = %d events, want 5", len(got))
 	}
 }
@@ -358,7 +347,8 @@ func TestProgressSmallGridUncoalesced(t *testing.T) {
 		j.onProgress(done, 20)
 	}
 	progress := 0
-	for _, ev := range j.EventsSince(0) {
+	evs, _ := j.EventsSince(0)
+	for _, ev := range evs {
 		if ev.Type == "progress" {
 			progress++
 		}
@@ -392,7 +382,7 @@ func TestSSEConcurrentSubscribers(t *testing.T) {
 				// Resume only from a sequence number the job has issued:
 				// an unissued Last-Event-ID is ignored and the stream
 				// replays from seq 1.
-				for len(j.EventsSince(after-1)) == 0 {
+				for evs, _ := j.EventsSince(after - 1); len(evs) == 0; evs, _ = j.EventsSince(after - 1) {
 					time.Sleep(time.Millisecond)
 				}
 				events := getSSE(t, ts, id, after)
@@ -422,6 +412,84 @@ func TestSSEConcurrentSubscribers(t *testing.T) {
 	case <-done:
 	case <-time.After(60 * time.Second):
 		t.Fatal("subscribers never finished")
+	}
+}
+
+// stalledWriter is an http.ResponseWriter whose writes block until
+// release is closed, like a client that stops reading; blocked closes at
+// the first write.
+type stalledWriter struct {
+	header  http.Header
+	buf     bytes.Buffer
+	once    sync.Once
+	blocked chan struct{}
+	release chan struct{}
+}
+
+func (w *stalledWriter) Header() http.Header { return w.header }
+func (w *stalledWriter) WriteHeader(int)     {}
+func (w *stalledWriter) Flush()              {}
+
+func (w *stalledWriter) Write(p []byte) (int, error) {
+	w.once.Do(func() { close(w.blocked) })
+	<-w.release
+	return w.buf.Write(p)
+}
+
+// A stream whose client stops reading while the job publishes carries
+// every event once it reads again: the stream is read from the job's
+// history, so nothing is lost however far behind the client falls.
+func TestSSEStalledSubscriberGetsEveryEvent(t *testing.T) {
+	ds, _ := testDataset(t, 30)
+	alg := newBlockingAlg()
+	RegisterAlgorithm("block-sse-stall", alg, []int{1})
+	m := NewManager(Config{MaxRunningJobs: 1, WorkerBudget: 1})
+	defer m.Shutdown(context.Background())
+
+	spec := quickSpec()
+	spec.Algorithm = "block-sse-stall"
+	spec.Params = []int{1}
+	j, err := m.Submit(spec, ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-alg.started // running
+
+	w := &stalledWriter{header: http.Header{}, blocked: make(chan struct{}), release: make(chan struct{})}
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		req := httptest.NewRequest(http.MethodGet, "/v1/jobs/"+j.ID()+"/events", nil)
+		NewHandler(m).ServeHTTP(w, req)
+	}()
+	<-w.blocked
+	const stalled, after = 300, 10
+	for i := 0; i < stalled; i++ {
+		j.onShard(i, stalled+after, "done", "w1")
+	}
+	close(w.release)
+	for i := stalled; i < stalled+after; i++ {
+		j.onShard(i, stalled+after, "done", "w1")
+	}
+	close(alg.release)
+	select {
+	case <-served:
+	case <-time.After(30 * time.Second):
+		t.Fatal("stream never ended")
+	}
+
+	history, _ := j.EventsSince(0)
+	got := readSSE(t, &w.buf)
+	if len(got) != len(history) {
+		t.Fatalf("stream carried %d of the job's %d events", len(got), len(history))
+	}
+	for i, ev := range got {
+		if ev.id != history[i].Seq {
+			t.Fatalf("stream event %d has id %d, want seq %d", i, ev.id, history[i].Seq)
+		}
+	}
+	if last := got[len(got)-1]; last.data.Status != StatusDone {
+		t.Fatalf("stream ends with %+v, want the done status", last)
 	}
 }
 
@@ -475,40 +543,77 @@ func TestLegacyRecordCondensedHistory(t *testing.T) {
 	}
 }
 
-// A job evicted mid-stream loses its store log; replays that reach past
-// the tail must then serve the partial tail — newest events, terminal
-// status included — rather than an empty stream.
-func TestEvictedJobServesTailWhenLogGone(t *testing.T) {
+// A job's history is its own, whatever becomes of the durable log: a
+// log emptied under a live job (eviction drops it) and a log that lags
+// a restored job (append failures are swallowed, so a disk-full store
+// stalls it) both leave every event, the newest above all, in the
+// history readers stream from.
+func TestEventHistoryOutlivesLog(t *testing.T) {
 	ds, _ := testDataset(t, 30)
-	log := newTestEventLog()
-	j := newJob("job-000000001", "", quickSpec(), ds, nil, context.Background(), log, nil, 0, false)
-	defer j.cancel()
-	if !j.claimRun() {
-		t.Fatal("claimRun failed")
-	}
-	const total = 2000
-	for done := 1; done <= total; done++ {
-		j.onProgress(done, total)
-	}
-	if j.EventsSince(0)[0].Seq != 1 {
-		t.Fatal("full history should come from the log while it exists")
-	}
+	t.Run("emptied", func(t *testing.T) {
+		log := newTestEventLog()
+		j := newJob("job-000000001", "", quickSpec(), ds, nil, context.Background(), log, nil, 0, false)
+		defer j.cancel()
+		if !j.claimRun() {
+			t.Fatal("claimRun failed")
+		}
+		const total = 2000
+		for done := 1; done <= total; done++ {
+			j.onProgress(done, total)
+		}
+		before, _ := j.EventsSince(0)
 
-	// Eviction: the store drops the job's event log.
-	log.mu.Lock()
-	log.evs = map[string][]Event{}
-	log.mu.Unlock()
+		// Eviction: the store drops the job's event log.
+		log.mu.Lock()
+		log.evs = map[string][]Event{}
+		log.mu.Unlock()
 
-	history := j.EventsSince(0)
-	if len(history) == 0 {
-		t.Fatal("empty stream after the log vanished; want the tail")
-	}
-	j.mu.Lock()
-	lastSeq := j.seq
-	j.mu.Unlock()
-	if history[len(history)-1].Seq != lastSeq {
-		t.Fatalf("tail fallback missing the newest event: last %d, want %d", history[len(history)-1].Seq, lastSeq)
-	}
+		history, _ := j.EventsSince(0)
+		if len(history) != len(before) {
+			t.Fatalf("history after the log vanished has %d events, want %d", len(history), len(before))
+		}
+		if history[0].Seq != 1 {
+			t.Fatalf("history after the log vanished starts at seq %d, want 1", history[0].Seq)
+		}
+		j.mu.Lock()
+		lastSeq := j.seq
+		j.mu.Unlock()
+		if history[len(history)-1].Seq != lastSeq {
+			t.Fatalf("history missing the newest event: last %d, want %d", history[len(history)-1].Seq, lastSeq)
+		}
+	})
+	t.Run("stale", func(t *testing.T) {
+		log := newTestEventLog()
+		const id = "job-000000001"
+		var prior []Event
+		for seq := 1; seq <= 300; seq++ {
+			prior = append(prior, Event{Seq: seq, Type: "progress", Done: seq, Total: 300})
+		}
+		// The durable log holds only a stale prefix — appends "failed"
+		// for everything after seq 200, the fresh queued event included.
+		log.mu.Lock()
+		log.evs[id] = append([]Event(nil), prior[:200]...)
+		log.mu.Unlock()
+		j := newJob(id, "", quickSpec(), ds, nil, context.Background(), log, prior, 0, true)
+		defer j.cancel()
+		log.mu.Lock()
+		log.evs[id] = log.evs[id][:200]
+		log.mu.Unlock()
+
+		history, _ := j.EventsSince(0)
+		if len(history) != 301 { // seqs 1..300 plus the fresh queued event
+			t.Fatalf("history has %d events, want 301", len(history))
+		}
+		for i := 1; i < len(history); i++ {
+			if history[i].Seq <= history[i-1].Seq {
+				t.Fatalf("history not monotone: %d after %d", history[i].Seq, history[i-1].Seq)
+			}
+		}
+		last := history[len(history)-1]
+		if want := 300 + seqRequeueGap + 1; last.Seq != want || last.Status != StatusQueued {
+			t.Fatalf("newest event lost: last = %+v, want queued seq %d", last, want)
+		}
+	})
 }
 
 // A restart resuming a job from its durable log must leave a sequence
@@ -525,7 +630,7 @@ func TestRequeueSeqGapAvoidsLostSuffixCollision(t *testing.T) {
 	}
 	j := newJob("job-000000001", "", quickSpec(), ds, nil, context.Background(), log, prior, 0, true)
 	defer j.cancel()
-	evs := j.EventsSince(2)
+	evs, _ := j.EventsSince(2)
 	if len(evs) != 1 {
 		t.Fatalf("replay after seed = %+v, want only the fresh queued event", evs)
 	}
@@ -536,52 +641,8 @@ func TestRequeueSeqGapAvoidsLostSuffixCollision(t *testing.T) {
 	// Any possibly-lost pre-crash seq (durable last .. last+publishable)
 	// resumes without skipping the fresh events.
 	for _, after := range []int{2, 5, 2 + 2*maxProgressEvents} {
-		if got := j.EventsSince(after); len(got) != 1 || got[0].Seq != 2+seqRequeueGap+1 {
+		if got, _ := j.EventsSince(after); len(got) != 1 || got[0].Seq != 2+seqRequeueGap+1 {
 			t.Fatalf("resume after %d = %+v; the fresh queued event must not be skipped", after, got)
 		}
-	}
-}
-
-// When the durable log lags the tail (append failures are swallowed; a
-// disk-full store stalls the log while the tail keeps publishing), a
-// deep catch-up must graft the tail's newer events onto the stale log
-// read so the newest events — the terminal status above all — still
-// reach the subscriber.
-func TestCatchUpGraftsTailOntoStaleLog(t *testing.T) {
-	ds, _ := testDataset(t, 30)
-	log := newTestEventLog()
-	const id = "job-000000001"
-	// 300 prior events: more than the 256-entry tail, so EventsSince(0)
-	// must take the log path.
-	var prior []Event
-	for seq := 1; seq <= 300; seq++ {
-		prior = append(prior, Event{Seq: seq, Type: "progress", Done: seq, Total: 300})
-	}
-	// The durable log holds only a stale prefix — appends "failed" for
-	// everything after seq 200.
-	log.mu.Lock()
-	log.evs[id] = append([]Event(nil), prior[:200]...)
-	log.mu.Unlock()
-
-	j := newJob(id, "", quickSpec(), ds, nil, context.Background(), log, prior, 0, true)
-	defer j.cancel()
-	// Drop the fresh queued event from the log too: it is the newest
-	// event, exactly what the graft must recover from the tail.
-	log.mu.Lock()
-	log.evs[id] = log.evs[id][:200]
-	log.mu.Unlock()
-
-	history := j.EventsSince(0)
-	if len(history) != 301 { // seqs 1..300 plus the fresh queued event
-		t.Fatalf("grafted history has %d events, want 301", len(history))
-	}
-	for i := 1; i < len(history); i++ {
-		if history[i].Seq <= history[i-1].Seq {
-			t.Fatalf("grafted history not monotone: %d after %d", history[i].Seq, history[i-1].Seq)
-		}
-	}
-	last := history[len(history)-1]
-	if want := 300 + seqRequeueGap + 1; last.Seq != want || last.Status != StatusQueued {
-		t.Fatalf("newest event lost by the stale-log catch-up: last = %+v, want queued seq %d", last, want)
 	}
 }

@@ -144,13 +144,6 @@ type Event struct {
 	Worker      string `json:"worker,omitempty"`
 }
 
-// subscriberBuffer is the channel capacity of one SSE subscriber. A
-// subscriber that falls this far behind loses intermediate events (the
-// stream stays monotone; only granularity suffers — the SSE handler
-// catches up from the job's history after the channel closes, so the
-// terminal status event is never lost).
-const subscriberBuffer = 256
-
 // Progress coalescing: the engine reports every completed grid cell, but
 // publishing (and durably logging) an event per cell would make huge
 // grids emit thousands of near-identical events. A progress event is
@@ -197,6 +190,9 @@ type jobEventLog interface {
 // dataset and spec are immutable after submission. ds is nil for terminal
 // jobs resurrected from the store (their records drop the dataset
 // payload); dsName and objects carry the dataset identity independently.
+// The job's event history is the only way its events reach a reader:
+// EventsSince reads past any point of it, and each publish wakes the
+// readers waiting at its end.
 type Job struct {
 	id      string
 	batch   string // owning batch ID, empty for individual submissions
@@ -210,13 +206,6 @@ type Job struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 
-	// Cell-cache wiring of dataset-referencing jobs, installed by
-	// Manager.runJob before execution (nil for inline-CSV jobs). Both are
-	// machine-local: a cached score is bit-identical to the computation
-	// it replaced, so neither ever affects results.
-	cellCache *runner.ScoreCache
-	cellStats *corecvcp.CellStats
-
 	log jobEventLog // durable event mirror; never nil
 
 	mu       sync.Mutex
@@ -229,7 +218,8 @@ type Job struct {
 	result   *ResultView
 	seq      int
 	events   []Event // the whole history, ascending in Seq
-	subs     map[chan Event]struct{}
+	// wake is closed by the next publish; nil until a reader waits on it.
+	wake chan struct{}
 
 	// Progress coalescing state: the done value and wall time of the
 	// last published progress event, and how many interval-driven
@@ -267,7 +257,6 @@ func newJob(id, batch string, spec Spec, ds *dataset.Dataset, dsBlob []byte, par
 		cancel:  cancel,
 		status:  StatusQueued,
 		log:     log,
-		subs:    map[chan Event]struct{}{},
 	}
 	j.mu.Lock()
 	j.seedEventsLocked(prior)
@@ -284,8 +273,8 @@ func newJob(id, batch string, spec Spec, ds *dataset.Dataset, dsBlob []byte, par
 
 // seedEventsLocked installs replayed history: the sequence counter
 // resumes past it. Seeded events are already in the durable log, so they
-// are not re-appended and there are no subscribers yet to fan them out
-// to. Callers hold mu.
+// are not re-appended, and no reader can be waiting yet. Callers hold
+// mu.
 func (j *Job) seedEventsLocked(prior []Event) {
 	j.events = append(j.events, prior...)
 	if len(prior) > 0 {
@@ -307,79 +296,41 @@ func (j *Job) Status() Status {
 }
 
 // publishLocked assigns the next sequence number, mirrors the event into
-// the durable log, adds it to the job's history and fans it out to the
-// live subscribers. Callers hold mu. Slow subscribers (full buffers)
-// skip the event rather than blocking the engine — the SSE handler
-// catches up from the history. Appending under mu is what makes the
-// log's order equal the publish order; the append is a buffered write
-// that never fsyncs on its own (see jobEventLog).
+// the durable log, adds it to the job's history and wakes the readers
+// waiting at the history's end. Callers hold mu. Appending under mu is
+// what makes the log's order equal the publish order; the append is a
+// buffered write that never fsyncs on its own (see jobEventLog).
 func (j *Job) publishLocked(ev Event) {
 	j.seq++
 	ev.Seq = j.seq
 	j.events = append(j.events, ev)
 	j.log.appendEvents(j.id, []Event{ev})
-	for ch := range j.subs {
-		select {
-		case ch <- ev:
-		default:
-		}
+	if j.wake != nil {
+		close(j.wake)
+		j.wake = nil
 	}
 }
 
-// closeSubsLocked ends every live subscription; used after the terminal
-// event so SSE streams terminate. Callers hold mu.
-func (j *Job) closeSubsLocked() {
-	for ch := range j.subs {
-		close(ch)
-	}
-	j.subs = nil
-}
-
-// SubscribeSince returns a replay of the events with Seq > after plus a
-// channel of future events. after 0 replays the full history; a client
-// resuming with Last-Event-ID passes its last seen sequence number and
-// re-receives nothing before it. The channel is closed after the
-// terminal event (or immediately when the job already finished).
-// The returned cancel function releases the subscription; it is safe to
-// call after the channel closed. The replay and the subscription are
-// atomic — an event is in the replay or will arrive on the channel;
-// late-buffered duplicates are possible and callers drop events with
-// Seq at or below the last one written.
-func (j *Job) SubscribeSince(after int) ([]Event, <-chan Event, func()) {
+// EventsSince returns the events with Seq > after, in order, and the
+// channel to wait on for more: it closes at the job's next publish, and
+// it is nil once the job is terminal, when the history is complete. after
+// 0 reads the full history; a client resuming with Last-Event-ID passes
+// its last seen sequence number and re-reads nothing before it. A
+// sequence number this job never issued (a stale or foreign
+// Last-Event-ID) is unknown and reads the full history too, rather than
+// silently suppressing every event below the bogus cutoff.
+func (j *Job) EventsSince(after int) ([]Event, <-chan struct{}) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if after > j.seq {
-		// A sequence number this job never issued (a stale or foreign
-		// Last-Event-ID): treat it as unknown and replay in full, rather
-		// than silently suppressing every event below the bogus cutoff.
 		after = 0
 	}
-	replay := j.eventsSinceLocked(after)
-	ch := make(chan Event, subscriberBuffer)
-	if j.status.Terminal() {
-		close(ch)
-		return replay, ch, func() {}
+	// The terminal publish closed and cleared wake, and nothing publishes
+	// after it, so a terminal job's wake stays nil.
+	if j.wake == nil && !j.status.Terminal() {
+		j.wake = make(chan struct{})
 	}
-	j.subs[ch] = struct{}{}
-	cancel := func() {
-		j.mu.Lock()
-		defer j.mu.Unlock()
-		if _, ok := j.subs[ch]; ok {
-			delete(j.subs, ch)
-			close(ch)
-		}
-	}
-	return replay, ch, cancel
-}
-
-// EventsSince returns the events with Seq > after, in order. SSE
-// handlers use it to catch up after a subscription channel closes: a
-// slow subscriber may have had buffered events dropped, and the terminal
-// status event must still reach it.
-func (j *Job) EventsSince(after int) []Event {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.eventsSinceLocked(after)
+	return j.eventsSinceLocked(after), j.wake
 }
 
 // eventsSinceLocked returns the history's events with Seq > after.
@@ -403,7 +354,6 @@ func (j *Job) requestCancel() Status {
 		j.status = StatusCancelled
 		j.finished = time.Now()
 		j.publishLocked(Event{Type: "status", Status: StatusCancelled})
-		j.closeSubsLocked()
 	}
 	return j.status
 }
@@ -479,12 +429,11 @@ func (j *Job) finish(res *corecvcp.Result, err error) {
 	case err == nil:
 		j.status = StatusDone
 		j.result = resultView(res, len(j.spec.Algorithms) > 0)
-		if j.result != nil && j.cellStats != nil {
-			c, r := j.cellStats.Computed(), j.cellStats.Reused()
-			j.result.CellsComputed = int(c)
-			j.result.CellsReused = int(r)
-			mReselectDirty.Add(uint64(c))
-			mReselectReused.Add(uint64(r))
+		if j.result != nil && j.spec.DatasetID != "" {
+			j.result.CellsComputed = res.Cells.Computed
+			j.result.CellsReused = res.Cells.Reused
+			mReselectDirty.Add(uint64(res.Cells.Computed))
+			mReselectReused.Add(uint64(res.Cells.Reused))
 		}
 	case j.ctx.Err() != nil:
 		j.status = StatusCancelled
@@ -493,7 +442,6 @@ func (j *Job) finish(res *corecvcp.Result, err error) {
 		j.errMsg = err.Error()
 	}
 	j.publishLocked(Event{Type: "status", Status: j.status})
-	j.closeSubsLocked()
 	// Release the cancelCtx registered on the manager's base context;
 	// without this every completed job would stay referenced by the parent
 	// context for the life of the process.
@@ -516,8 +464,9 @@ func (j *Job) onShard(shard, shards int, shardStatus, worker string) {
 
 // execute runs the selection. The caller (a Manager executor) has already
 // claimed the running state. workers bounds this job's own grid
-// concurrency; limiter is the server-wide budget shared across jobs.
-func (j *Job) execute(limiter *runner.Limiter, workers int) {
+// concurrency; limiter is the server-wide budget shared across jobs;
+// cache is a dataset job's cell cache (nil for inline-CSV jobs).
+func (j *Job) execute(limiter *runner.Limiter, workers int, cache *runner.ScoreCache) {
 	spec, err := buildSelectionSpec(j.spec, j.ds)
 	if err != nil {
 		// Validated at submission; only a racing re-registration can
@@ -528,8 +477,7 @@ func (j *Job) execute(limiter *runner.Limiter, workers int) {
 	spec.Options.Workers = workers
 	spec.Options.Progress = j.onProgress
 	spec.Options.Limiter = limiter
-	spec.Options.CellCache = j.cellCache
-	spec.Options.CellStats = j.cellStats
+	spec.Options.CellCache = cache
 	res, err := corecvcp.Select(j.ctx, spec)
 	j.finish(res, err)
 }

@@ -64,7 +64,7 @@ type Manager struct {
 	cond       *sync.Cond // signals: the queue grew, or draining began
 	queue      *fairQueue // the pending queue; cancelled jobs are removed eagerly
 	jobs       map[string]*Job
-	order      []string // sorted IDs (= submission order), for List and ListPage
+	order      []string // sorted IDs (= submission order), for ListPage
 	finished   []string // finish order, for eviction
 	batches    map[string]*batchState
 	nextID     int
@@ -583,17 +583,6 @@ func (m *Manager) Len() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return len(m.order)
-}
-
-// List returns every resident job in submission order.
-func (m *Manager) List() []*Job {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]*Job, 0, len(m.order))
-	for _, id := range m.order {
-		out = append(out, m.jobs[id])
-	}
-	return out
 }
 
 // ListPage returns up to limit views of the resident jobs with ID >

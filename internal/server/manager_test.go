@@ -121,8 +121,8 @@ func TestManagerLifecycleAndEviction(t *testing.T) {
 	if _, err := m.Get(j2.ID()); err != nil {
 		t.Fatalf("job 2 should survive eviction: %v", err)
 	}
-	if got := len(m.List()); got != 1 {
-		t.Fatalf("List returned %d jobs, want 1", got)
+	if views, _ := m.ListPage("", 0); len(views) != 1 {
+		t.Fatalf("ListPage returned %d jobs, want 1", len(views))
 	}
 }
 
@@ -286,7 +286,7 @@ func TestManagerHammer(t *testing.T) {
 				if (g+k)%3 == 0 {
 					m.Cancel(j.ID())
 				}
-				m.List()
+				m.ListPage("", 0)
 				m.Get(j.ID())
 			}
 		}(g)

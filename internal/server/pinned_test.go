@@ -64,7 +64,8 @@ func TestDistributedPinned(t *testing.T) {
 			t.Fatalf("%s finished as %s (%s)", what, s, j.View().Error)
 		}
 		shards := 0
-		for _, ev := range j.EventsSince(0) {
+		evs, _ := j.EventsSince(0)
+		for _, ev := range evs {
 			if ev.Type == "shard" && ev.ShardStatus == "done" {
 				shards++
 			}

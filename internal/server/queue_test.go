@@ -157,8 +157,8 @@ func TestFairnessSingleJobBeatsBacklog(t *testing.T) {
 	}
 
 	queued := 0
-	for _, j := range m.List() {
-		v := j.View()
+	views, _ := m.ListPage("", 0)
+	for _, v := range views {
 		if v.Tenant == "alice" && v.Status == StatusQueued {
 			queued++
 		}

@@ -121,7 +121,7 @@ func jobFromRecord(rec store.Record, parent context.Context, log jobEventLog, pr
 }
 
 // newResurrectedJob builds a terminal job shell from a record: no
-// context, no dataset, no live subscribers — the persisted state plus
+// context, no dataset, no waiting readers — the persisted state plus
 // the replayed event history. When the log already ends with the
 // terminal status (the normal case for stores with event persistence)
 // nothing is appended and replay is bit-identical to the pre-restart

@@ -29,8 +29,10 @@
 // transition — and every published SSE event, via the store's EventLog —
 // is written through to it, and finished jobs beyond the retention window
 // are evicted oldest-first (dropping their event logs with them). Job
-// views, listings and SSE streams are answered from the manager's memory;
-// only startup reads job records and event logs back. With the default
+// views, listings and SSE streams are answered from the manager's memory
+// — every stream reads its job's event history, and a publish wakes the
+// streams waiting at its end — and only startup reads job records and
+// event logs back. With the default
 // in-memory store the service is ephemeral; with a file store (cvcpd
 // -store-dir) the manager replays the store on startup — finished jobs
 // reappear with their results and full event histories (SSE replay

@@ -43,7 +43,7 @@ func TestShardEventOrderingUnderConcurrentWorkers(t *testing.T) {
 		t.Fatalf("distributed job finished as %s (%s)", s, j.View().Error)
 	}
 
-	evs := j.EventsSince(0)
+	evs, _ := j.EventsSince(0)
 	lastSeq := 0
 	shards := 0
 	terminal := map[int]bool{}

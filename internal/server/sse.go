@@ -21,19 +21,23 @@ const sseWriteTimeout = 30 * time.Second
 // event-quiet streams — a queued job, or a running one between
 // coalesced progress events. Without them the write deadline never
 // arms, and a silently dead client (NAT timeout, pulled cable) would
-// pin its connection and subscription until the job next published.
+// pin its connection until the job next published.
 // EventSource clients ignore comment lines by specification.
 const sseHeartbeatInterval = 15 * time.Second
 
-// events streams a job's progress as Server-Sent Events: the job's
-// event history is replayed first (so late subscribers — and subscribers
-// arriving after a server restart — see the full history), then live
-// events stream until the job reaches a terminal status or the client
-// disconnects. Each SSE message carries the event's sequence number as
-// its id, the event type ("status" or "progress") and the Event JSON as
-// data; progress events are monotonically increasing in done within a
-// run (a crash-recovery re-queue restarts the grid, so its stream shows
-// the pre-crash attempt's progress before the recovery run's).
+// events streams a job's progress as Server-Sent Events, read from the
+// job's event history alone: the handler writes every event past its
+// resume point, flushes, and waits for the job's next publish (or a
+// heartbeat, or the client leaving) before it reads again, until the job
+// is terminal and its history complete. However slowly the client reads,
+// the stream carries every event in order, without gaps — late
+// subscribers and subscribers arriving after a server restart see the
+// full history — and ends with the terminal status. Each SSE message
+// carries the event's sequence number as its id, the event type
+// ("status", "progress" or "shard") and the Event JSON as data; progress
+// events are monotonically increasing in done within a run (a
+// crash-recovery re-queue restarts the grid, so its stream shows the
+// pre-crash attempt's progress before the recovery run's).
 //
 // A reconnecting client sends the standard Last-Event-ID header (every
 // EventSource does this automatically with the last id it saw); the
@@ -59,9 +63,6 @@ func (a *api) events(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	replay, ch, cancel := j.SubscribeSince(after)
-	defer cancel()
-
 	rc := http.NewResponseController(w)
 	// The server's read timeout covers the request, not the stream:
 	// clear it so a long-lived stream is not torn down when the
@@ -81,25 +82,21 @@ func (a *api) events(w http.ResponseWriter, r *http.Request) {
 	h.Set("Connection", "keep-alive")
 	w.WriteHeader(http.StatusOK)
 
-	lastSeq := after
-	write := func(ev Event) bool {
-		_ = rc.SetWriteDeadline(time.Now().Add(sseWriteTimeout))
-		if err := writeEvent(w, ev); err != nil {
-			return false
-		}
-		lastSeq = ev.Seq
-		return true
-	}
-	for _, ev := range replay {
-		if !write(ev) {
-			return
-		}
-	}
-	fl.Flush()
-
 	heartbeat := time.NewTicker(sseHeartbeatInterval)
 	defer heartbeat.Stop()
 	for {
+		evs, wake := j.EventsSince(after)
+		for _, ev := range evs {
+			_ = rc.SetWriteDeadline(time.Now().Add(sseWriteTimeout))
+			if err := writeEvent(w, ev); err != nil {
+				return
+			}
+			after = ev.Seq
+		}
+		fl.Flush()
+		if wake == nil {
+			return // terminal: the history is complete
+		}
 		select {
 		case <-r.Context().Done():
 			return
@@ -108,27 +105,7 @@ func (a *api) events(w http.ResponseWriter, r *http.Request) {
 			if _, err := io.WriteString(w, ": ping\n\n"); err != nil {
 				return
 			}
-			fl.Flush()
-		case ev, open := <-ch:
-			if !open {
-				// The job is terminal. A slow subscriber may have had
-				// events dropped from its buffer — catch up from the
-				// job's history so the terminal status event always lands.
-				for _, missed := range j.EventsSince(lastSeq) {
-					if !write(missed) {
-						return
-					}
-				}
-				fl.Flush()
-				return
-			}
-			if ev.Seq <= lastSeq {
-				continue // buffered before the replay covered it
-			}
-			if !write(ev) {
-				return
-			}
-			fl.Flush()
+		case <-wake:
 		}
 	}
 }
