@@ -543,77 +543,44 @@ func TestLegacyRecordCondensedHistory(t *testing.T) {
 	}
 }
 
-// A job's history is its own, whatever becomes of the durable log: a
-// log emptied under a live job (eviction drops it) and a log that lags
-// a restored job (append failures are swallowed, so a disk-full store
-// stalls it) both leave every event, the newest above all, in the
-// history readers stream from.
-func TestEventHistoryOutlivesLog(t *testing.T) {
+// A job evicted mid-stream loses its store log; replays must still
+// serve the job's whole history from memory — first event through the
+// newest, terminal status included — rather than an empty stream.
+func TestEvictedJobServesTailWhenLogGone(t *testing.T) {
 	ds, _ := testDataset(t, 30)
-	t.Run("emptied", func(t *testing.T) {
-		log := newTestEventLog()
-		j := newJob("job-000000001", "", quickSpec(), ds, nil, context.Background(), log, nil, 0, false)
-		defer j.cancel()
-		if !j.claimRun() {
-			t.Fatal("claimRun failed")
-		}
-		const total = 2000
-		for done := 1; done <= total; done++ {
-			j.onProgress(done, total)
-		}
-		before, _ := j.EventsSince(0)
+	log := newTestEventLog()
+	j := newJob("job-000000001", "", quickSpec(), ds, nil, context.Background(), log, nil, 0, false)
+	defer j.cancel()
+	if !j.claimRun() {
+		t.Fatal("claimRun failed")
+	}
+	const total = 2000
+	for done := 1; done <= total; done++ {
+		j.onProgress(done, total)
+	}
+	before, _ := j.EventsSince(0)
+	if before[0].Seq != 1 {
+		t.Fatalf("full history starts at seq %d, want 1", before[0].Seq)
+	}
 
-		// Eviction: the store drops the job's event log.
-		log.mu.Lock()
-		log.evs = map[string][]Event{}
-		log.mu.Unlock()
+	// Eviction: the store drops the job's event log.
+	log.mu.Lock()
+	log.evs = map[string][]Event{}
+	log.mu.Unlock()
 
-		history, _ := j.EventsSince(0)
-		if len(history) != len(before) {
-			t.Fatalf("history after the log vanished has %d events, want %d", len(history), len(before))
-		}
-		if history[0].Seq != 1 {
-			t.Fatalf("history after the log vanished starts at seq %d, want 1", history[0].Seq)
-		}
-		j.mu.Lock()
-		lastSeq := j.seq
-		j.mu.Unlock()
-		if history[len(history)-1].Seq != lastSeq {
-			t.Fatalf("history missing the newest event: last %d, want %d", history[len(history)-1].Seq, lastSeq)
-		}
-	})
-	t.Run("stale", func(t *testing.T) {
-		log := newTestEventLog()
-		const id = "job-000000001"
-		var prior []Event
-		for seq := 1; seq <= 300; seq++ {
-			prior = append(prior, Event{Seq: seq, Type: "progress", Done: seq, Total: 300})
-		}
-		// The durable log holds only a stale prefix — appends "failed"
-		// for everything after seq 200, the fresh queued event included.
-		log.mu.Lock()
-		log.evs[id] = append([]Event(nil), prior[:200]...)
-		log.mu.Unlock()
-		j := newJob(id, "", quickSpec(), ds, nil, context.Background(), log, prior, 0, true)
-		defer j.cancel()
-		log.mu.Lock()
-		log.evs[id] = log.evs[id][:200]
-		log.mu.Unlock()
-
-		history, _ := j.EventsSince(0)
-		if len(history) != 301 { // seqs 1..300 plus the fresh queued event
-			t.Fatalf("history has %d events, want 301", len(history))
-		}
-		for i := 1; i < len(history); i++ {
-			if history[i].Seq <= history[i-1].Seq {
-				t.Fatalf("history not monotone: %d after %d", history[i].Seq, history[i-1].Seq)
-			}
-		}
-		last := history[len(history)-1]
-		if want := 300 + seqRequeueGap + 1; last.Seq != want || last.Status != StatusQueued {
-			t.Fatalf("newest event lost: last = %+v, want queued seq %d", last, want)
-		}
-	})
+	history, _ := j.EventsSince(0)
+	if len(history) != len(before) {
+		t.Fatalf("history after the log vanished has %d events, want %d", len(history), len(before))
+	}
+	if history[0].Seq != 1 {
+		t.Fatalf("history after the log vanished starts at seq %d, want 1", history[0].Seq)
+	}
+	j.mu.Lock()
+	lastSeq := j.seq
+	j.mu.Unlock()
+	if history[len(history)-1].Seq != lastSeq {
+		t.Fatalf("history missing the newest event: last %d, want %d", history[len(history)-1].Seq, lastSeq)
+	}
 }
 
 // A restart resuming a job from its durable log must leave a sequence
@@ -644,5 +611,44 @@ func TestRequeueSeqGapAvoidsLostSuffixCollision(t *testing.T) {
 		if got, _ := j.EventsSince(after); len(got) != 1 || got[0].Seq != 2+seqRequeueGap+1 {
 			t.Fatalf("resume after %d = %+v; the fresh queued event must not be skipped", after, got)
 		}
+	}
+}
+
+// When the durable log lags the job (append failures are swallowed; a
+// disk-full store stalls the log while the job keeps publishing), a
+// catch-up from seq 0 must still reach the newest events — the
+// terminal status above all — since it reads the job's own history,
+// not the stale log.
+func TestCatchUpGraftsTailOntoStaleLog(t *testing.T) {
+	ds, _ := testDataset(t, 30)
+	log := newTestEventLog()
+	const id = "job-000000001"
+	var prior []Event
+	for seq := 1; seq <= 300; seq++ {
+		prior = append(prior, Event{Seq: seq, Type: "progress", Done: seq, Total: 300})
+	}
+	// The durable log holds only a stale prefix — appends "failed" for
+	// everything after seq 200, the fresh queued event included.
+	log.mu.Lock()
+	log.evs[id] = append([]Event(nil), prior[:200]...)
+	log.mu.Unlock()
+	j := newJob(id, "", quickSpec(), ds, nil, context.Background(), log, prior, 0, true)
+	defer j.cancel()
+	log.mu.Lock()
+	log.evs[id] = log.evs[id][:200]
+	log.mu.Unlock()
+
+	history, _ := j.EventsSince(0)
+	if len(history) != 301 { // seqs 1..300 plus the fresh queued event
+		t.Fatalf("history has %d events, want 301", len(history))
+	}
+	for i := 1; i < len(history); i++ {
+		if history[i].Seq <= history[i-1].Seq {
+			t.Fatalf("history not monotone: %d after %d", history[i].Seq, history[i-1].Seq)
+		}
+	}
+	last := history[len(history)-1]
+	if want := 300 + seqRequeueGap + 1; last.Seq != want || last.Status != StatusQueued {
+		t.Fatalf("newest event lost by the stale-log catch-up: last = %+v, want queued seq %d", last, want)
 	}
 }
