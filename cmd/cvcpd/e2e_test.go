@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os/exec"
@@ -83,6 +84,14 @@ func submitAndWait(t *testing.T, addr, csv string, onRunning func()) map[string]
 	if err != nil {
 		t.Fatal(err)
 	}
+	return waitJob(t, addr, resp, onRunning)
+}
+
+// waitJob reads the job a submission response created and polls until
+// it is terminal, returning the final job document. onRunning, when
+// non-nil, runs once the job is first seen running.
+func waitJob(t *testing.T, addr string, resp *http.Response, onRunning func()) map[string]json.RawMessage {
+	t.Helper()
 	defer resp.Body.Close()
 	var created struct {
 		ID string `json:"id"`
@@ -124,6 +133,36 @@ func submitAndWait(t *testing.T, addr, csv string, onRunning func()) map[string]
 	return nil
 }
 
+// buildCvcpd builds the cvcpd binary into a test temp dir. Process-level
+// tests skip under -short.
+func buildCvcpd(t *testing.T) string {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("process-level e2e; skipped with -short")
+	}
+	bin := filepath.Join(t.TempDir(), "cvcpd")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("building cvcpd: %v\n%s", err, out)
+	}
+	return bin
+}
+
+// post sends body to addr's path and fails the test on a transport
+// error or a status other than want.
+func post(t *testing.T, addr, path, contentType, body string, want int) *http.Response {
+	t.Helper()
+	resp, err := http.Post("http://"+addr+path, contentType, strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != want {
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		t.Fatalf("POST %s: status %d, want %d: %s", path, resp.StatusCode, want, msg)
+	}
+	return resp
+}
+
 func terminate(cmd *exec.Cmd) {
 	if cmd.Process == nil {
 		return
@@ -146,13 +185,7 @@ func terminate(cmd *exec.Cmd) {
 // SIGKILLed while the job runs and its leased shards must be reclaimed
 // and recomputed by the survivor.
 func TestE2ETopologyBitIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("process-level e2e; skipped with -short")
-	}
-	bin := filepath.Join(t.TempDir(), "cvcpd")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("building cvcpd: %v\n%s", err, out)
-	}
+	bin := buildCvcpd(t)
 	csv := e2eDataset()
 
 	// Reference: one single-node server, in-memory store.
@@ -189,5 +222,83 @@ func TestE2ETopologyBitIdentical(t *testing.T) {
 	// text means equal float64 bits for every score, and equal labels.
 	if string(got["result"]) != string(want["result"]) {
 		t.Fatalf("distributed result differs from single-node:\n got: %s\nwant: %s", got["result"], want["result"])
+	}
+}
+
+// TestE2EDatasetTopologyBitIdentical runs a dataset_id job across real
+// processes: the coordinator registers a dataset and appends a batch,
+// and two worker processes compute the job's shards. The job's records
+// carry no rows, so each worker rebuilds the pinned version from the
+// dataset's own records in the shared store. The result document must be
+// byte-identical to a single-node server's on the same rows, and the
+// job's events must show the workers' shards.
+func TestE2EDatasetTopologyBitIdentical(t *testing.T) {
+	bin := buildCvcpd(t)
+	lines := strings.SplitAfter(e2eDataset(), "\n")
+	registered, appended := strings.Join(lines[:290], ""), strings.Join(lines[290:], "")
+
+	// run registers the rows, appends the batch and runs the job on addr,
+	// returning the job's final document.
+	run := func(addr string) map[string]json.RawMessage {
+		t.Helper()
+		create, err := json.Marshal(map[string]any{"name": "blobs", "has_label": true, "csv": registered})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp := post(t, addr, "/v1/datasets", "application/json", string(create), http.StatusCreated)
+		var dv struct {
+			ID string `json:"id"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&dv)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		post(t, addr, "/v1/datasets/"+dv.ID+"/rows", "text/csv", appended, http.StatusOK).Body.Close()
+		job := fmt.Sprintf(`{"dataset_id":%q,"algorithm":"fosc","params":[3,4,5,6,7,8],"folds":3,"seed":7,"label_fraction":0.4}`, dv.ID)
+		doc := waitJob(t, addr, post(t, addr, "/v1/jobs", "application/json", job, http.StatusAccepted), nil)
+		if v := string(doc["dataset_version"]); v != "2" {
+			t.Fatalf("job pinned version %s, want 2", v)
+		}
+		return doc
+	}
+
+	singleAddr := freePort(t)
+	single, singleLogs := startCvcpd(t, bin, "-role=single", "-addr", singleAddr, "-workers", "2")
+	defer terminate(single)
+	waitHealthy(t, singleAddr, singleLogs)
+	want := run(singleAddr)
+	terminate(single)
+
+	dir := t.TempDir()
+	coordAddr := freePort(t)
+	shared := []string{"-store-dir", dir, "-lease-ttl", "2s", "-poll", "5ms"}
+	coord, coordLogs := startCvcpd(t, bin, append([]string{"-role=coordinator", "-addr", coordAddr}, shared...)...)
+	defer terminate(coord)
+	for _, id := range []string{"w1", "w2"} {
+		w, _ := startCvcpd(t, bin, append([]string{"-role=worker", "-worker-id", id, "-workers", "2"}, shared...)...)
+		defer terminate(w)
+	}
+	waitHealthy(t, coordAddr, coordLogs)
+	got := run(coordAddr)
+
+	if string(got["result"]) != string(want["result"]) {
+		t.Fatalf("distributed dataset job's result differs from single-node:\n got: %s\nwant: %s", got["result"], want["result"])
+	}
+	var id string
+	if err := json.Unmarshal(got["id"], &id); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Get("http://" + coordAddr + "/v1/jobs/" + id + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	events, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(events), `"shard_status":"done","worker":"w`) {
+		t.Fatalf("the job's events show no shard a worker finished:\n%s", events)
 	}
 }

@@ -35,8 +35,9 @@ type Worker struct {
 	// that keeps this package ignorant of the spec format. It must be
 	// deterministic: every worker resolving the same job record must
 	// produce plans that score every cell bit-identically (the server's
-	// resolver decodes its job-spec JSON and dataset CSV, both of which
-	// round-trip exactly).
+	// resolver decodes its job-spec JSON and rebuilds the rows from the
+	// record's CSV or the dataset's row batches, all of which round-trip
+	// exactly).
 	Resolve func(job store.Record) (*cvcp.CellPlan, error)
 	// Workers bounds this worker's own engine parallelism per shard;
 	// 0 means GOMAXPROCS. Purely local: it never affects scores.

@@ -149,6 +149,17 @@ func encodeBatchRecord(dsID string, version int, b dataset.RowBatch, created tim
 	}, nil
 }
 
+// decodeBatchRecord decodes the rows of one row-batch record, the
+// inverse of encodeBatchRecord. Startup replay and a worker rebuilding a
+// job's pinned rows both read batches through it.
+func decodeBatchRecord(rec store.Record) (dataset.RowBatch, error) {
+	var payload datasetBatchPayload
+	if err := json.Unmarshal(rec.Dataset, &payload); err != nil {
+		return dataset.RowBatch{}, err
+	}
+	return dataset.DecodeRowBatch(strings.NewReader(payload.Batch), 0)
+}
+
 // CreateDataset registers a new versioned dataset, optionally seeded
 // with an initial row batch (initial may be nil for an empty dataset at
 // version 0). The meta record is durably persisted before the dataset
@@ -262,9 +273,12 @@ func (m *Manager) ListDatasets() []DatasetView {
 // dataset. The meta record is deleted first so a crash mid-delete
 // leaves orphans (batches, cells) that the startup sweeps collect, never
 // a half-alive dataset. When that delete fails the dataset stays, and
-// the registry entry and version gauge come back. Running jobs hold
-// materialized snapshots and are unaffected; their remaining cache
-// writes become orphans too.
+// the registry entry and version gauge come back. A single-node job
+// submitted before the delete holds its snapshot in memory and runs on
+// it; its remaining cache writes become orphans too. A job that must
+// read its rows again — re-queued by a restart, or resolved by a
+// distributed worker — fails with an error naming the dataset and its
+// pinned version.
 func (m *Manager) DeleteDataset(id string) error {
 	m.dsMu.Lock()
 	md, ok := m.datasets[id]
@@ -331,11 +345,7 @@ func (m *Manager) restoreDatasetRows(rec store.Record) {
 	if err != nil || !ok {
 		return
 	}
-	var payload datasetBatchPayload
-	if err := json.Unmarshal(full.Dataset, &payload); err != nil {
-		return // corrupt batch: the dataset resumes at the last good version
-	}
-	b, err := dataset.DecodeRowBatch(strings.NewReader(payload.Batch), 0)
+	b, err := decodeBatchRecord(full)
 	if err != nil {
 		return // corrupt batch: the dataset resumes at the last good version
 	}
@@ -364,4 +374,47 @@ func (m *Manager) SnapshotForJob(spec *Spec) (*dataset.Dataset, *apiError) {
 		return nil, badRequest("invalid_request", "%v", err)
 	}
 	return ds, nil
+}
+
+// pinnedRowsError names the dataset and version a dataset job pinned
+// when its rows cannot be read again.
+func pinnedRowsError(spec Spec, err error) error {
+	return fmt.Errorf("server: rows of dataset %s version %d: %w", spec.DatasetID, spec.DatasetVersion, err)
+}
+
+// storedSnapshot rebuilds the snapshot of dataset id at version from the
+// store alone, as a worker with no registry must: the meta record, then
+// one Get per row-batch record 1..version, appended in version order as
+// the registry appended them, so the snapshot is bit-identical to the
+// registry's.
+func storedSnapshot(s store.Store, id string, version int) (*dataset.Dataset, error) {
+	rec, ok, err := s.Get(id)
+	if err != nil {
+		return nil, err
+	}
+	if !ok {
+		return nil, ErrDatasetNotFound
+	}
+	var meta datasetMetaRecord
+	if err := json.Unmarshal(rec.Spec, &meta); err != nil {
+		return nil, err
+	}
+	v := dataset.NewVersioned(meta.Name, meta.HasLabel)
+	for n := 1; n <= version; n++ {
+		rec, ok, err := s.Get(datasetBatchID(id, n))
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			return nil, fmt.Errorf("no row batch of version %d", n)
+		}
+		b, err := decodeBatchRecord(rec)
+		if err != nil {
+			return nil, err
+		}
+		if _, err := v.Append(b); err != nil {
+			return nil, err
+		}
+	}
+	return v.Snapshot(version)
 }

@@ -507,3 +507,239 @@ func TestDatasetRestartKeepsDatasetsAndCellCache(t *testing.T) {
 }
 
 func batchPtr(b dataset.RowBatch) *dataset.RowBatch { return &b }
+
+// putRecorder keeps a copy of every record Put through it.
+type putRecorder struct {
+	store.Store
+	mu   sync.Mutex
+	puts []store.Record
+}
+
+func (p *putRecorder) Put(rec store.Record) error {
+	p.mu.Lock()
+	p.puts = append(p.puts, rec.Clone())
+	p.mu.Unlock()
+	return p.Store.Put(rec)
+}
+
+// jobPuts returns the records Put under the job's ID, in order.
+func (p *putRecorder) jobPuts(id string) []store.Record {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	var out []store.Record
+	for _, rec := range p.puts {
+		if rec.ID == id {
+			out = append(out, rec)
+		}
+	}
+	return out
+}
+
+// A dataset job's records carry no rows: its queued and running records
+// name the dataset and the pinned version in the spec, and their Dataset
+// field is empty. An inline-CSV job's live records still carry its CSV,
+// the only durable copy of its rows.
+func TestDatasetJobRecordsCarryNoRows(t *testing.T) {
+	rs := &putRecorder{Store: store.NewMemory()}
+	m := NewManager(Config{MaxRunningJobs: 1, WorkerBudget: 2, Store: rs})
+	defer m.Shutdown(context.Background())
+	dv, err := m.CreateDataset("g", true, batchPtr(growthBatch(0, 40)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dsJob := submitDatasetJob(t, m, datasetJobSpec(dv.ID))
+	if s := waitTerminal(t, dsJob); s != StatusDone {
+		t.Fatalf("dataset job finished as %s (%s)", s, dsJob.View().Error)
+	}
+	inlineDS, inlineCSV := testDataset(t, 30)
+	inline, err := m.Submit(quickSpec(), inlineDS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := waitTerminal(t, inline); s != StatusDone {
+		t.Fatalf("inline job finished as %s", s)
+	}
+
+	live := func(j *Job) map[string]store.Record {
+		t.Helper()
+		byStatus := map[string]store.Record{}
+		for _, rec := range rs.jobPuts(j.ID()) {
+			if !Status(rec.Status).Terminal() {
+				byStatus[rec.Status] = rec
+			}
+		}
+		for _, st := range []Status{StatusQueued, StatusRunning} {
+			if _, ok := byStatus[string(st)]; !ok {
+				t.Fatalf("job %s: no %s record was written", j.ID(), st)
+			}
+		}
+		return byStatus
+	}
+	for st, rec := range live(dsJob) {
+		if len(rec.Dataset) != 0 {
+			t.Errorf("dataset job's %s record carries %d payload bytes, want none", st, len(rec.Dataset))
+		}
+		var sr specRecord
+		if err := json.Unmarshal(rec.Spec, &sr); err != nil {
+			t.Fatal(err)
+		}
+		if sr.Spec.DatasetID != dv.ID || sr.Spec.DatasetVersion != 1 {
+			t.Errorf("dataset job's %s record pins (%s, v%d), want (%s, v1)", st, sr.Spec.DatasetID, sr.Spec.DatasetVersion, dv.ID)
+		}
+	}
+	for st, rec := range live(inline) {
+		var dr datasetRecord
+		if err := json.Unmarshal(rec.Dataset, &dr); err != nil {
+			t.Fatalf("inline job's %s record: %v", st, err)
+		}
+		if dr.CSV != inlineCSV || !dr.HasLabel {
+			t.Errorf("inline job's %s record carries CSV %.40q (labeled %v), want its rows", st, dr.CSV, dr.HasLabel)
+		}
+	}
+}
+
+// interruptDatasetJob runs a dataset job on a manager over a file store
+// in dir until the job is inside its first grid cell, so its record
+// reads running, then calls between (the tests append rows or delete the
+// dataset there). It returns the abandoned manager and store, as a
+// killed process leaves them, the parked job and its dataset's ID; the
+// caller releases alg and then calls the returned teardown.
+func interruptDatasetJob(t *testing.T, dir string, alg gatedAlg, algName string, between func(m *Manager, dsID string)) (j *Job, dsID string, teardown func()) {
+	t.Helper()
+	s1 := openFileStore(t, dir)
+	// One engine worker: the parked cell is the only work in flight.
+	m1 := NewManager(Config{MaxRunningJobs: 1, WorkerBudget: 1, Store: s1})
+	dv, err := m1.CreateDataset("g", true, batchPtr(growthBatch(0, 60)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := datasetJobSpec(dv.ID)
+	spec.Algorithm = algName
+	j = submitDatasetJob(t, m1, spec)
+	<-alg.started
+	between(m1, dv.ID)
+	return j, dv.ID, func() {
+		waitTerminal(t, j)
+		m1.Shutdown(context.Background())
+		s1.Close()
+	}
+}
+
+// A dataset job interrupted while running re-queues after a restart on
+// its pinned version, though rows were appended after it was pinned, and
+// finishes bit-identical to an uninterrupted run on those rows. Its
+// record carried no rows: the restart rebuilt them from the dataset's
+// own records.
+func TestDatasetJobRestartRequeuesPinnedVersion(t *testing.T) {
+	alg := newGatedAlg()
+	RegisterAlgorithm("gated-ds-requeue", alg, []int{3, 6})
+	dir := t.TempDir()
+	j, dsID, teardown := interruptDatasetJob(t, dir, alg, "gated-ds-requeue", func(m *Manager, id string) {
+		if _, err := m.AppendRows(id, growthBatch(60, 62)); err != nil {
+			t.Fatal(err)
+		}
+	})
+
+	s2 := openFileStore(t, dir)
+	m2 := NewManager(Config{MaxRunningJobs: 1, WorkerBudget: 2, Store: s2})
+	rj, err := m2.Get(j.ID())
+	if err != nil {
+		t.Fatalf("interrupted job not replayed: %v", err)
+	}
+	if s := waitTerminal(t, rj); s != StatusDone {
+		t.Fatalf("re-queued dataset job finished as %s (%s)", s, rj.View().Error)
+	}
+	got := rj.View()
+	if got.DatasetID != dsID || got.DatasetVer != 1 || got.Objects != 60 {
+		t.Fatalf("re-queued job ran on (%s, v%d, %d rows), want (%s, v1, 60 rows)", got.DatasetID, got.DatasetVer, got.Objects, dsID)
+	}
+
+	// Uninterrupted reference on a fresh manager holding only the pinned
+	// rows (the gate only parks the first call, so this one runs through).
+	ref := NewManager(Config{MaxRunningJobs: 1, WorkerBudget: 2})
+	defer ref.Shutdown(context.Background())
+	rdv, err := ref.CreateDataset("g", true, batchPtr(growthBatch(0, 60)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := datasetJobSpec(rdv.ID)
+	spec.Algorithm = "gated-ds-requeue"
+	sameResultView(t, got.Result, runDatasetJob(t, ref, spec))
+
+	m2.Shutdown(context.Background())
+	s2.Close()
+	close(alg.release)
+	teardown()
+}
+
+// A dataset job interrupted while running whose dataset is deleted
+// before the restart comes back failed, with an error naming the dataset
+// and the pinned version, and is not re-queued: its record reads failed,
+// so no later restart runs it either.
+func TestDatasetJobRestartFailsWhenDatasetGone(t *testing.T) {
+	alg := newGatedAlg()
+	RegisterAlgorithm("gated-ds-gone", alg, []int{3, 6})
+	dir := t.TempDir()
+	j, dsID, teardown := interruptDatasetJob(t, dir, alg, "gated-ds-gone", func(m *Manager, id string) {
+		if err := m.DeleteDataset(id); err != nil {
+			t.Fatal(err)
+		}
+	})
+
+	s2 := openFileStore(t, dir)
+	m2 := NewManager(Config{MaxRunningJobs: 1, WorkerBudget: 2, Store: s2})
+	rj, err := m2.Get(j.ID())
+	if err != nil {
+		t.Fatalf("interrupted job not replayed: %v", err)
+	}
+	v := rj.View()
+	if v.Status != StatusFailed {
+		t.Fatalf("job on a deleted dataset came back %s, want failed", v.Status)
+	}
+	if want := "dataset " + dsID + " version 1"; !strings.Contains(v.Error, want) {
+		t.Errorf("error %q does not name %q", v.Error, want)
+	}
+	if rec, ok, err := s2.Get(j.ID()); err != nil || !ok || rec.Status != string(StatusFailed) {
+		t.Errorf("job record after the restart: %q (found %v, err %v), want failed", rec.Status, ok, err)
+	}
+
+	m2.Shutdown(context.Background())
+	s2.Close()
+	close(alg.release)
+	teardown()
+}
+
+// A worker rebuilds a dataset job's rows from the dataset's records
+// alone. When the pinned version was never reached, or the dataset is
+// deleted, resolving the plan fails with an error naming the dataset and
+// the version: the worker never plans other rows.
+func TestDatasetWorkerResolveNamesMissingVersion(t *testing.T) {
+	m := NewManager(Config{MaxRunningJobs: 1, WorkerBudget: 1})
+	defer m.Shutdown(context.Background())
+	dv, err := m.CreateDataset("g", true, batchPtr(growthBatch(0, 40)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resolve := resolvePlan(m.store)
+	jobRecord := func(version int) store.Record {
+		spec := datasetJobSpec(dv.ID)
+		spec.DatasetVersion = version
+		blob, err := json.Marshal(specRecord{Spec: spec, DatasetName: "g@v1", Objects: 40})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return store.Record{ID: "job-000000001", Status: string(StatusRunning), Spec: blob}
+	}
+	if p, err := resolve(jobRecord(1)); err != nil || p.NumCells() != 2*4 {
+		t.Fatalf("resolving version 1: %v", err)
+	}
+	if _, err := resolve(jobRecord(2)); err == nil || !strings.Contains(err.Error(), "dataset "+dv.ID+" version 2") {
+		t.Errorf("resolving a version never reached: %v, want an error naming %s version 2", err, dv.ID)
+	}
+	if err := m.DeleteDataset(dv.ID); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := resolve(jobRecord(1)); !errors.Is(err, ErrDatasetNotFound) || !strings.Contains(err.Error(), "dataset "+dv.ID+" version 1") {
+		t.Errorf("resolving a deleted dataset: %v, want ErrDatasetNotFound naming %s version 1", err, dv.ID)
+	}
+}

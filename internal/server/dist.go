@@ -32,9 +32,10 @@ func distPlan(spec Spec, ds *dataset.Dataset, cache *runner.ScoreCache) (*corecv
 }
 
 // executeDistributed runs one claimed job through the dist coordinator:
-// the grid is sharded into the shared store, workers compute the cells
+// the grid is sharded into the shared store, workers plan the cells
 // from the job's own record (which the executor persists as running
-// before it calls runJob), and the merged per-cell scores finalize
+// before it calls runJob) and, for a dataset job, the dataset's row
+// batches, and the merged per-cell scores finalize
 // through the exact single-node reduction (CellPlan.Finalize), so the
 // result — selection, fold scores and final labels — is bit-identical
 // to Job.execute. Shard transitions publish as "shard" events and feed
@@ -146,20 +147,29 @@ func workerBudget(workers int) int {
 
 // resolvePlan returns the worker's dist.Worker.Resolve hook, bound to
 // the worker's shared store: it decodes the job record the coordinator's
-// manager persisted — job spec and dataset payload — and builds the cell
-// plan. Both decodes are strict: a field mismatch means the coordinator
-// runs a different version of this code, and silently ignoring the
-// difference could split scores across versions. Dataset-referencing
-// jobs get a store-backed cell cache (the plan is cached per job by the
-// worker, so the cache lives for all the worker's shards of that job):
-// cells another process already scored are served from the shared store
-// instead of recomputed, and the worker reports the split in its
-// shard records.
+// manager persisted, rebuilds the job's rows — an inline job's from the
+// record's CSV payload, a dataset job's pinned version from the
+// dataset's records (storedSnapshot) — and builds the cell plan. Record
+// decodes are strict: a field mismatch means the coordinator runs a
+// different version of this code, and silently ignoring the difference
+// could split scores across versions. Dataset-referencing jobs get a
+// store-backed cell cache (the plan is cached per job by the worker, so
+// the cache lives for all the worker's shards of that job): cells
+// another process already scored are served from the shared store
+// instead of recomputed, and the worker reports the split in its shard
+// records.
 func resolvePlan(s store.Store) func(store.Record) (*corecvcp.CellPlan, error) {
 	return func(rec store.Record) (*corecvcp.CellPlan, error) {
 		var sr specRecord
 		if err := strictUnmarshal(rec.Spec, &sr); err != nil {
 			return nil, fmt.Errorf("server: decoding spec of %s: %w", rec.ID, err)
+		}
+		if id := sr.Spec.DatasetID; id != "" {
+			ds, err := storedSnapshot(s, id, sr.Spec.DatasetVersion)
+			if err != nil {
+				return nil, pinnedRowsError(sr.Spec, err)
+			}
+			return distPlan(sr.Spec, ds, runner.NewScoreCache(store.NewCellCache(s, id), 0))
 		}
 		var dr datasetRecord
 		if err := strictUnmarshal(rec.Dataset, &dr); err != nil {
@@ -172,11 +182,7 @@ func resolvePlan(s store.Store) func(store.Record) (*corecvcp.CellPlan, error) {
 		if err != nil {
 			return nil, fmt.Errorf("server: rebuilding dataset of %s: %w", rec.ID, err)
 		}
-		var cache *runner.ScoreCache
-		if sr.Spec.DatasetID != "" {
-			cache = runner.NewScoreCache(store.NewCellCache(s, sr.Spec.DatasetID), 0)
-		}
-		return distPlan(sr.Spec, ds, cache)
+		return distPlan(sr.Spec, ds, nil)
 	}
 }
 

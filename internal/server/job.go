@@ -186,10 +186,12 @@ type jobEventLog interface {
 	appendEvents(jobID string, evs []Event)
 }
 
-// Job is one selection job. All mutable state is guarded by mu; the
-// dataset and spec are immutable after submission. ds is nil for terminal
-// jobs resurrected from the store (their records drop the dataset
-// payload); dsName and objects carry the dataset identity independently.
+// Job is one selection job. All mutable state is guarded by mu; the spec
+// is immutable after submission. ds (the rows) and dsBlob (an inline
+// job's record payload) are set when the job is queued and cleared under
+// mu when it turns terminal; every reader of ds (execute, runJob) runs
+// before that, and terminal jobs resurrected from the store never have
+// them. dsName and objects carry the dataset identity independently.
 // The job's event history is the only way its events reach a reader:
 // EventsSince reads past any point of it, and each publish wakes the
 // readers waiting at its end.
@@ -229,9 +231,10 @@ type Job struct {
 	intervalPubs     int
 }
 
-// newJob builds a queued job. dsBlob is the pre-serialized dataset
-// payload for persistence — callers build it once, outside the manager
-// lock (marshalDataset), or reuse the payload of a replayed record.
+// newJob builds a queued job. dsBlob is an inline job's pre-serialized
+// dataset payload for persistence — callers build it once, outside the
+// manager lock (marshalDataset), or reuse the payload of a replayed
+// record; it is nil for a dataset job.
 // prior is the job's replayed event history and restored marks a job
 // re-queued from a restart: prior seeds the sequence counter and the
 // history so the fresh queued event continues the existing log instead of
@@ -354,6 +357,7 @@ func (j *Job) requestCancel() Status {
 		j.status = StatusCancelled
 		j.finished = time.Now()
 		j.publishLocked(Event{Type: "status", Status: StatusCancelled})
+		j.ds, j.dsBlob = nil, nil // never ran, never will: see finish
 	}
 	return j.status
 }
@@ -442,6 +446,10 @@ func (j *Job) finish(res *corecvcp.Result, err error) {
 		j.errMsg = err.Error()
 	}
 	j.publishLocked(Event{Type: "status", Status: j.status})
+	// A terminal job never reads its rows again (its records carry none,
+	// and its view keeps dsName and objects), so let them go: a retained
+	// finished job holds only its result.
+	j.ds, j.dsBlob = nil, nil
 	// Release the cancelCtx registered on the manager's base context;
 	// without this every completed job would stay referenced by the parent
 	// context for the life of the process.

@@ -244,17 +244,10 @@ func (m *Manager) restore(rec store.Record) {
 	if n, ok := numericSuffix(rec.ID, "job-"); ok && n > m.nextID {
 		m.nextID = n
 	}
-	if !Status(rec.Status).Terminal() {
-		// List omits the dataset payload; an interrupted job needs it to
-		// re-queue, so fetch the full record.
-		if full, ok, err := m.store.Get(rec.ID); err == nil && ok {
-			rec = full
-		}
-	}
 	if n, ok := numericSuffix(rec.Batch, "batch-"); ok && n > m.nextBatch {
 		m.nextBatch = n
 	}
-	j, requeue := jobFromRecord(rec, m.baseCtx, m, m.eventsSince(rec.ID, 0))
+	j, requeue := m.jobFromRecord(rec, m.eventsSince(rec.ID, 0))
 	m.jobs[j.id] = j
 	m.order = append(m.order, j.id)
 	if j.batch != "" {
@@ -510,9 +503,13 @@ func (m *Manager) SubmitBatch(items []BatchItem) (BatchView, error) {
 // persisted ones back when a write fails, and publishes them. batch mints
 // a batch ID that every job carries.
 func (m *Manager) submit(items []BatchItem, batch bool) ([]*Job, *batchState, error) {
+	// Only an inline job's rows travel in its records: a dataset job's
+	// are durable in the dataset's own records, named by its pin.
 	blobs := make([][]byte, len(items))
 	for i, it := range items {
-		blobs[i] = marshalDataset(it.Dataset)
+		if it.Spec.DatasetID == "" {
+			blobs[i] = marshalDataset(it.Dataset)
+		}
 	}
 	// A batch arrives through one submission, so every item shares the
 	// submitting tenant.

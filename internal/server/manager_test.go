@@ -83,6 +83,70 @@ func (s sleepAlg) Cluster(ds *dataset.Dataset, train *constraints.Set, param int
 	return make([]int, ds.N()), nil
 }
 
+// A finished job lets go of its rows and its record payload, yet it is
+// still listed and served with its dataset's name, size and result. So
+// does a job cancelled while queued.
+func TestFinishedJobReleasesRows(t *testing.T) {
+	ds, _ := testDataset(t, 30)
+	alg := newBlockingAlg()
+	RegisterAlgorithm("block-release", alg, []int{1})
+	m := NewManager(Config{MaxRunningJobs: 1, WorkerBudget: 2})
+	defer m.Shutdown(context.Background())
+
+	spec := quickSpec()
+	spec.Algorithm = "block-release"
+	spec.Params = []int{1}
+	blocker, err := m.Submit(spec, ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-alg.started
+	cancelled, err := m.Submit(quickSpec(), ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Cancel(cancelled.ID()); err != nil {
+		t.Fatal(err)
+	}
+	done, err := m.Submit(quickSpec(), ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	close(alg.release)
+	waitTerminal(t, blocker)
+	if s := waitTerminal(t, done); s != StatusDone {
+		t.Fatalf("job finished as %s", s)
+	}
+
+	views, _ := m.ListPage("", 0)
+	listed := map[string]JobView{}
+	for _, v := range views {
+		listed[v.ID] = v
+	}
+	for _, j := range []*Job{done, cancelled} {
+		j.mu.Lock()
+		rows, blob := j.ds, j.dsBlob
+		j.mu.Unlock()
+		if rows != nil || blob != nil {
+			t.Errorf("%s job %s still holds its rows (%v) or payload (%d bytes)", j.Status(), j.ID(), rows != nil, len(blob))
+		}
+		got, err := m.Get(j.ID())
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, ok := listed[j.ID()]
+		if !ok {
+			t.Fatalf("job %s is not listed", j.ID())
+		}
+		if gv := got.View(); gv.Dataset != "test" || gv.Objects != 30 || v.Dataset != "test" || v.Objects != 30 {
+			t.Errorf("job %s serves dataset %q/%d and lists %q/%d, want test/30", j.ID(), gv.Dataset, gv.Objects, v.Dataset, v.Objects)
+		}
+	}
+	if v := done.View(); v.Result == nil || len(v.Result.FinalLabels) != 30 {
+		t.Errorf("finished job serves result %+v, want 30 final labels", v.Result)
+	}
+}
+
 func TestManagerLifecycleAndEviction(t *testing.T) {
 	ds, _ := testDataset(t, 30)
 	m := NewManager(Config{MaxRunningJobs: 1, RetainFinished: 1, WorkerBudget: 2})

@@ -32,20 +32,23 @@ type specRecord struct {
 	LastSeq int `json:"last_seq,omitempty"`
 }
 
-// datasetRecord is the opaque dataset payload of a non-terminal record —
-// everything needed to rebuild the dataset and re-run the job after a
-// restart. WriteCSV emits full float64 precision, so the rebuilt dataset
-// (and hence the re-run selection, with the persisted seed) is
-// bit-identical to the original.
+// datasetRecord is the opaque dataset payload of an inline-CSV job's
+// non-terminal records — the only durable copy of its rows, everything
+// needed to rebuild the dataset and re-run the job after a restart.
+// WriteCSV emits full float64 precision, so the rebuilt dataset (and
+// hence the re-run selection, with the persisted seed) is bit-identical
+// to the original. A dataset job's records carry no payload: its spec
+// names the dataset and the pinned version, whose rows the dataset's own
+// records already hold.
 type datasetRecord struct {
 	HasLabel bool   `json:"has_label"`
 	CSV      string `json:"csv"`
 }
 
-// marshalDataset serializes a dataset into the persisted payload form.
-// It is called once per submission, outside the manager lock (the CSV
-// round-trip is the expensive part of persisting a job), and the result
-// is reused for every non-terminal persist of that job.
+// marshalDataset serializes an inline job's dataset into the persisted
+// payload form. It is called once per submission, outside the manager
+// lock (the CSV round-trip is the expensive part of persisting a job),
+// and the result is reused for every non-terminal persist of that job.
 func marshalDataset(ds *dataset.Dataset) []byte {
 	var buf bytes.Buffer
 	if err := ds.WriteCSV(&buf); err != nil {
@@ -56,8 +59,10 @@ func marshalDataset(ds *dataset.Dataset) []byte {
 }
 
 // record snapshots the job as a persistable store.Record. Terminal records
-// carry the result but not the dataset; live records carry the dataset so
-// an interrupted job can be re-queued on restart.
+// carry the result but no rows; live records of inline-CSV jobs carry
+// the dataset so an interrupted job can be re-queued on restart, and live
+// records of dataset jobs carry nothing beyond the spec's (dataset_id,
+// dataset_version) pin.
 func (j *Job) record() store.Record {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -91,33 +96,59 @@ func (j *Job) record() store.Record {
 // resurrect as finished jobs — result, timestamps and full event history
 // intact, so SSE replay streams the identical sequence it streamed
 // before the restart. Non-terminal records — the jobs a previous process
-// was killed around — rebuild their dataset and come back as queued
-// jobs appending to their existing log (seq numbering continues);
-// requeue reports that the caller must enqueue them. A record that
-// cannot be decoded comes back as a failed job carrying the decode
-// error, so corruption is visible in listings instead of silently
+// was killed around — rebuild their rows and come back as queued jobs
+// appending to their existing log (seq numbering continues); requeue
+// reports that the caller must enqueue them. A dataset job's rows are
+// its pinned snapshot from the restored registry, even when a record
+// from an older version of this code still carries CSV; if the dataset
+// or the version is gone, the job comes back failed with an error naming
+// both. An inline job's rows are the CSV payload of its full record. A
+// record that cannot be decoded comes back as a failed job carrying the
+// decode error, so corruption is visible in listings instead of silently
 // dropped.
-func jobFromRecord(rec store.Record, parent context.Context, log jobEventLog, prior []Event) (j *Job, requeue bool) {
+func (m *Manager) jobFromRecord(rec store.Record, prior []Event) (j *Job, requeue bool) {
 	var sr specRecord
 	if err := json.Unmarshal(rec.Spec, &sr); err != nil {
-		return corruptJob(rec, fmt.Errorf("decoding job spec: %w", err), log, prior), false
+		return corruptJob(rec, fmt.Errorf("decoding job spec: %w", err), m, prior), false
 	}
 	if status := Status(rec.Status); status.Terminal() {
-		return newResurrectedJob(rec, sr, status, log, prior), false
+		return newResurrectedJob(rec, sr, status, m, prior), false
 	}
 
-	// Interrupted mid-flight: rebuild the dataset and re-queue.
+	// Interrupted mid-flight: rebuild the rows and re-queue.
+	if id := sr.Spec.DatasetID; id != "" {
+		// Store order replays every dataset record before any job record.
+		md, ok := m.datasets[id]
+		if !ok {
+			return failedJob(rec, sr, pinnedRowsError(sr.Spec, ErrDatasetNotFound), m, prior), false
+		}
+		ds, err := md.v.Snapshot(sr.Spec.DatasetVersion)
+		if err != nil {
+			return failedJob(rec, sr, pinnedRowsError(sr.Spec, err), m, prior), false
+		}
+		return m.requeuedJob(rec, sr, ds, nil, prior), true
+	}
+	if full, ok, err := m.store.Get(rec.ID); err == nil && ok {
+		rec = full
+	}
 	var dr datasetRecord
 	if err := json.Unmarshal(rec.Dataset, &dr); err != nil {
-		return corruptJob(rec, fmt.Errorf("decoding job dataset: %w", err), log, prior), false
+		return corruptJob(rec, fmt.Errorf("decoding job dataset: %w", err), m, prior), false
 	}
 	ds, err := dataset.ReadCSV(sr.DatasetName, strings.NewReader(dr.CSV), dr.HasLabel)
 	if err != nil {
-		return corruptJob(rec, fmt.Errorf("rebuilding job dataset: %w", err), log, prior), false
+		return corruptJob(rec, fmt.Errorf("rebuilding job dataset: %w", err), m, prior), false
 	}
-	j = newJob(rec.ID, rec.Batch, sr.Spec, ds, rec.Dataset, parent, log, prior, sr.LastSeq, true)
-	j.created = rec.Created // keep the original submission time
-	return j, true
+	return m.requeuedJob(rec, sr, ds, rec.Dataset, prior), true
+}
+
+// requeuedJob rebuilds an interrupted job as queued on ds, continuing
+// its event log and keeping its original submission time. blob is the
+// record's payload, which only an inline job carries.
+func (m *Manager) requeuedJob(rec store.Record, sr specRecord, ds *dataset.Dataset, blob []byte, prior []Event) *Job {
+	j := newJob(rec.ID, rec.Batch, sr.Spec, ds, blob, m.baseCtx, m, prior, sr.LastSeq, true)
+	j.created = rec.Created
+	return j
 }
 
 // newResurrectedJob builds a terminal job shell from a record: no
@@ -181,11 +212,16 @@ func newResurrectedJob(rec store.Record, sr specRecord, status Status, log jobEv
 	return j
 }
 
-// corruptJob marks an undecodable record as a failed job, with no
-// result, so it stays visible.
+// corruptJob marks an undecodable record as a failed job.
 func corruptJob(rec store.Record, err error, log jobEventLog, prior []Event) *Job {
+	return failedJob(rec, specRecord{DatasetName: "(corrupt record)"}, err, log, prior)
+}
+
+// failedJob brings a record back as a failed job carrying err, with no
+// result, so it stays visible and is never re-queued.
+func failedJob(rec store.Record, sr specRecord, err error, log jobEventLog, prior []Event) *Job {
 	rec.Result = nil
-	j := newResurrectedJob(rec, specRecord{DatasetName: "(corrupt record)"}, StatusFailed, log, prior)
+	j := newResurrectedJob(rec, sr, StatusFailed, log, prior)
 	j.errMsg = fmt.Sprintf("restored from store: %v", err)
 	if j.finished.IsZero() {
 		j.finished = time.Now()
